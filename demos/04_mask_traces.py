@@ -40,7 +40,7 @@ for token in tokens:
     state = dq.step(state, token)
 try:
     dq.step(state, dq.shift())
-except dq.MaskError as exc:
+except dq.IllegalTransition as exc:
     print("\nstep after FINISH:", exc)
 
 # A REDUCE collapses its members into one representative, shrinking

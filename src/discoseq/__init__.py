@@ -9,10 +9,10 @@ buffer masks replayed from the token stream alone.
 """
 
 from .decode import BatchStats, DecodeResult, LabelMismatch, Repair, decode, decode_batch
-from .masks import NEG_INF, MaskError, MaskPair, MaskState, initial_state, step, trace
+from .masks import NEG_INF, MaskPair, MaskState, initial_state, step, trace
 from .metrics import (DEFAULT_PUNCTUATION, MetricsError, Report, Score,
                       bracket_items, disc_f1, evaluate, exact_match, f1)
-from .oracle import EncodeError, VocabStats, encode, encode_enriched, vocab_stats
+from .oracle import EncodeError, VocabStats, encode, vocab_stats
 from .transitions import (SHIPPED_SCHEMES, Configuration, IllegalTransition,
                           Scheme, Transition, apply, extract_tree, finish,
                           format_transitions, illegality, initial, is_terminal,
@@ -32,13 +32,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchStats", "Configuration", "Constituent", "ConstituentTree",
     "DEFAULT_PUNCTUATION", "DecodeResult", "EncodeError", "IllegalTransition",
-    "LabelMismatch", "MaskError", "MaskPair", "MaskState", "MetricsError",
+    "LabelMismatch", "MaskPair", "MaskState", "MetricsError",
     "NEG_INF", "ParseFailure", "Repair", "Report", "SHIPPED_SCHEMES", "Scheme",
     "Score", "Transition", "Treebank", "TreebankError", "Violation",
     "VocabStats", "apply",
     "bracket_items", "bundled", "canonical_leaf_order", "decode", "decode_batch",
     "disc_f1", "discontinuous_constituents", "emit_bracketed",
-    "emit_discbracket", "encode", "encode_enriched", "evaluate", "exact_match",
+    "emit_discbracket", "encode", "evaluate", "exact_match",
     "extract_tree", "f1", "finish", "format_transitions", "illegality",
     "initial", "initial_state", "is_continuous", "is_terminal", "legal",
     "load_treebank", "nt", "parse_bracketed", "parse_discbracket",

@@ -23,7 +23,7 @@ from multiprocessing import Pool
 
 from . import __version__
 from .decode import decode
-from .masks import MaskError, trace
+from .masks import trace
 from .metrics import MetricsError, PairCounts, pair_counts, summarize
 from .neural import (TrainingDiverged, load_checkpoint, predict,
                      save_checkpoint, train)
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (OracleInvariantError, MaskError, IllegalTransition) as err:
+    except (OracleInvariantError, IllegalTransition) as err:
         print(f"discoseq: invariant breach: {err}", file=sys.stderr)
         return EXIT_INVARIANT
     except (TreebankError, TrainingDiverged, ValueError, OSError) as err:

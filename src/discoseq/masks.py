@@ -6,33 +6,28 @@ head.  An entry is 0 where the head may attend and -inf where it must
 not, so adding the mask to pre-softmax scores zeroes the masked
 attention weights exactly.
 
-The masks follow the parse state: initially every word is unmasked in
-the buffer vector and masked in the stack vector.  A shift moves a word
-from the buffer mask to the stack mask, a swap moves one back, closing
-a constituent keeps only its lowest unmasked position as the
-representative, and opening a non-terminal or finishing changes
-nothing.  A position is unmasked in at most one vector; reduced-away
-positions end up masked in both.
+The masks are a function of the parse configuration: every material
+item on the stack unmasks its lowest position in the stack vector, and
+every buffer item unmasks its lowest position in the buffer vector.
+Open non-terminals unmask nothing, and the other positions of a built
+constituent stay masked in both vectors.  So initially every word is
+unmasked in the buffer vector only, and a position is unmasked in at
+most one vector.
 
-Mask vectors alone do not determine which position a SWAP or REDUCE
-touches (that depends on the order of items on the stack), so the
-engine carries a MaskState holding the ordered representatives and
-updates the vectors incrementally from it, one token at a time.
+A MaskState pairs the configuration replayed by `transitions.apply`
+with the mask pair read off it; an illegal token raises
+IllegalTransition there.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from . import transitions as tr
-from .transitions import MarkerItem, Scheme, Transition
+from .transitions import Configuration, MarkerItem, Scheme, Transition
 
 NEG_INF = float("-inf")
-
-
-class MaskError(Exception):
-    """A token inconsistent with the mask state (bug or illegal input)."""
 
 
 @dataclass(frozen=True)
@@ -55,99 +50,35 @@ class MaskPair:
         return frozenset(int(i) for i in np.flatnonzero(self.buffer == 0.0))
 
 
-# stack entries: a representative position (int) or an open non-terminal
-Entry = Union[int, MarkerItem]
-
-
 @dataclass(frozen=True)
 class MaskState:
-    """Ordered representatives plus the current mask vectors."""
+    """A parse configuration plus the mask pair read off it."""
 
     scheme: Scheme
-    stack_entries: tuple[Entry, ...]
-    buffer_reprs: tuple[int, ...]
+    config: Configuration
     pair: MaskPair
-    finished: bool = False
+
+
+def _read_pair(config: Configuration, n_words: int) -> MaskPair:
+    stack = np.full(n_words, NEG_INF)
+    buffer = np.full(n_words, NEG_INF)
+    for item in config.stack:
+        if not isinstance(item, MarkerItem):
+            stack[item.min_position] = 0.0
+    for item in config.buffer:
+        buffer[item.min_position] = 0.0
+    return MaskPair(stack, buffer)
 
 
 def initial_state(n_words: int, scheme: Scheme) -> MaskState:
-    if n_words < 1:
-        raise ValueError("masks need at least one word")
-    stack = np.full(n_words, NEG_INF)
-    buffer = np.zeros(n_words)
-    return MaskState(scheme, (), tuple(range(n_words)), MaskPair(stack, buffer))
+    config = tr.initial(n_words)
+    return MaskState(scheme, config, _read_pair(config, n_words))
 
 
 def step(state: MaskState, token: Transition) -> MaskState:
-    """Advance the mask state by one token that was legal at this point."""
-    if state.finished:
-        raise MaskError("no tokens may follow FINISH")
-    scheme = state.scheme
-    stack = list(state.stack_entries)
-    buffer = list(state.buffer_reprs)
-    stack_mask = np.array(state.pair.stack)
-    buffer_mask = np.array(state.pair.buffer)
-    finished = False
-
-    def to_stack(p: int) -> None:
-        buffer_mask[p] = NEG_INF
-        stack_mask[p] = 0.0
-
-    def to_buffer(p: int) -> None:
-        stack_mask[p] = NEG_INF
-        buffer_mask[p] = 0.0
-
-    kind = token.kind
-    if kind in (tr.SHIFT, tr.SHIFT_K):
-        k = token.k if kind == tr.SHIFT_K else 0
-        if k >= len(buffer):
-            raise MaskError(f"{token} with only {len(buffer)} buffer items")
-        p = buffer.pop(k)
-        stack.append(p)
-        to_stack(p)
-    elif kind in (tr.SWAP, tr.SWAP_K):
-        k = token.k if kind == tr.SWAP_K else 1
-        if len(stack) < k + 1 or any(isinstance(e, MarkerItem) for e in stack[-k - 1:]):
-            raise MaskError(f"{token} without {k + 1} movable stack items")
-        moved = stack[-k - 1:-1]
-        del stack[-k - 1:-1]
-        buffer[:0] = moved
-        for p in moved:
-            to_buffer(p)
-    elif kind == tr.NT:
-        stack.append(MarkerItem(token.label))
-    elif kind in (tr.REDUCE, tr.REDUCE_L, tr.REDUCE_KL):
-        if kind == tr.REDUCE_KL:
-            if len(stack) < token.k:
-                raise MaskError(f"{token} without {token.k} reducible items")
-            popped = stack[-token.k:]
-            if any(isinstance(e, MarkerItem) for e in popped):
-                raise MaskError(f"{token} across an open non-terminal")
-            del stack[-token.k:]
-        else:
-            marker = tr.topmost_marker(tuple(stack))
-            if marker is None:
-                raise MaskError(f"{token} without an open non-terminal")
-            start = marker if scheme.base == tr.TOP_DOWN else marker - 1
-            if start < 0 or (scheme.base != tr.TOP_DOWN
-                             and isinstance(stack[marker - 1], MarkerItem)):
-                raise MaskError(f"{token} without an item below the marker")
-            popped = [e for e in stack[start:] if not isinstance(e, MarkerItem)]
-            if not popped:
-                raise MaskError(f"{token} closes an empty constituent")
-            del stack[start:]
-        survivor = min(popped)
-        for p in popped:
-            if p != survivor:
-                stack_mask[p] = NEG_INF  # masked in both vectors from now on
-        stack.append(survivor)
-    elif kind == tr.FINISH:
-        finished = True
-    else:
-        raise MaskError(f"unknown transition kind {kind!r}")
-
-    return MaskState(scheme, tuple(stack), tuple(buffer),
-                     MaskPair(stack_mask, buffer_mask), finished)
+    """Apply one token and read the new masks off the configuration."""
+    config = tr.apply(state.config, token, state.scheme)
+    return MaskState(state.scheme, config, _read_pair(config, len(state.pair.stack)))
 
 
 def trace(n_words: int, tokens: Iterable[Transition],

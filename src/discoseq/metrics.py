@@ -6,7 +6,8 @@ drops the configured surface forms from every yield before matching;
 items whose yield becomes empty disappear.  The discontinuous score
 restricts matching to items whose yield has a real gap, where gaps
 containing only removed punctuation do not count.  All ratios are
-micro-averaged on a 0-100 scale.
+micro-averaged on a 0-100 scale.  Like `discoseq eval`, every function
+keeps punctuation and the root node unless asked to drop them.
 """
 
 from collections import Counter
@@ -56,9 +57,9 @@ class Report:
     trees: int
 
 
-def bracket_items(tree: ConstituentTree, remove_punctuation: bool = True,
+def bracket_items(tree: ConstituentTree, remove_punctuation: bool = False,
                   punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-                  ignore_root: bool = True) -> Counter:
+                  ignore_root: bool = False) -> Counter:
     """Multiset of (label, yield) pairs for scoring.
 
     ignore_root drops the topmost node itself, not every node sharing
@@ -90,9 +91,9 @@ def _has_gap(positions: frozenset[int], removed: frozenset[int]) -> bool:
 
 
 def pair_counts(gold: ConstituentTree, predicted: ConstituentTree,
-                remove_punctuation: bool = True,
+                remove_punctuation: bool = False,
                 punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-                ignore_root: bool = True) -> PairCounts:
+                ignore_root: bool = False) -> PairCounts:
     if list(gold.sentence) != list(predicted.sentence):
         raise MetricsError("sentence mismatch")
     options = (remove_punctuation, punctuation, ignore_root)
@@ -171,26 +172,26 @@ def _paired(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree
 
 
 def evaluate(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-             remove_punctuation: bool = True,
+             remove_punctuation: bool = False,
              punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-             ignore_root: bool = True) -> Report:
+             ignore_root: bool = False) -> Report:
     counts = _paired(gold, predicted, remove_punctuation, punctuation,
                      ignore_root)
     return summarize(counts)
 
 
 def f1(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-       remove_punctuation: bool = True,
+       remove_punctuation: bool = False,
        punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-       ignore_root: bool = True) -> Score:
+       ignore_root: bool = False) -> Score:
     return evaluate(gold, predicted, remove_punctuation, punctuation,
                     ignore_root).labeled
 
 
 def disc_f1(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-            remove_punctuation: bool = True,
+            remove_punctuation: bool = False,
             punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-            ignore_root: bool = True) -> Score:
+            ignore_root: bool = False) -> Score:
     return evaluate(gold, predicted, remove_punctuation, punctuation,
                     ignore_root).discontinuous
 

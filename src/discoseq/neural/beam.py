@@ -1,8 +1,9 @@
 """Beam search over transition tokens with legality masking.
 
-Every hypothesis carries a replayed parser configuration and mask
-state, so candidate tokens that are illegal in the current
-configuration are excluded outright rather than merely down-weighted.
+Every hypothesis carries a mask state, the replayed parser
+configuration plus the masks read off it, so candidate tokens that
+are illegal in the current configuration are excluded outright rather
+than merely down-weighted.
 Scores are summed log probabilities without length normalisation.
 """
 
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..masks import MaskPair, MaskState, initial_state, step
-from ..transitions import (Configuration, Transition, apply, initial,
-                           is_terminal, legal, parse_scheme, parse_transition)
+# `apply` is unused here; the benchmark tracer binds it in this module
+from ..transitions import (Transition, apply, is_terminal, legal,  # noqa: F401
+                           parse_scheme, parse_transition)
 from .model import ModelConfig, Parameters, _decode, _encode, mask_rows
 
 
@@ -31,8 +33,7 @@ class _Hypothesis:
     score: float
     token_ids: list[int]
     tokens: list[Transition]
-    config_state: Configuration
-    mask_state: MaskState
+    state: MaskState
     pairs: list[MaskPair]
 
 
@@ -69,8 +70,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
 
     start = initial_state(n, scheme)
     live = [_Hypothesis(score=0.0, token_ids=[], tokens=[],
-                        config_state=initial(n), mask_state=start,
-                        pairs=[start.pair])]
+                        state=start, pairs=[start.pair])]
     finished: list[_Hypothesis] = []
     for _ in range(max_len):
         if not live:
@@ -84,7 +84,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
         for hyp_index, hyp in enumerate(live):
             log_probs = _log_distribution(params, config, memory, hyp)
             for token_id, transition in vocabulary:
-                if legal(hyp.config_state, transition, scheme):
+                if legal(hyp.state.config, transition, scheme):
                     candidates.append((hyp.score + log_probs[token_id],
                                        token_id, hyp_index, hyp, transition))
         if not candidates:
@@ -92,15 +92,12 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
         candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
         next_live = []
         for score, token_id, _, hyp, transition in candidates[:beam_size]:
-            mask_state = step(hyp.mask_state, transition)
+            state = step(hyp.state, transition)
             child = _Hypothesis(score=score,
                                 token_ids=hyp.token_ids + [token_id],
                                 tokens=hyp.tokens + [transition],
-                                config_state=apply(hyp.config_state, transition,
-                                                   scheme),
-                                mask_state=mask_state,
-                                pairs=hyp.pairs + [mask_state.pair])
-            if is_terminal(child.config_state, scheme):
+                                state=state, pairs=hyp.pairs + [state.pair])
+            if is_terminal(state.config, scheme):
                 finished.append(child)
             else:
                 next_live.append(child)

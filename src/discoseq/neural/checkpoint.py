@@ -3,7 +3,8 @@
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON
 header (format version, model config, tensor manifest), then the raw
 tensor payloads concatenated in manifest order as little-endian
-float64.  Round-trips are bitwise.
+float64.  Round-trips are bitwise.  Loading checks the tensors' names
+and shapes against the ones `init_parameters` makes for the config.
 """
 
 import json
@@ -13,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, init_parameters
 
 MAGIC = b"DSEQCKP1"
 
@@ -68,4 +69,13 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
             params[entry["name"]] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if handle.read(1):
             raise CheckpointError(f"{path}: trailing data after tensors")
+    expected = init_parameters(config, np.random.default_rng(0))
+    for name in sorted(expected.keys() | params.keys()):
+        if name not in params:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+        if params[name].shape != expected[name].shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                  f"{params[name].shape}, expected {expected[name].shape}")
     return params, config

@@ -10,14 +10,15 @@ when the stack or buffer is empty; masked positions get exactly zero
 attention weight either way.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
-FULL_SCALE_PRESET records the reference recipe used for full treebank
-experiments (6+6 layers, width 256, inverse-sqrt schedule with 4000
-warm-up updates, label smoothing 0.01, and so on) for documentation.
+Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
+heads, dropout 0.33) and Adam (lr 5e-4, betas 0.9/0.98, eps 1e-8) with
+4000 inverse-sqrt warm-up updates from 1e-7, min lr 1e-9, label
+smoothing 0.01, batches of 3584 tokens and 80 epochs.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,25 +30,6 @@ from .layers import (causal_mask, dropout, dropout_bwd, embed, embed_bwd,
 
 BOS = "<bos>"
 UNK = "<unk>"
-
-# Reference hyper-parameters for full-scale treebank training, kept as
-# documentation; the runnable defaults below are deliberately tiny.
-FULL_SCALE_PRESET: Mapping[str, object] = {
-    "n_layers": 6,
-    "d_model": 256,
-    "d_ff": 1024,
-    "n_heads": 4,
-    "dropout": 0.33,
-    "lr": 5e-4,
-    "warmup_updates": 4000,
-    "warmup_init_lr": 1e-7,
-    "min_lr": 1e-9,
-    "adam_betas": (0.9, 0.98),
-    "adam_eps": 1e-8,
-    "label_smoothing": 0.01,
-    "batch_tokens": 3584,
-    "epochs": 80,
-}
 
 
 @dataclass
@@ -419,29 +401,6 @@ def _example_pass(params: Parameters, config: ModelConfig, example: Example,
     d_memory = _decode_bwd(params, config, d_logits, dec_cache, grads)
     _encode_bwd(params, config, d_memory, enc_cache, grads)
     return total, len(targets), correct, grads
-
-
-def loss(distributions: np.ndarray, targets: Sequence[int],
-         smoothing: float = 0.01) -> float:
-    """Mean label-smoothed cross entropy of predicted distributions.
-
-    The smoothed target mixes (1 - smoothing) of the gold one-hot with
-    a uniform distribution, so predicting uniformly costs ln(vocab).
-    """
-    probs = np.asarray(distributions, dtype=float)
-    target_ids = np.asarray(targets, dtype=np.int64)
-    if probs.ndim != 2 or len(probs) != len(target_ids):
-        raise ValueError("need one distribution per gold token")
-    if len(target_ids) == 0:
-        raise ValueError("no tokens to score")
-    rows = np.arange(len(target_ids))
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
-    nll = -log_probs[rows, target_ids]
-    if smoothing == 0.0:
-        return float(nll.mean())
-    uniform = -log_probs.mean(axis=-1)
-    return float(((1.0 - smoothing) * nll + smoothing * uniform).mean())
 
 
 def batch_loss(params: Parameters, config: ModelConfig,

@@ -109,12 +109,6 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
     return out
 
 
-def encode_enriched(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
-    """Encode with labeled REDUCE tokens; scheme must allow enrichment."""
-    enriched = Scheme(scheme.base, scheme.disco, enriched=True)
-    return encode(tree, enriched)
-
-
 @dataclass(frozen=True)
 class VocabStats:
     """Token dictionary and maximum sequence length over a treebank."""

@@ -25,6 +25,7 @@ A transition is written exactly the way it is serialized: `SHIFT`,
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .tree import Constituent, ConstituentTree
@@ -261,7 +262,7 @@ class Scheme:
             name += ":enriched"
         return name
 
-    @property
+    @cached_property
     def kinds(self) -> frozenset[str]:
         """Transition kinds this scheme's token vocabulary draws from."""
         reduce_kind = REDUCE_L if self.enriched else REDUCE

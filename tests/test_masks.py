@@ -58,7 +58,7 @@ def test_nt_and_finish_leave_masks_alone():
     closed = dq.step(dq.step(after_nt, tr.shift()), tr.reduce_())
     done = dq.step(closed, tr.finish())
     assert sets(done.pair) == sets(closed.pair)
-    assert done.finished
+    assert done.config.finished
 
 
 def test_reduce_keeps_only_the_representative():
@@ -83,26 +83,26 @@ def test_step_after_finish_raises():
     state = dq.initial_state(1, SWAP)
     for token in dq.parse_transitions("SHIFT NT(S) REDUCE FINISH"):
         state = dq.step(state, token)
-    with pytest.raises(dq.MaskError):
+    with pytest.raises(dq.IllegalTransition):
         dq.step(state, tr.shift())
 
 
 def test_inconsistent_shift_raises():
     state = dq.initial_state(1, SWAP)
     state = dq.step(state, tr.shift())
-    with pytest.raises(dq.MaskError):
+    with pytest.raises(dq.IllegalTransition):
         dq.step(state, tr.shift())
 
 
 def test_inconsistent_swap_raises():
     state = dq.step(dq.initial_state(2, SWAP), tr.shift())
-    with pytest.raises(dq.MaskError):
+    with pytest.raises(dq.IllegalTransition):
         dq.step(state, tr.swap())
 
 
 def test_inconsistent_reduce_raises():
     state = dq.step(dq.initial_state(2, SWAP), tr.shift())
-    with pytest.raises(dq.MaskError):
+    with pytest.raises(dq.IllegalTransition):
         dq.step(state, tr.reduce_())
 
 

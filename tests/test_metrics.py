@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ def T(line):
 def test_hand_counted_fifty_percent():
     gold = T("(S (NP 0=a) (VP 1=b))")
     pred = T("(S (NP 0=a) (NP 1=b))")
-    score = dq.f1([gold], [pred])
+    score = dq.f1([gold], [pred], ignore_root=True)
     assert (score.precision, score.recall, score.f1) == (50.0, 50.0, 50.0)
     assert score.matched == 1 and score.gold_total == 2
 
@@ -38,7 +39,7 @@ def test_self_evaluation_is_always_perfect(tree):
 def test_empty_prediction_has_zero_recall():
     gold = T("(S (NP 0=a) (VP 1=b))")
     flat = T("(S 0=a 1=b)")  # no brackets besides the ignored root
-    score = dq.f1([gold], [flat])
+    score = dq.f1([gold], [flat], ignore_root=True)
     assert score.recall == 0.0 and score.f1 == 0.0
     assert score.predicted_total == 0
     assert score.precision == 100.0 and score.zero_denominator
@@ -64,9 +65,9 @@ def test_continuous_banks_flag_empty_disc_denominator(cont5):
 
 def test_duplicate_brackets_need_duplicate_partners():
     gold = T("(S (NP (NP 0=a)) 1=b)")
-    assert dq.bracket_items(gold) == Counter({("NP", frozenset({0})): 2})
+    assert dq.bracket_items(gold, ignore_root=True) == Counter({("NP", frozenset({0})): 2})
     pred = T("(S (NP 0=a) 1=b)")
-    score = dq.f1([gold], [pred])
+    score = dq.f1([gold], [pred], ignore_root=True)
     assert score.matched == 1
     assert score.gold_total == 2 and score.predicted_total == 1
 
@@ -74,7 +75,7 @@ def test_duplicate_brackets_need_duplicate_partners():
 def test_bracket_items_drops_root_by_identity():
     tree = T("(S (S 0=a 1=b))")
     # only the outermost S is the root; the inner unary S still counts
-    assert dq.bracket_items(tree) == Counter({("S", frozenset({0, 1})): 1})
+    assert dq.bracket_items(tree, ignore_root=True) == Counter({("S", frozenset({0, 1})): 1})
 
 
 def test_ignore_root_off_keeps_root():
@@ -88,7 +89,7 @@ def test_ignore_root_off_keeps_root():
 
 def test_punctuation_only_constituents_vanish():
     tree = T("(S (NP 0=a) (PNC 1=,) (VP 2=b))")
-    assert dq.bracket_items(tree) == Counter({
+    assert dq.bracket_items(tree, remove_punctuation=True, ignore_root=True) == Counter({
         ("NP", frozenset({0})): 1,
         ("VP", frozenset({2})): 1,
     })
@@ -98,7 +99,7 @@ def test_punctuation_only_constituents_vanish():
 
 def test_punctuation_gap_is_not_a_discontinuity():
     tree = T("(S (VP 0=go 2=home) 1=,)")
-    counts = mx.pair_counts(tree, tree)
+    counts = mx.pair_counts(tree, tree, remove_punctuation=True)
     assert counts.disc_gold == 0
     kept = mx.pair_counts(tree, tree, remove_punctuation=False)
     assert kept.disc_gold == 1
@@ -106,7 +107,8 @@ def test_punctuation_gap_is_not_a_discontinuity():
 
 def test_custom_punctuation_set():
     tree = T("(S (VP 0=go 2=home) 1=really)")
-    counts = mx.pair_counts(tree, tree, punctuation=frozenset({"really"}))
+    counts = mx.pair_counts(tree, tree, remove_punctuation=True,
+                            punctuation=frozenset({"really"}))
     assert counts.disc_gold == 0
 
 
@@ -138,7 +140,7 @@ def test_exact_match_fraction():
 def test_f1_is_zero_when_nothing_matches():
     gold = T("(S (NP 0=a) 1=b)")
     pred = T("(S (VP 0=a) 1=b)")
-    score = dq.f1([gold], [pred])
+    score = dq.f1([gold], [pred], ignore_root=True)
     assert score.f1 == 0.0 and not score.zero_denominator
 
 
@@ -157,9 +159,22 @@ def test_precision_recall_duality(a, b):
 def test_report_micro_averages_across_sentences():
     gold = [T("(S (NP 0=a) 1=b)"), T("(S (NP 0=a) (VP 1=b))")]
     pred = [T("(S (NP 0=a) 1=b)"), T("(S (NP 0=a) (NP 1=b))")]
-    report = dq.evaluate(gold, pred)
+    report = dq.evaluate(gold, pred, ignore_root=True)
     # 3 gold items, 3 predicted, 2 matched
     assert report.labeled.matched == 2
     assert report.labeled.gold_total == 3
     assert round(report.labeled.f1, 2) == 66.67
     assert report.exact_match == 0.5
+
+
+def test_library_defaults_match_the_eval_command(tmp_path, capsys):
+    from discoseq import cli
+    gold = "(S (NP 0=the 1=dog) (VP 2=ran) 3=.)"
+    pred = "(S 0=the 1=dog (VP 2=ran) 3=.)"
+    assert round(dq.f1([T(gold)], [T(pred)]).f1, 2) == 80.0
+    (tmp_path / "gold").write_text(gold + "\n", encoding="utf-8")
+    (tmp_path / "pred").write_text(pred + "\n", encoding="utf-8")
+    code = cli.main(["eval", "--gold", str(tmp_path / "gold"),
+                     "--pred", str(tmp_path / "pred"), "--json"])
+    assert code == 0
+    assert round(json.loads(capsys.readouterr().out)["labeled"]["f1"], 2) == 80.0

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from discoseq.neural import (
     grad_check,
     init_parameters,
     load_checkpoint,
-    loss,
     masked_attention,
     save_checkpoint,
 )
@@ -274,16 +275,23 @@ def test_free_heads_are_exchangeable(toy4):
 
 # --- loss ----------------------------------------------------------------
 
+def mean_ce(dist, targets, smoothing):
+    """Token-mean `_smoothed_ce` of predicted distributions."""
+    total, _ = nm._smoothed_ce(np.log(dist), np.array(targets), smoothing)
+    return total / len(targets)
+
+
 def test_loss_zero_on_confident_correct_prediction():
-    dist = np.array([[1.0, 0.0, 0.0]])
-    assert loss(dist, [0], smoothing=0.0) == 0.0
+    # 1e-300 instead of 0: log(0) logits make the smoothing term 0 * inf
+    dist = np.array([[1.0, 1e-300, 1e-300]])
+    assert mean_ce(dist, [0], smoothing=0.0) == 0.0
 
 
 def test_loss_uniform_is_log_vocab():
     v = 7
     dist = np.full((3, v), 1.0 / v)
-    assert math.isclose(loss(dist, [0, 3, 6], smoothing=0.0), math.log(v), rel_tol=1e-12)
-    assert math.isclose(loss(dist, [0, 3, 6], smoothing=0.01), math.log(v), rel_tol=1e-12)
+    assert math.isclose(mean_ce(dist, [0, 3, 6], smoothing=0.0), math.log(v), rel_tol=1e-12)
+    assert math.isclose(mean_ce(dist, [0, 3, 6], smoothing=0.01), math.log(v), rel_tol=1e-12)
 
 
 def test_loss_matches_direct_formula():
@@ -296,7 +304,7 @@ def test_loss_matches_direct_formula():
         q = np.full(5, eps / 5)
         q[target] += 1.0 - eps
         total += -(q * np.log(row)).sum()
-    assert math.isclose(loss(dist, targets, smoothing=eps), total / 4, rel_tol=1e-12)
+    assert math.isclose(mean_ce(dist, targets, smoothing=eps), total / 4, rel_tol=1e-12)
 
 
 def test_gradient_vanishes_at_the_smoothed_optimum():
@@ -392,4 +400,33 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path, setup):
     save_checkpoint(path, params, config)
     path.write_bytes(path.read_bytes() + b"\x00\x01")
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path, setup):
+    config, params, _ = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {k: v for k, v in params.items() if k != "out.b"}, config)
+    with pytest.raises(CheckpointError, match="missing tensor 'out.b'"):
+        load_checkpoint(path)
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("wake the dog up\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoseq.cli", "predict", "--checkpoint", str(path),
+         "--in", str(sentences)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "out.b" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_checkpoint_rejects_extra_and_misshaped_tensors(tmp_path, setup):
+    config, params, _ = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, dict(params, extra=np.zeros(3)), config)
+    with pytest.raises(CheckpointError, match="unexpected tensor 'extra'"):
+        load_checkpoint(path)
+    save_checkpoint(path, dict(params, sentinel=np.zeros(config.d_model + 1)), config)
+    with pytest.raises(CheckpointError, match="tensor 'sentinel' has shape"):
         load_checkpoint(path)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
+from discoseq import transitions as tr
 from conftest import ALL_SCHEMES, DISCO_SCHEMES, random_tree, trees
 
 SWAP = dq.parse_scheme("inorder+swap")
@@ -70,17 +71,17 @@ def test_enriched_reduce_carries_labels():
     )
 
 
-def test_encode_enriched_upgrades_plain_base():
-    tiny = dq.parse_discbracket("(S 0=a 1=b)")
-    assert dq.encode_enriched(tiny, dq.parse_scheme("topdown")) == dq.encode(
-        tiny, dq.parse_scheme("topdown:enriched")
-    )
-
-
-def test_encode_enriched_rejects_reordering():
-    tiny = dq.parse_discbracket("(S 0=a 1=b)")
-    with pytest.raises(ValueError):
-        dq.encode_enriched(tiny, SWAP)
+def test_enriched_scheme_only_labels_reduce(cont5):
+    for name in ("topdown", "inorder"):
+        for tree in cont5:
+            plain = dq.encode(tree, dq.parse_scheme(name))
+            enriched = dq.encode(tree, dq.parse_scheme(name + ":enriched"))
+            assert len(plain) == len(enriched)
+            for a, b in zip(plain, enriched):
+                if a.kind == tr.REDUCE:
+                    assert b.kind == tr.REDUCE_L
+                else:
+                    assert a == b
 
 
 def test_plain_scheme_rejects_discontinuity(fig_tree):
