@@ -8,6 +8,8 @@ by a fallback root.  Every repair is reported with its step and rule.
 Run: python3 demos/03_decode_and_repairs.py
 """
 
+from collections import Counter
+
 import discoseq as dq
 
 scheme = dq.parse_scheme("inorder+swap")
@@ -43,10 +45,12 @@ print("clamped:", dq.emit_discbracket(result.tree))
 for repair in result.repairs:
     print(f"   repair:  {repair.rule} at step {repair.step}: {repair.detail}")
 
-# decode_batch aggregates repair statistics over a whole file.
+# Repair statistics over a whole file are a Counter over decode results.
 bank = dq.bundled("toy20.discbracket")
 seqs = [dq.encode(t, scheme) for t in bank]
 seqs[3] = seqs[3][:5]  # sabotage one
-trees, stats, _ = dq.decode_batch([t.sentence for t in bank], seqs, scheme)
-print(f"\nbatch: {len(trees)} trees, {stats.repaired_trees} repaired,"
-      f" rules {stats.rule_counts}")
+results = [dq.decode(t.sentence, seq, scheme) for t, seq in zip(bank, seqs)]
+rules = Counter(repair.rule for result in results for repair in result.repairs)
+repaired = sum(not result.clean for result in results)
+print(f"\nbatch: {len(results)} trees, {repaired} repaired,"
+      f" rules {dict(sorted(rules.items()))}")

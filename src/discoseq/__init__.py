@@ -8,7 +8,7 @@ the intended consumer: its cross-attention is steered by stack and
 buffer masks replayed from the token stream alone.
 """
 
-from .decode import BatchStats, DecodeResult, LabelMismatch, Repair, decode, decode_batch
+from .decode import DecodeResult, LabelMismatch, Repair, decode
 from .masks import NEG_INF, MaskPair, MaskState, initial_state, step, trace
 from .metrics import (DEFAULT_PUNCTUATION, MetricsError, Report, Score,
                       bracket_items, disc_f1, evaluate, exact_match, f1)
@@ -22,21 +22,20 @@ from .transitions import (SHIPPED_SCHEMES, Configuration, IllegalTransition,
 from .tree import (Constituent, ConstituentTree, Violation, canonical_leaf_order,
                    discontinuous_constituents, is_continuous, permute_leaves,
                    reorder_canonical, validate, yield_is_consecutive)
-from .treebank import (ParseFailure, Treebank, TreebankError, bundled,
-                       emit_bracketed, emit_discbracket, load_treebank,
-                       parse_bracketed, parse_discbracket, parse_treebank,
-                       save_treebank)
+from .treebank import (TreebankError, bundled, emit_bracketed, emit_discbracket,
+                       load_treebank, parse_bracketed, parse_discbracket,
+                       parse_treebank, save_treebank)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchStats", "Configuration", "Constituent", "ConstituentTree",
+    "Configuration", "Constituent", "ConstituentTree",
     "DEFAULT_PUNCTUATION", "DecodeResult", "EncodeError", "IllegalTransition",
     "LabelMismatch", "MaskPair", "MaskState", "MetricsError",
-    "NEG_INF", "ParseFailure", "Repair", "Report", "SHIPPED_SCHEMES", "Scheme",
-    "Score", "Transition", "Treebank", "TreebankError", "Violation",
+    "NEG_INF", "Repair", "Report", "SHIPPED_SCHEMES", "Scheme",
+    "Score", "Transition", "TreebankError", "Violation",
     "VocabStats", "apply",
-    "bracket_items", "bundled", "canonical_leaf_order", "decode", "decode_batch",
+    "bracket_items", "bundled", "canonical_leaf_order", "decode",
     "disc_f1", "discontinuous_constituents", "emit_bracketed",
     "emit_discbracket", "encode", "evaluate", "exact_match",
     "extract_tree", "f1", "finish", "format_transitions", "illegality",

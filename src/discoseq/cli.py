@@ -73,14 +73,30 @@ def _numbered_lines(handle) -> list[tuple[int, str]]:
             if line.strip()]
 
 
+def _source(path: str) -> str:
+    return "<stdin>" if path == "-" else path
+
+
 def _parse_tree(line: str, fmt: str):
     return (parse_discbracket if fmt == "discbracket" else parse_bracketed)(line)
 
 
+def _encode_line(item: tuple[int, str], fmt: str, scheme: Scheme, source: str):
+    """Parse and encode one numbered input line; errors name the line."""
+    line_no, line = item
+    try:
+        tree = _parse_tree(line, fmt)
+        return tree, encode(tree, scheme)
+    except TreebankError as err:
+        raise TreebankError(err.message, source=source, line_no=line_no,
+                            offset=err.offset) from None
+    except EncodeError as err:
+        raise TreebankError(str(err), source=source, line_no=line_no) from None
+
+
 def _read_treebank(path: str, fmt: str):
     with _open_in(path) as handle:
-        name = "<stdin>" if path == "-" else path
-        return parse_treebank(handle, fmt, source=name)
+        return parse_treebank(handle, fmt, source=_source(path))
 
 
 def _mapped(func, items, jobs):
@@ -95,16 +111,8 @@ def _mapped(func, items, jobs):
 # --- linearize -------------------------------------------------------------
 
 def _linearize_item(item: tuple[int, str], fmt: str, scheme: Scheme,
-                    jsonl: bool) -> str:
-    line_no, line = item
-    try:
-        tree = _parse_tree(line, fmt)
-    except TreebankError as err:
-        raise TreebankError(f"line {line_no}: {err.message}") from None
-    try:
-        tokens = encode(tree, scheme)
-    except EncodeError as err:
-        raise EncodeError(f"line {line_no}: {err}") from None
+                    jsonl: bool, source: str) -> str:
+    tree, tokens = _encode_line(item, fmt, scheme, source)
     if jsonl:
         return json.dumps({"sentence": list(tree.sentence),
                            "scheme": str(scheme),
@@ -115,7 +123,8 @@ def _linearize_item(item: tuple[int, str], fmt: str, scheme: Scheme,
 
 def _cmd_linearize(args) -> int:
     worker = functools.partial(_linearize_item, fmt=args.format,
-                               scheme=args.scheme, jsonl=args.jsonl)
+                               scheme=args.scheme, jsonl=args.jsonl,
+                               source=_source(args.infile))
     with _open_in(args.infile) as inp, _open_out(args.outfile) as out:
         for rendered in _mapped(worker, _numbered_lines(inp), args.jobs):
             print(rendered, file=out)
@@ -125,17 +134,22 @@ def _cmd_linearize(args) -> int:
 # --- delinearize -----------------------------------------------------------
 
 def _delinearize_item(item: tuple[int, list[str], list[str]], scheme: Scheme,
-                      fallback: str):
+                      fallback: str, source: str):
     line_no, words, token_texts = item
     try:
         tokens = parse_transitions(" ".join(token_texts))
         result = decode(words, tokens, scheme, fallback)
     except ValueError as err:
-        raise ValueError(f"line {line_no}: {err}") from None
+        raise TreebankError(str(err), source=source, line_no=line_no) from None
     return emit_discbracket(result.tree), result.repairs, len(result.label_mismatches)
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
+    source = _source(args.tokens)
     with _open_in(args.tokens) as handle:
         token_lines = _numbered_lines(handle)
     sentences = None
@@ -153,12 +167,17 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
                 words = record["sentence"]
                 token_texts = record["tokens"]
             except (ValueError, KeyError, TypeError) as err:
-                raise TreebankError(f"line {line_no}: bad JSONL record: {err}") from None
+                raise TreebankError(f"bad JSONL record: {err}", source=source,
+                                    line_no=line_no) from None
+            if not (_is_string_list(words) and _is_string_list(token_texts)):
+                raise TreebankError("bad JSONL record: sentence and tokens must "
+                                    "be lists of strings", source=source,
+                                    line_no=line_no)
             recorded = record.get("scheme")
             if recorded is not None and recorded != str(args.scheme):
                 raise TreebankError(
-                    f"line {line_no}: tokens were produced under scheme "
-                    f"{recorded!r}, not {args.scheme}")
+                    f"tokens were produced under scheme {recorded!r}, "
+                    f"not {args.scheme}", source=source, line_no=line_no)
         else:
             if sentences is None:
                 raise TreebankError(
@@ -172,7 +191,8 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
 def _cmd_delinearize(args) -> int:
     items = _delinearize_items(args)
     worker = functools.partial(_delinearize_item, scheme=args.scheme,
-                               fallback=args.fallback_label)
+                               fallback=args.fallback_label,
+                               source=_source(args.tokens))
     rule_counts: Counter = Counter()
     repaired = 0
     mismatches = 0
@@ -199,14 +219,12 @@ def _cmd_delinearize(args) -> int:
 def _cmd_roundtrip(args) -> int:
     total = 0
     failures = 0
+    source = _source(args.infile)
     with _open_in(args.infile) as inp:
         for line_no, line in _numbered_lines(inp):
-            try:
-                tree = _parse_tree(line, args.format)
-            except TreebankError as err:
-                raise TreebankError(f"line {line_no}: {err.message}") from None
+            tree, tokens = _encode_line((line_no, line), args.format,
+                                        args.scheme, source)
             total += 1
-            tokens = encode(tree, args.scheme)
             result = decode(list(tree.sentence), tokens, args.scheme)
             identical = (result.tree.root == tree.root
                          and list(result.tree.sentence) == list(tree.sentence))
@@ -227,14 +245,7 @@ def _cmd_roundtrip(args) -> int:
 # --- stats -----------------------------------------------------------------
 
 def _cmd_stats(args) -> int:
-    with _open_in(args.infile) as inp:
-        trees = []
-        for line_no, line in _numbered_lines(inp):
-            try:
-                trees.append(_parse_tree(line, args.format))
-            except TreebankError as err:
-                raise TreebankError(f"line {line_no}: {err.message}") from None
-    stats = vocab_stats(trees, args.scheme)
+    stats = vocab_stats(_read_treebank(args.infile, args.format), args.scheme)
     print("scheme\tsize\tmax_length")
     print(f"{args.scheme}\t{stats.size}\t{stats.max_length}")
     if args.dictionary:
@@ -324,7 +335,7 @@ def _cmd_train(args) -> int:
         ("epochs", args.epochs), ("seed", args.seed),
         ("d_model", args.d_model)) if value is not None}
     result = train(
-        list(gold), args.scheme,
+        gold, args.scheme,
         early_stop_accuracy=args.early_stop_accuracy,
         log=lambda s: print(f"epoch {s.epoch} loss {s.loss:.4f} "
                             f"acc {s.token_accuracy:.3f} lr {s.lr:.2e}",

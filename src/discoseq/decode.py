@@ -16,13 +16,11 @@ empty log.
 Decoding is deterministic; repairs never reorder the words.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import transitions as tr
 from .tree import Constituent, ConstituentTree
-from .treebank import Treebank
 from .transitions import Configuration, Scheme, Transition
 
 
@@ -137,34 +135,3 @@ def _force_terminal(config: Configuration, scheme: Scheme,
         repairs.append(Repair("R3", -1, "; ".join(detail)))
     config = Configuration((material[0],), (), finished=True)
     return config, repairs
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    rule_counts: dict[str, int] = field(default_factory=dict)
-    repaired_trees: int = 0
-    label_mismatches: int = 0
-
-
-def decode_batch(sentences: Iterable[Sequence[str]],
-                 token_sequences: Iterable[Sequence[Transition]],
-                 scheme: Scheme, fallback_label: str = "ROOT",
-                 ) -> tuple[Treebank, BatchStats, list[DecodeResult]]:
-    """Decode many (sentence, tokens) pairs; stats count repairs by rule."""
-    sentences = list(sentences)
-    token_sequences = list(token_sequences)
-    if len(sentences) != len(token_sequences):
-        raise ValueError(f"{len(sentences)} sentences but "
-                         f"{len(token_sequences)} token sequences")
-    results = [decode(sentence, tokens, scheme, fallback_label)
-               for sentence, tokens in zip(sentences, token_sequences)]
-    counts: Counter[str] = Counter()
-    for result in results:
-        counts.update(repair.rule for repair in result.repairs)
-    stats = BatchStats(
-        rule_counts=dict(sorted(counts.items())),
-        repaired_trees=sum(1 for r in results if r.repairs),
-        label_mismatches=sum(len(r.label_mismatches) for r in results),
-    )
-    treebank = Treebank(tuple(r.tree for r in results))
-    return treebank, stats, results

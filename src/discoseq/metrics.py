@@ -2,7 +2,7 @@
 
 A tree is scored as a multiset of (label, yield) items, so duplicate
 brackets each need a partner on the other side.  Punctuation removal
-drops the configured surface forms from every yield before matching;
+drops the surface forms in DEFAULT_PUNCTUATION from every yield before matching;
 items whose yield becomes empty disappear.  The discontinuous score
 restricts matching to items whose yield has a real gap, where gaps
 containing only removed punctuation do not count.  All ratios are
@@ -58,14 +58,13 @@ class Report:
 
 
 def bracket_items(tree: ConstituentTree, remove_punctuation: bool = False,
-                  punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
                   ignore_root: bool = False) -> Counter:
     """Multiset of (label, yield) pairs for scoring.
 
     ignore_root drops the topmost node itself, not every node sharing
     its label.
     """
-    removed = _removed_positions(tree, remove_punctuation, punctuation)
+    removed = _removed_positions(tree, remove_punctuation)
     items: Counter = Counter()
     for node in tree.root.constituents():
         if ignore_root and node is tree.root:
@@ -76,12 +75,12 @@ def bracket_items(tree: ConstituentTree, remove_punctuation: bool = False,
     return items
 
 
-def _removed_positions(tree: ConstituentTree, remove_punctuation: bool,
-                       punctuation: frozenset[str]) -> frozenset[int]:
+def _removed_positions(tree: ConstituentTree,
+                       remove_punctuation: bool) -> frozenset[int]:
     if not remove_punctuation:
         return frozenset()
     return frozenset(i for i, word in enumerate(tree.sentence)
-                     if word in punctuation)
+                     if word in DEFAULT_PUNCTUATION)
 
 
 def _has_gap(positions: frozenset[int], removed: frozenset[int]) -> bool:
@@ -92,15 +91,13 @@ def _has_gap(positions: frozenset[int], removed: frozenset[int]) -> bool:
 
 def pair_counts(gold: ConstituentTree, predicted: ConstituentTree,
                 remove_punctuation: bool = False,
-                punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
                 ignore_root: bool = False) -> PairCounts:
     if list(gold.sentence) != list(predicted.sentence):
         raise MetricsError("sentence mismatch")
-    options = (remove_punctuation, punctuation, ignore_root)
-    gold_items = bracket_items(gold, *options)
-    predicted_items = bracket_items(predicted, *options)
+    gold_items = bracket_items(gold, remove_punctuation, ignore_root)
+    predicted_items = bracket_items(predicted, remove_punctuation, ignore_root)
     matched = gold_items & predicted_items
-    removed = _removed_positions(gold, remove_punctuation, punctuation)
+    removed = _removed_positions(gold, remove_punctuation)
 
     def disc_total(items: Counter) -> int:
         return sum(count for (_, covered), count in items.items()
@@ -154,8 +151,7 @@ def summarize(counts: Sequence[PairCounts]) -> Report:
 
 
 def _paired(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-            remove_punctuation: bool, punctuation: frozenset[str],
-            ignore_root: bool) -> list[PairCounts]:
+            remove_punctuation: bool, ignore_root: bool) -> list[PairCounts]:
     gold = list(gold)
     predicted = list(predicted)
     if len(gold) != len(predicted):
@@ -164,8 +160,7 @@ def _paired(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree
     counts = []
     for index, (g, p) in enumerate(zip(gold, predicted)):
         try:
-            counts.append(pair_counts(g, p, remove_punctuation, punctuation,
-                                      ignore_root))
+            counts.append(pair_counts(g, p, remove_punctuation, ignore_root))
         except MetricsError:
             raise MetricsError(f"sentence mismatch at index {index}") from None
     return counts
@@ -173,27 +168,21 @@ def _paired(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree
 
 def evaluate(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
              remove_punctuation: bool = False,
-             punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
              ignore_root: bool = False) -> Report:
-    counts = _paired(gold, predicted, remove_punctuation, punctuation,
-                     ignore_root)
+    counts = _paired(gold, predicted, remove_punctuation, ignore_root)
     return summarize(counts)
 
 
 def f1(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
        remove_punctuation: bool = False,
-       punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
        ignore_root: bool = False) -> Score:
-    return evaluate(gold, predicted, remove_punctuation, punctuation,
-                    ignore_root).labeled
+    return evaluate(gold, predicted, remove_punctuation, ignore_root).labeled
 
 
 def disc_f1(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
             remove_punctuation: bool = False,
-            punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
             ignore_root: bool = False) -> Score:
-    return evaluate(gold, predicted, remove_punctuation, punctuation,
-                    ignore_root).discontinuous
+    return evaluate(gold, predicted, remove_punctuation, ignore_root).discontinuous
 
 
 def exact_match(gold: Sequence[ConstituentTree],

@@ -40,6 +40,14 @@ def save_checkpoint(path: str, params: Parameters, config: ModelConfig) -> None:
             handle.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
+def _is_tensor_entry(entry) -> bool:
+    """A manifest entry: string name, shape of non-negative ints, a dtype."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+            and "dtype" in entry)
+
+
 def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
     with open(path, "rb") as handle:
         if handle.read(len(MAGIC)) != MAGIC:
@@ -52,14 +60,21 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
             header = json.loads(handle.read(header_length))
         except ValueError as err:
             raise CheckpointError(f"{path}: bad header: {err}") from None
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("version") != 1:
             raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
         try:
             config = ModelConfig(**header["config"])
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: bad config: {err}") from None
+        tensors = header.get("tensors")
+        if not isinstance(tensors, list):
+            raise CheckpointError(f"{path}: header has no tensor list")
         params: Parameters = {}
-        for entry in header["tensors"]:
+        for index, entry in enumerate(tensors):
+            if not _is_tensor_entry(entry):
+                raise CheckpointError(f"{path}: malformed tensor entry {index}")
             shape = tuple(entry["shape"])
             if entry["dtype"] != "<f8":
                 raise CheckpointError(f"{path}: unsupported dtype {entry['dtype']!r}")

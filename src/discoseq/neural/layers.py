@@ -1,9 +1,10 @@
 """Building blocks with hand-written backward passes.
 
-Everything is float64 and operates on single sequences (2-d arrays);
-batching is a loop one level up.  Each forward returns its output plus
-the cache its backward needs.  Backwards return gradients in the same
-order as the forward inputs.
+Everything is float64 and operates on one sequence at a time (2-d
+arrays of rows); the attention pair also takes leading axes, such as
+one per head.  Each forward returns its output plus the cache its
+backward needs.  Backwards return gradients in the same order as the
+forward inputs.
 """
 
 import numpy as np
@@ -29,13 +30,14 @@ def masked_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention with an additive {0, -inf} mask.
 
-    queries: (Tq, d), keys: (Tk, d), values: (Tk, dv), mask: (Tq, Tk).
-    Returns (outputs (Tq, dv), weights (Tq, Tk)).  A -inf mask entry
-    forces exactly zero weight; a query row with every key masked is an
-    error because its weights would be undefined.
+    queries: (..., Tq, d), keys: (..., Tk, d), values: (..., Tk, dv),
+    mask: (Tq, Tk) or (..., Tq, Tk).  Returns (outputs (..., Tq, dv),
+    weights (..., Tq, Tk)).  A -inf mask entry forces exactly zero
+    weight; a query row with every key masked is an error because its
+    weights would be undefined.
     """
     scale = 1.0 / np.sqrt(queries.shape[-1])
-    scores = (queries @ keys.T) * scale
+    scores = (queries @ np.swapaxes(keys, -1, -2)) * scale
     if mask is not None:
         scores = scores + mask
     weights = softmax_rows(scores)
@@ -46,12 +48,12 @@ def masked_attention_bwd(d_out: np.ndarray, queries: np.ndarray, keys: np.ndarra
                          values: np.ndarray, weights: np.ndarray,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scale = 1.0 / np.sqrt(queries.shape[-1])
-    d_values = weights.T @ d_out
-    d_weights = d_out @ values.T
+    d_values = np.swapaxes(weights, -1, -2) @ d_out
+    d_weights = d_out @ np.swapaxes(values, -1, -2)
     # softmax backward; zero weights keep zero gradient, so -inf entries stay inert
     d_scores = weights * (d_weights - (d_weights * weights).sum(-1, keepdims=True))
     d_queries = (d_scores @ keys) * scale
-    d_keys = (d_scores.T @ queries) * scale
+    d_keys = (np.swapaxes(d_scores, -1, -2) @ queries) * scale
     return d_queries, d_keys, d_values
 
 

@@ -136,42 +136,38 @@ def _accumulate(grads: Parameters, name: str, value: np.ndarray) -> None:
         grads[name] = value
 
 
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(T, d_model) -> (n_heads, T, d_head), a view."""
+    return np.swapaxes(x.reshape(len(x), n_heads, -1), 0, 1)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(n_heads, T, d_head) -> (T, d_model)."""
+    return np.swapaxes(x, 0, 1).reshape(x.shape[1], -1)
+
+
 def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
          head_masks: np.ndarray | None, n_heads: int) -> tuple[np.ndarray, tuple]:
-    q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    k = linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-    v = linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    d_model = q.shape[1]
-    d_head = d_model // n_heads
-    concat = np.empty_like(q)
-    per_head = []
-    for h in range(n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        mask = None if head_masks is None else head_masks[h]
-        out_h, weights = masked_attention(q[:, cols], k[:, cols], v[:, cols], mask)
-        concat[:, cols] = out_h
-        per_head.append(weights)
+    q = _split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), n_heads)
+    k = _split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
+    v = _split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
+    heads, weights = masked_attention(q, k, v, head_masks)
+    concat = _merge_heads(heads)
     out = linear(concat, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    return out, (x_q, x_kv, q, k, v, concat, per_head)
+    return out, (x_q, x_kv, q, k, v, concat, weights)
 
 
 def _mha_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple,
              n_heads: int, grads: Parameters) -> tuple[np.ndarray, np.ndarray]:
-    x_q, x_kv, q, k, v, concat, per_head = cache
+    x_q, x_kv, q, k, v, concat, weights = cache
     d_concat, d_wo, d_bo = linear_bwd(d_out, concat, p[f"{prefix}.wo"])
     _accumulate(grads, f"{prefix}.wo", d_wo)
     _accumulate(grads, f"{prefix}.bo", d_bo)
-    d_q = np.empty_like(q)
-    d_k = np.empty_like(k)
-    d_v = np.empty_like(v)
-    d_head = q.shape[1] // n_heads
-    for h in range(n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        d_q[:, cols], d_k[:, cols], d_v[:, cols] = masked_attention_bwd(
-            d_concat[:, cols], q[:, cols], k[:, cols], v[:, cols], per_head[h])
-    d_xq, d_wq, d_bq = linear_bwd(d_q, x_q, p[f"{prefix}.wq"])
-    d_xkv_k, d_wk, d_bk = linear_bwd(d_k, x_kv, p[f"{prefix}.wk"])
-    d_xkv_v, d_wv, d_bv = linear_bwd(d_v, x_kv, p[f"{prefix}.wv"])
+    d_q, d_k, d_v = masked_attention_bwd(_split_heads(d_concat, n_heads),
+                                         q, k, v, weights)
+    d_xq, d_wq, d_bq = linear_bwd(_merge_heads(d_q), x_q, p[f"{prefix}.wq"])
+    d_xkv_k, d_wk, d_bk = linear_bwd(_merge_heads(d_k), x_kv, p[f"{prefix}.wk"])
+    d_xkv_v, d_wv, d_bv = linear_bwd(_merge_heads(d_v), x_kv, p[f"{prefix}.wv"])
     for name, grad in (("wq", d_wq), ("bq", d_bq), ("wk", d_wk), ("bk", d_bk),
                        ("wv", d_wv), ("bv", d_bv)):
         _accumulate(grads, f"{prefix}.{name}", grad)
@@ -278,11 +274,11 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     scale = math.sqrt(config.d_model)
     y = embed(p["tok_emb"], in_ids, scale) + sinusoidal_positions(t, config.d_model)
     y, drop_emb = dropout(y, config.dropout, rng)
-    self_masks = np.broadcast_to(causal_mask(t), (config.n_heads, t, t))
+    self_mask = causal_mask(t)
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
     layers = []
     for i in range(config.n_layers):
-        attn, self_cache = _mha(p, f"dec{i}.self", y, y, self_masks, config.n_heads)
+        attn, self_cache = _mha(p, f"dec{i}.self", y, y, self_mask, config.n_heads)
         attn, drop1 = dropout(attn, config.dropout, rng)
         h1, ln1_cache = _norm(p, f"dec{i}.ln1", y + attn)
         cross, cross_cache = _mha(p, f"dec{i}.cross", h1, memory, cross_masks,

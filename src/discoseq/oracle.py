@@ -117,21 +117,13 @@ class VocabStats:
     size: int
     max_length: int
 
-    @classmethod
-    def collect(cls, lengths_and_tokens: Iterable[tuple[int, Iterable[str]]]) -> "VocabStats":
-        dictionary: set[str] = set()
-        max_length = 0
-        for length, tokens in lengths_and_tokens:
-            max_length = max(max_length, length)
-            dictionary.update(tokens)
-        return cls(frozenset(dictionary), len(dictionary), max_length)
-
 
 def vocab_stats(trees: Iterable[ConstituentTree], scheme: Scheme) -> VocabStats:
     """Dictionary size and max length of the scheme's encodings."""
-
-    def one(tree: ConstituentTree) -> tuple[int, list[str]]:
-        tokens = [str(t) for t in encode(tree, scheme)]
-        return len(tokens), tokens
-
-    return VocabStats.collect(one(tree) for tree in trees)
+    dictionary: set[str] = set()
+    max_length = 0
+    for tree in trees:
+        tokens = encode(tree, scheme)
+        max_length = max(max_length, len(tokens))
+        dictionary.update(str(t) for t in tokens)
+    return VocabStats(frozenset(dictionary), len(dictionary), max_length)

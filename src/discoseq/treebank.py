@@ -16,9 +16,8 @@ parse(emit(tree)) is the identity on canonical trees.
 """
 
 import gzip
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .tree import Constituent, ConstituentTree, is_continuous, validate
 
@@ -27,44 +26,29 @@ _LABEL_ESCAPED = set("()\\ \t\n")  # a leading atom is always the label, so = st
 
 
 class TreebankError(Exception):
-    """Malformed treebank input."""
+    """Malformed treebank input.
+
+    Its text names the source and the 1-based line number when they
+    are known, and the byte offset within the line.
+    """
 
     def __init__(self, message: str, *, source: str | None = None,
                  line_no: int | None = None, offset: int | None = None):
+        super().__init__(message)
         self.message = message
         self.source = source
         self.line_no = line_no
         self.offset = offset
-        where = ""
-        if source is not None or line_no is not None:
-            where = f" ({source or '<string>'}:{line_no})"
-        at = f" at byte {offset}" if offset is not None else ""
-        super().__init__(f"{message}{where}{at}")
 
-
-@dataclass(frozen=True)
-class ParseFailure:
-    """One skipped line collected in lenient mode."""
-
-    line_no: int
-    offset: int | None
-    message: str
-
-
-@dataclass(frozen=True)
-class Treebank:
-    trees: tuple[ConstituentTree, ...]
-    source: str | None = None
-    errors: tuple[ParseFailure, ...] = field(default=())
-
-    def __iter__(self) -> Iterator[ConstituentTree]:
-        return iter(self.trees)
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def __getitem__(self, i: int) -> ConstituentTree:
-        return self.trees[i]
+    def __str__(self) -> str:
+        text = self.message
+        if self.line_no is not None:
+            text = f"line {self.line_no}: {text}"
+        if self.source is not None:
+            text = f"{self.source}: {text}"
+        if self.offset is not None:
+            text += f" at byte {self.offset}"
+        return text
 
 
 # A token is ("(", offset), (")", offset), or ("atom", offset, parts) where
@@ -235,36 +219,32 @@ def _open_text(path: str | Path, mode: str):
 
 
 def parse_treebank(lines: Iterable[str], fmt: str = "discbracket", *,
-                   lenient: bool = False, source: str | None = None) -> Treebank:
+                   source: str | None = None) -> tuple[ConstituentTree, ...]:
     """Parse one tree per line; blank lines are skipped.
 
-    In strict mode (default) the first malformed line raises TreebankError
-    carrying the source name, 1-based line number, and byte offset.  With
-    lenient=True bad lines are skipped and collected on Treebank.errors.
+    The first malformed line raises TreebankError carrying the source
+    name, 1-based line number, and byte offset.
     """
     if fmt not in ("bracketed", "discbracket"):
         raise ValueError(f"unknown treebank format {fmt!r}")
     discontinuous = fmt == "discbracket"
     trees: list[ConstituentTree] = []
-    failures: list[ParseFailure] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             trees.append(_parse_line(line.rstrip("\n"), discontinuous))
         except TreebankError as err:
-            if not lenient:
-                raise TreebankError(err.message, source=source,
-                                    line_no=line_no, offset=err.offset) from err
-            failures.append(ParseFailure(line_no, err.offset, err.message))
-    return Treebank(tuple(trees), source=source, errors=tuple(failures))
+            raise TreebankError(err.message, source=source,
+                                line_no=line_no, offset=err.offset) from err
+    return tuple(trees)
 
 
-def load_treebank(path: str | Path, fmt: str = "discbracket", *,
-                  lenient: bool = False) -> Treebank:
+def load_treebank(path: str | Path,
+                  fmt: str = "discbracket") -> tuple[ConstituentTree, ...]:
     """Load a treebank file; `.gz` paths are decompressed transparently."""
     with _open_text(path, "r") as handle:
-        return parse_treebank(handle, fmt, lenient=lenient, source=str(path))
+        return parse_treebank(handle, fmt, source=str(path))
 
 
 def save_treebank(trees: Iterable[ConstituentTree], path: str | Path,
@@ -277,7 +257,7 @@ def save_treebank(trees: Iterable[ConstituentTree], path: str | Path,
             handle.write("\n")
 
 
-def bundled(name: str) -> Treebank:
+def bundled(name: str) -> tuple[ConstituentTree, ...]:
     """Load one of the treebanks shipped inside the package.
 
     Format follows the file extension; see the data/ directory for

@@ -181,10 +181,10 @@ def fig_tree() -> dq.ConstituentTree:
 
 
 @pytest.fixture(scope="session")
-def toy20() -> dq.Treebank:
+def toy20() -> tuple[dq.ConstituentTree, ...]:
     return dq.bundled("toy20.discbracket")
 
 
 @pytest.fixture(scope="session")
-def cont5() -> dq.Treebank:
+def cont5() -> tuple[dq.ConstituentTree, ...]:
     return dq.bundled("cont5.bracketed")

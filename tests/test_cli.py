@@ -67,6 +67,19 @@ def test_bad_tree_reports_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "eval"])
+def test_bad_tree_is_reported_the_same_way(tmp_path, capsys, command):
+    path = tmp_path / "bad.discbracket"
+    path.write_text("(S 0=a)\n(S 0=a 0=b)\n", encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--gold", str(path), "--pred", str(path)]
+    else:
+        argv = [command, "--scheme", "inorder+swap", "--in", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"discoseq: {path}: line 2: position 0 appears twice at byte 7\n"
+
+
 def test_linearize_text(toy_path, tmp_path, capsys):
     out = tmp_path / "tokens.txt"
     code, _, _ = run(["linearize", "--scheme", "inorder+swap",
@@ -124,6 +137,25 @@ def test_delinearize_rejects_scheme_mismatch(toy_path, tmp_path, capsys):
                         "--tokens", str(tokens)], capsys)
     assert code == 2
     assert "scheme" in err
+
+
+@pytest.mark.parametrize("record", [
+    {"sentence": [1, 2], "tokens": ["SHIFT", "SHIFT"]},
+    {"sentence": ["a"], "tokens": [1]},
+    {"sentence": "ab", "tokens": ["SHIFT", "SHIFT"]},
+], ids=["number-words", "number-tokens", "string-sentence"])
+def test_delinearize_rejects_malformed_jsonl_record(tmp_path, record):
+    tokens = tmp_path / "tokens.jsonl"
+    tokens.write_text('{"sentence": ["a"], "tokens": ["SHIFT"]}\n'
+                      + json.dumps(record) + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoseq.cli", "delinearize", "--scheme", "inorder",
+         "--tokens", str(tokens)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_roundtrip_clean(toy_path, capsys):

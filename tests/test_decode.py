@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,30 +82,6 @@ def test_clean_flag():
     tree = dq.parse_discbracket("(S 0=a 1=b)")
     assert dq.decode(("a", "b"), dq.encode(tree, TOPDOWN), TOPDOWN).clean
     assert not dq.decode(("a", "b"), [], TOPDOWN).clean
-
-
-def test_decode_batch_counts_rules():
-    bank, stats, results = dq.decode_batch(
-        [("a", "b"), ("c",)],
-        [dq.parse_transitions("SHIFT"), dq.parse_transitions("NT(S) SHIFT REDUCE")],
-        TOPDOWN,
-    )
-    assert [dq.emit_discbracket(t) for t in bank] == ["(ROOT 0=a 1=b)", "(S 0=c)"]
-    assert stats.rule_counts == {"R2": 1, "R3": 1}
-    assert stats.repaired_trees == 1
-    assert stats.label_mismatches == 0
-    assert len(results) == 2 and results[1].clean
-
-
-def test_decode_batch_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        dq.decode_batch([("a",)], [[], []], TOPDOWN)
-
-
-def test_decode_batch_empty():
-    bank, stats, results = dq.decode_batch([], [], TOPDOWN)
-    assert len(bank) == 0 and results == []
-    assert stats.rule_counts == {} and stats.repaired_trees == 0
 
 
 def test_decode_is_deterministic():

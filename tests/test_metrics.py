@@ -105,13 +105,6 @@ def test_punctuation_gap_is_not_a_discontinuity():
     assert kept.disc_gold == 1
 
 
-def test_custom_punctuation_set():
-    tree = T("(S (VP 0=go 2=home) 1=really)")
-    counts = mx.pair_counts(tree, tree, remove_punctuation=True,
-                            punctuation=frozenset({"really"}))
-    assert counts.disc_gold == 0
-
-
 def test_pair_counts_requires_same_sentence():
     with pytest.raises(dq.MetricsError):
         mx.pair_counts(T("(S 0=a)"), T("(S 0=b)"))

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -430,3 +432,45 @@ def test_checkpoint_rejects_extra_and_misshaped_tensors(tmp_path, setup):
     save_checkpoint(path, dict(params, sentinel=np.zeros(config.d_model + 1)), config)
     with pytest.raises(CheckpointError, match="tensor 'sentinel' has shape"):
         load_checkpoint(path)
+
+
+def _without_dtype(header):
+    del header["tensors"][0]["dtype"]
+    return header
+
+
+def _string_shape(header):
+    header["tensors"][0]["shape"] = "ab"
+    return header
+
+
+def _list_vocabulary(header):
+    header["config"]["word_to_id"] = []
+    return header
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header["tensors"],
+    lambda header: {k: v for k, v in header.items() if k != "tensors"},
+    _without_dtype,
+    _string_shape,
+    _list_vocabulary,
+], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary"])
+def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
+    config, params, _ = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config)
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.dumps(edit(json.loads(blob[16:16 + length]))).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header
+                     + blob[16 + length:])
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("wake the dog up\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoseq.cli", "predict", "--checkpoint", str(path),
+         "--in", str(sentences)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -79,24 +79,15 @@ def test_error_offsets_count_bytes():
 
 def test_parse_treebank_strict_reports_line():
     with pytest.raises(dq.TreebankError) as exc:
-        dq.parse_treebank(["(S 0=a)", "(S 0=a 0=b)"])
+        dq.parse_treebank(["(S 0=a)", "(S 0=a 0=b)"], source="mem")
     assert exc.value.line_no == 2
-
-
-def test_parse_treebank_lenient_keeps_good_trees():
-    bank = dq.parse_treebank(["(S 0=a)", "(S 0=a 0=b)", "(S 0=c)"],
-                             lenient=True, source="mem")
-    assert len(bank) == 2
-    assert [t.sentence for t in bank] == [("a",), ("c",)]
-    assert [(f.line_no, f.message) for f in bank.errors] == [
-        (2, "position 0 appears twice")
-    ]
+    assert str(exc.value) == "mem: line 2: position 0 appears twice at byte 7"
 
 
 def test_save_load_roundtrip(tmp_path, toy20):
     path = tmp_path / "bank.discbracket"
     dq.save_treebank(toy20, path)
-    assert list(dq.load_treebank(path)) == list(toy20)
+    assert dq.load_treebank(path) == toy20
 
 
 def test_save_load_gzip(tmp_path, toy20):
