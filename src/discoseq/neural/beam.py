@@ -5,14 +5,20 @@ configuration plus the masks read off it, so candidate tokens that
 are illegal in the current configuration are excluded outright rather
 than merely down-weighted.
 Scores are summed log probabilities without length normalisation.
+
+All live hypotheses have the same length, so each beam step is one
+batched decoder call that feeds every hypothesis only its newest token
+and mask row.  Earlier positions come from the per-layer self-attention
+keys and values that the previous call returned; once the children are
+chosen, those rows are gathered by parent, so each child continues its
+parent's cache.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..masks import MaskPair, MaskState, initial_state, step
+from ..masks import MaskState, initial_state, step
 # `apply` is unused here; the benchmark tracer binds it in this module
 from ..transitions import (Transition, apply, is_terminal, legal,  # noqa: F401
                            parse_scheme, parse_transition)
@@ -34,18 +40,6 @@ class _Hypothesis:
     token_ids: list[int]
     tokens: list[Transition]
     state: MaskState
-    pairs: list[MaskPair]
-
-
-def _log_distribution(params: Parameters, config: ModelConfig,
-                      memory: np.ndarray, hyp: _Hypothesis) -> np.ndarray:
-    in_ids = np.array([config.bos_id] + hyp.token_ids, dtype=np.int64)
-    stack_rows, buffer_rows = mask_rows(hyp.pairs)
-    logits, _ = _decode(params, config, memory, in_ids, stack_rows,
-                        buffer_rows, None)
-    row = logits[-1]
-    shifted = row - row.max()
-    return shifted - math.log(np.exp(shifted).sum())
 
 
 def predict(params: Parameters, config: ModelConfig, words: list[str],
@@ -68,9 +62,9 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                         if i != config.bos_id)
     memory, _ = _encode(params, config, config.word_ids(words), None)
 
-    start = initial_state(n, scheme)
     live = [_Hypothesis(score=0.0, token_ids=[], tokens=[],
-                        state=start, pairs=[start.pair])]
+                        state=initial_state(n, scheme))]
+    past = None  # per decoder layer: self-attention (keys, values), a row per live hyp
     finished: list[_Hypothesis] = []
     for _ in range(max_len):
         if not live:
@@ -80,30 +74,40 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
             worst_kept = min(hyp.score for hyp in finished)
             if best_live <= worst_kept:
                 break
+        in_ids = np.array([[hyp.token_ids[-1] if hyp.token_ids else config.bos_id]
+                           for hyp in live], dtype=np.int64)
+        stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live])
+        logits, cache = _decode(params, config, memory, in_ids, stack_rows[:, None],
+                                buffer_rows[:, None], None, past)
+        past = cache["past"]
+        del cache  # free this step's activations before the next step allocates
+        shifted = logits[:, -1] - logits[:, -1].max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         candidates: list[tuple[float, int, int, _Hypothesis, Transition]] = []
         for hyp_index, hyp in enumerate(live):
-            log_probs = _log_distribution(params, config, memory, hyp)
             for token_id, transition in vocabulary:
                 if legal(hyp.state.config, transition, scheme):
-                    candidates.append((hyp.score + log_probs[token_id],
+                    candidates.append((hyp.score + log_probs[hyp_index, token_id],
                                        token_id, hyp_index, hyp, transition))
         if not candidates:
             break
         candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
         next_live = []
-        for score, token_id, _, hyp, transition in candidates[:beam_size]:
+        parents = []
+        for score, token_id, hyp_index, hyp, transition in candidates[:beam_size]:
             state = step(hyp.state, transition)
             child = _Hypothesis(score=score,
                                 token_ids=hyp.token_ids + [token_id],
-                                tokens=hyp.tokens + [transition],
-                                state=state, pairs=hyp.pairs + [state.pair])
+                                tokens=hyp.tokens + [transition], state=state)
             if is_terminal(state.config, scheme):
                 finished.append(child)
             else:
                 next_live.append(child)
+                parents.append(hyp_index)
         finished.sort(key=lambda hyp: -hyp.score)
         del finished[beam_size:]
         live = next_live
+        past = [(keys[parents], values[parents]) for keys, values in past]
 
     pool = finished if finished else live
     if not pool:

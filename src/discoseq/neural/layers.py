@@ -1,10 +1,13 @@
 """Building blocks with hand-written backward passes.
 
-Everything is float64 and operates on one sequence at a time (2-d
-arrays of rows); the attention pair also takes leading axes, such as
-one per head.  Each forward returns its output plus the cache its
-backward needs.  Backwards return gradients in the same order as the
-forward inputs.
+Everything is float64.  The forward functions work along the last
+axis and take any leading axes: training passes one sequence as
+(T, d) rows, beam search one new row per hypothesis as (B, 1, d), and
+attention adds an axis per head.  The backward functions serve
+training, so they take (T, d) rows; only the attention backward also
+takes leading axes.  A forward whose backward needs more than the
+inputs and output also returns that cache.  Backwards return gradients
+in the same order as the forward inputs.
 """
 
 import numpy as np

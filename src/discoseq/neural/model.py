@@ -137,20 +137,31 @@ def _accumulate(grads: Parameters, name: str, value: np.ndarray) -> None:
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(T, d_model) -> (n_heads, T, d_head), a view."""
-    return np.swapaxes(x.reshape(len(x), n_heads, -1), 0, 1)
+    """(..., T, d_model) -> (..., n_heads, T, d_head), a view."""
+    return np.swapaxes(x.reshape(*x.shape[:-1], n_heads, -1), -3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(n_heads, T, d_head) -> (T, d_model)."""
-    return np.swapaxes(x, 0, 1).reshape(x.shape[1], -1)
+    """(..., n_heads, T, d_head) -> (..., T, d_model)."""
+    x = np.swapaxes(x, -3, -2)
+    return x.reshape(*x.shape[:-2], -1)
 
 
 def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
-         head_masks: np.ndarray | None, n_heads: int) -> tuple[np.ndarray, tuple]:
+         head_masks: np.ndarray | None, n_heads: int,
+         past: tuple[np.ndarray, np.ndarray] | None = None,
+         ) -> tuple[np.ndarray, tuple]:
+    """Multi-head attention; `past` keys and values precede the new ones.
+
+    The cache's `k` and `v` (entries 3 and 4) hold past plus new rows,
+    so they are the next call's `past`.
+    """
     q = _split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), n_heads)
     k = _split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
     v = _split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
+    if past is not None:
+        k = np.concatenate((past[0], k), axis=-2)
+        v = np.concatenate((past[1], v), axis=-2)
     heads, weights = masked_attention(q, k, v, head_masks)
     concat = _merge_heads(heads)
     out = linear(concat, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
@@ -258,27 +269,43 @@ def mask_rows(pairs: Sequence[MaskPair]) -> tuple[np.ndarray, np.ndarray]:
 
 def _cross_head_masks(config: ModelConfig, stack_rows: np.ndarray,
                       buffer_rows: np.ndarray) -> np.ndarray:
-    t, m = stack_rows.shape
-    masks = np.zeros((config.n_heads, t, m))
-    masks[0] = stack_rows
-    masks[1] = buffer_rows
+    """(..., T, M) mask rows -> (..., n_heads, T, M), free heads unmasked."""
+    lead, rows = stack_rows.shape[:-2], stack_rows.shape[-2:]
+    masks = np.zeros((*lead, config.n_heads, *rows))
+    masks[..., 0, :, :] = stack_rows
+    masks[..., 1, :, :] = buffer_rows
     return masks
 
 
 def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
             in_ids: np.ndarray, stack_rows: np.ndarray, buffer_rows: np.ndarray,
-            rng: np.random.Generator | None) -> tuple[np.ndarray, dict]:
-    t = len(in_ids)
-    if t > config.max_positions:
-        raise ValueError(f"sequence length {t} exceeds max_positions")
+            rng: np.random.Generator | None,
+            past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+            ) -> tuple[np.ndarray, dict]:
+    """Decoder logits for the input tokens `in_ids` (..., T).
+
+    Training passes whole sequences as (T,) ids with (T, n_words + 1)
+    mask rows.  Beam search passes one new token per hypothesis as
+    (B, 1) ids with (B, 1, n_words + 1) rows, plus `past`, the
+    per-layer self-attention keys and values of the earlier positions
+    that the previous call returned as `cache["past"]`.  Positions and
+    the causal mask then start at the past length, and the
+    `max_positions` check counts past and new rows together.
+    """
+    t = in_ids.shape[-1]
+    start = 0 if past is None else past[0][0].shape[-2]
+    if start + t > config.max_positions:
+        raise ValueError(f"sequence length {start + t} exceeds max_positions")
     scale = math.sqrt(config.d_model)
-    y = embed(p["tok_emb"], in_ids, scale) + sinusoidal_positions(t, config.d_model)
+    y = (embed(p["tok_emb"], in_ids, scale)
+         + sinusoidal_positions(start + t, config.d_model)[start:])
     y, drop_emb = dropout(y, config.dropout, rng)
-    self_mask = causal_mask(t)
+    self_mask = np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1)
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
     layers = []
     for i in range(config.n_layers):
-        attn, self_cache = _mha(p, f"dec{i}.self", y, y, self_mask, config.n_heads)
+        attn, self_cache = _mha(p, f"dec{i}.self", y, y, self_mask, config.n_heads,
+                                None if past is None else past[i])
         attn, drop1 = dropout(attn, config.dropout, rng)
         h1, ln1_cache = _norm(p, f"dec{i}.ln1", y + attn)
         cross, cross_cache = _mha(p, f"dec{i}.cross", h1, memory, cross_masks,
@@ -292,7 +319,7 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
                        ln2_cache, ff_cache, drop3, ln3_cache))
     logits = linear(y, p["out.w"], p["out.b"])
     return logits, {"in_ids": in_ids, "drop_emb": drop_emb, "layers": layers,
-                    "final": y}
+                    "final": y, "past": [layer[0][3:5] for layer in layers]}
 
 
 def _decode_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray,

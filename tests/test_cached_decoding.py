@@ -1,0 +1,99 @@
+"""The cached decoder step agrees with the whole-sequence decoder.
+
+Beam search feeds `_decode` one new token per hypothesis and carries
+the earlier positions as per-layer self-attention keys and values
+(`past`).  Its distributions must equal the rows `forward` computes
+over whole sequences, and hypotheses stepped in one batch must not
+see each other.
+"""
+
+import numpy as np
+import pytest
+
+import discoseq as dq
+from discoseq.neural import ModelConfig, forward, init_parameters
+from discoseq.neural import model as nm
+from discoseq.neural.training import build_vocabularies
+
+from conftest import ALL_SCHEMES
+
+TOLERANCE = 1e-9
+
+
+def _encodable(trees, scheme):
+    return [tree for tree in trees if scheme.disco != "none" or dq.is_continuous(tree)]
+
+
+def _tiny_model(trees, scheme):
+    words, tokens = build_vocabularies(trees, scheme)
+    config = ModelConfig(scheme=str(scheme), word_to_id=words, token_to_id=tokens,
+                         d_model=16, n_heads=4, n_layers=2, d_ff=32)
+    return init_parameters(config, np.random.default_rng(3)), config
+
+
+def _gold(tree, scheme, config):
+    tokens = dq.encode(tree, scheme)
+    ids = [config.token_to_id[str(t)] for t in tokens]
+    return ids, dq.trace(len(tree.sentence), tokens, scheme)
+
+
+def _step(params, config, memory, in_ids, pairs, past):
+    """One cached step for a batch: distributions (B, vocab) and the new past."""
+    stack_rows, buffer_rows = nm.mask_rows(pairs)
+    logits, cache = nm._decode(params, config, memory,
+                               np.array(in_ids, dtype=np.int64)[:, None],
+                               stack_rows[:, None], buffer_rows[:, None], None, past)
+    last = logits[:, -1]
+    exp = np.exp(last - last.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True), cache["past"]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+def test_cached_steps_match_forward(toy20, scheme):
+    trees = _encodable(toy20, scheme)[:3]
+    params, config = _tiny_model(trees, scheme)
+    for tree in trees:
+        ids, pairs = _gold(tree, scheme, config)
+        word_ids = config.word_ids(tree.sentence)
+        expected = forward(word_ids, ids, pairs, params, config)
+        memory, _ = nm._encode(params, config, word_ids, None)
+        past = None
+        for t, in_id in enumerate([config.bos_id] + ids):
+            probs, past = _step(params, config, memory, [in_id], [pairs[t]], past)
+            np.testing.assert_allclose(probs[0], expected[t], rtol=0, atol=TOLERANCE)
+
+
+def test_batched_hypotheses_match_each_stepped_alone(toy20):
+    scheme = dq.parse_scheme("inorder+swap")
+    params, config = _tiny_model(toy20, scheme)
+    tree = max(toy20, key=lambda tree: len(tree.sentence))
+    ids, pairs = _gold(tree, scheme, config)
+    inputs = [config.bos_id] + ids
+    # three same-length hypotheses over one sentence; the decoder does not
+    # check legality, so permuted inputs and mask rows serve as well
+    hyps = [(inputs, pairs), (inputs[::-1], pairs[::-1]),
+            (inputs[1:] + inputs[:1], pairs[1:] + pairs[:1])]
+    memory, _ = nm._encode(params, config, config.word_ids(tree.sentence), None)
+
+    alone = []
+    for hyp_ids, hyp_pairs in hyps:
+        past, rows = None, []
+        for in_id, pair in zip(hyp_ids, hyp_pairs):
+            probs, past = _step(params, config, memory, [in_id], [pair], past)
+            rows.append(probs[0])
+        alone.append(rows)
+
+    # step all three together, then gather the cache rows by parent the
+    # way beam search does and continue the parents' sequences
+    half = len(inputs) // 2
+    parents = [2, 0, 0]
+    past = None
+    for t in range(len(inputs)):
+        if t == half:
+            past = [(keys[parents], values[parents]) for keys, values in past]
+            hyps = [hyps[i] for i in parents]
+            alone = [alone[i] for i in parents]
+        probs, past = _step(params, config, memory, [h[0][t] for h in hyps],
+                            [h[1][t] for h in hyps], past)
+        for row, expected in zip(probs, alone):
+            np.testing.assert_allclose(row, expected[t], rtol=0, atol=TOLERANCE)

@@ -16,6 +16,7 @@ from discoseq.neural import (
     init_parameters,
     load_checkpoint,
     masked_attention,
+    predict,
     save_checkpoint,
 )
 from discoseq.neural import model as nm
@@ -193,6 +194,27 @@ def test_sentence_length_capped(setup):
     words = np.zeros(config.max_positions + 1, dtype=int)
     with pytest.raises(ValueError):
         nm._encode(params, config, words, None)
+
+
+def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4, toy20):
+    config = tiny_config(toy4, max_positions=8)
+    params = init_parameters(config, np.random.default_rng(0))
+    # six words need at least nine tokens, so the beam must outgrow 8 positions
+    words = list(next(t.sentence for t in toy20 if len(t.sentence) == 6))
+    with pytest.raises(ValueError, match="exceeds max_positions"):
+        predict(params, config, words, beam_size=1, max_len=20)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config)
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text(" ".join(words) + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoseq.cli", "predict", "--checkpoint", str(path),
+         "--in", str(sentences), "--max-len", "20"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "exceeds max_positions" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cross_head_masks_shape(setup):

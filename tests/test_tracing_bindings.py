@@ -1,21 +1,52 @@
-"""The benchmark tracer's wrap list names callables that still exist.
+"""The benchmark tracer's wrap list names callables that the library calls.
 
 `bench/tracing.py` replaces `(module, attribute)` pairs with timing
 wrappers, so renaming or dropping one of those bindings silently loses
-a per-layer figure.  This reads the list without installing anything.
+a per-layer figure, and so does a binding the code no longer calls
+through.  The first test reads the list without installing anything;
+the second installs the tracer around one toy `predict`.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from discoseq.neural import ModelConfig, beam, init_parameters
+from discoseq.neural.training import build_vocabularies
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
+PREDICT_SPANS = ("beam.predict", "model.encode", "model.decode", "model.mask_rows",
+                 "masks.step", "transitions.legal", "layers.masked_attention")
 
-def test_every_traced_binding_is_callable():
+
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_binding_is_callable():
+    tracing = _load_tracing()
     unbound = [f"{module}.{attr}" for module, attr, _, _ in tracing.WRAPS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert unbound == []
+
+
+def test_predict_runs_through_the_traced_bindings(toy20):
+    trees = list(toy20)[:2]
+    words, tokens = build_vocabularies(trees, "inorder+swap")
+    config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16)
+    params = init_parameters(config, np.random.default_rng(0))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        beam.predict(params, config, list(trees[0].sentence), beam_size=2, max_len=6)
+    finally:
+        tracer.uninstall()
+    table = tracer.by_name()
+    assert [name for name in PREDICT_SPANS if name not in table] == []

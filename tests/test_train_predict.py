@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import discoseq as dq
-from discoseq.neural import Prediction, TrainingDiverged, predict, train
+from discoseq.neural import Prediction, TrainingDiverged, forward, predict, train
 from discoseq.neural.training import build_examples, build_vocabularies, lr_at
 
 SCHEME = dq.parse_scheme("inorder+swap")
@@ -145,6 +146,20 @@ def test_predictions_never_need_repair(overfit, toy4):
         result = dq.decode(tree.sentence, pred.tokens, SCHEME)
         assert not result.repairs
         assert result.tree == tree
+
+
+@pytest.mark.parametrize("beam_size", [1, 10])
+def test_score_is_the_forward_log_probability_of_the_tokens(overfit, toy20, beam_size):
+    # toy20 past toy4 is held out, so the beam reorders its hypotheses there
+    config = overfit.config
+    for tree in toy20:
+        words = list(tree.sentence)
+        pred = predict(overfit.params, config, words, beam_size=beam_size)
+        ids = [config.token_to_id[str(t)] for t in pred.tokens]
+        pairs = dq.trace(len(words), pred.tokens, SCHEME)
+        probs = forward(config.word_ids(words), ids, pairs, overfit.params, config)
+        score = float(np.log(probs[np.arange(len(ids)), ids]).sum())
+        assert abs(score - pred.score) <= 1e-9
 
 
 def test_length_cap_truncates(overfit, toy4):
