@@ -11,7 +11,7 @@ buffer masks replayed from the token stream alone.
 from .decode import DecodeResult, LabelMismatch, Repair, decode
 from .masks import NEG_INF, MaskPair, MaskState, initial_state, step, trace
 from .metrics import (DEFAULT_PUNCTUATION, MetricsError, Report, Score,
-                      bracket_items, disc_f1, evaluate, exact_match, f1)
+                      bracket_items, evaluate)
 from .oracle import EncodeError, VocabStats, encode, vocab_stats
 from .transitions import (SHIPPED_SCHEMES, Configuration, IllegalTransition,
                           Scheme, Transition, apply, extract_tree, finish,
@@ -36,9 +36,9 @@ __all__ = [
     "Score", "Transition", "TreebankError", "Violation",
     "VocabStats", "apply",
     "bracket_items", "bundled", "canonical_leaf_order", "decode",
-    "disc_f1", "discontinuous_constituents", "emit_bracketed",
-    "emit_discbracket", "encode", "evaluate", "exact_match",
-    "extract_tree", "f1", "finish", "format_transitions", "illegality",
+    "discontinuous_constituents", "emit_bracketed",
+    "emit_discbracket", "encode", "evaluate",
+    "extract_tree", "finish", "format_transitions", "illegality",
     "initial", "initial_state", "is_continuous", "is_terminal", "legal",
     "load_treebank", "nt", "parse_bracketed", "parse_discbracket",
     "parse_scheme", "parse_transition", "parse_transitions", "parse_treebank",

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from multiprocessing import Pool
 
@@ -95,8 +95,25 @@ def _encode_line(item: tuple[int, str], fmt: str, scheme: Scheme, source: str):
 
 
 def _read_treebank(path: str, fmt: str):
+    """The trees of a file and the 1-based line number of each."""
     with _open_in(path) as handle:
-        return parse_treebank(handle, fmt, source=_source(path))
+        lines = handle.readlines()
+    trees = parse_treebank(lines, fmt, source=_source(path))
+    return trees, [line_no for line_no, _ in _numbered_lines(lines)]
+
+
+@contextmanager
+def _naming_unencodable(trees, line_nos: list[int], scheme: Scheme, source: str):
+    """Report an EncodeError as the line of the first tree that fails."""
+    try:
+        yield
+    except EncodeError:
+        for tree, line_no in zip(trees, line_nos):
+            try:
+                encode(tree, scheme)
+            except EncodeError as err:
+                raise TreebankError(str(err), source=source, line_no=line_no) from None
+        raise
 
 
 def _mapped(func, items, jobs):
@@ -245,7 +262,9 @@ def _cmd_roundtrip(args) -> int:
 # --- stats -----------------------------------------------------------------
 
 def _cmd_stats(args) -> int:
-    stats = vocab_stats(_read_treebank(args.infile, args.format), args.scheme)
+    trees, line_nos = _read_treebank(args.infile, args.format)
+    with _naming_unencodable(trees, line_nos, args.scheme, _source(args.infile)):
+        stats = vocab_stats(trees, args.scheme)
     print("scheme\tsize\tmax_length")
     print(f"{args.scheme}\t{stats.size}\t{stats.max_length}")
     if args.dictionary:
@@ -279,25 +298,27 @@ def _cmd_mask_trace(args) -> int:
 
 # --- eval ------------------------------------------------------------------
 
-def _eval_item(item, remove_punctuation: bool, ignore_root: bool) -> PairCounts:
-    index, gold_tree, predicted_tree = item
+def _eval_item(item, remove_punctuation: bool, ignore_root: bool,
+               source: str) -> PairCounts:
+    line_no, gold_tree, predicted_tree = item
     try:
         return pair_counts(gold_tree, predicted_tree,
                            remove_punctuation=remove_punctuation,
                            ignore_root=ignore_root)
     except MetricsError as err:
-        raise MetricsError(f"{err} at index {index}") from None
+        raise TreebankError(str(err), source=source, line_no=line_no) from None
 
 
 def _cmd_eval(args) -> int:
-    gold = _read_treebank(args.gold, args.format)
-    predicted = _read_treebank(args.pred, args.format)
+    gold, _ = _read_treebank(args.gold, args.format)
+    predicted, line_nos = _read_treebank(args.pred, args.format)
     if len(gold) != len(predicted):
         raise MetricsError(f"treebank sizes differ: {len(gold)} gold vs "
                            f"{len(predicted)} predicted")
     worker = functools.partial(_eval_item, remove_punctuation=args.no_punct,
-                               ignore_root=args.ignore_root)
-    items = [(i, g, p) for i, (g, p) in enumerate(zip(gold, predicted))]
+                               ignore_root=args.ignore_root,
+                               source=_source(args.pred))
+    items = list(zip(line_nos, gold, predicted))
     counts = list(_mapped(worker, items, args.jobs))
     report = summarize(counts)
     if args.json:
@@ -330,17 +351,18 @@ def _cmd_eval(args) -> int:
 # --- train / predict -------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    gold = _read_treebank(args.infile, args.format)
+    gold, line_nos = _read_treebank(args.infile, args.format)
     overrides = {name: value for name, value in (
         ("epochs", args.epochs), ("seed", args.seed),
         ("d_model", args.d_model)) if value is not None}
-    result = train(
-        gold, args.scheme,
-        early_stop_accuracy=args.early_stop_accuracy,
-        log=lambda s: print(f"epoch {s.epoch} loss {s.loss:.4f} "
-                            f"acc {s.token_accuracy:.3f} lr {s.lr:.2e}",
-                            file=sys.stderr),
-        **overrides)
+    with _naming_unencodable(gold, line_nos, args.scheme, _source(args.infile)):
+        result = train(
+            gold, args.scheme,
+            early_stop_accuracy=args.early_stop_accuracy,
+            log=lambda s: print(f"epoch {s.epoch} loss {s.loss:.4f} "
+                                f"acc {s.token_accuracy:.3f} lr {s.lr:.2e}",
+                                file=sys.stderr),
+            **overrides)
     save_checkpoint(args.outfile, result.params, result.config)
     last = result.history[-1]
     print(f"trained {last.epoch} epochs, final loss {last.loss:.4f}, "

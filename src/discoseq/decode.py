@@ -99,15 +99,9 @@ def _clamp(config: Configuration, token: Transition,
     if token.kind == tr.SHIFT_K and config.buffer and token.k >= len(config.buffer):
         fixed = tr.shift_k(len(config.buffer) - 1)
         return fixed, "R4", f"clamped {token} to {fixed}"
-    if token.kind == tr.REDUCE_KL:
-        available = 0
-        for item in reversed(config.stack):
-            if isinstance(item, tr.MarkerItem):
-                break
-            available += 1
-        if 0 < available < token.k:
-            fixed = tr.reduce_kl(available, token.label)
-            return fixed, "R5", f"clamped {token} to {fixed}"
+    if token.kind == tr.REDUCE_KL and 0 < len(config.stack) < token.k:
+        fixed = tr.reduce_kl(len(config.stack), token.label)
+        return fixed, "R5", f"clamped {token} to {fixed}"
     return None
 
 

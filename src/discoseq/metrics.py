@@ -150,8 +150,9 @@ def summarize(counts: Sequence[PairCounts]) -> Report:
                   exact_match=exact, trees=len(counts))
 
 
-def _paired(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-            remove_punctuation: bool, ignore_root: bool) -> list[PairCounts]:
+def evaluate(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
+             remove_punctuation: bool = False,
+             ignore_root: bool = False) -> Report:
     gold = list(gold)
     predicted = list(predicted)
     if len(gold) != len(predicted):
@@ -163,28 +164,4 @@ def _paired(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree
             counts.append(pair_counts(g, p, remove_punctuation, ignore_root))
         except MetricsError:
             raise MetricsError(f"sentence mismatch at index {index}") from None
-    return counts
-
-
-def evaluate(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-             remove_punctuation: bool = False,
-             ignore_root: bool = False) -> Report:
-    counts = _paired(gold, predicted, remove_punctuation, ignore_root)
     return summarize(counts)
-
-
-def f1(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-       remove_punctuation: bool = False,
-       ignore_root: bool = False) -> Score:
-    return evaluate(gold, predicted, remove_punctuation, ignore_root).labeled
-
-
-def disc_f1(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
-            remove_punctuation: bool = False,
-            ignore_root: bool = False) -> Score:
-    return evaluate(gold, predicted, remove_punctuation, ignore_root).discontinuous
-
-
-def exact_match(gold: Sequence[ConstituentTree],
-                predicted: Sequence[ConstituentTree]) -> float:
-    return evaluate(gold, predicted).exact_match

@@ -22,7 +22,8 @@ from ..masks import MaskState, initial_state, step
 # `apply` is unused here; the benchmark tracer binds it in this module
 from ..transitions import (Transition, apply, is_terminal, legal,  # noqa: F401
                            parse_scheme, parse_transition)
-from .model import ModelConfig, Parameters, _decode, _encode, mask_rows
+from .model import (ModelConfig, Parameters, _decode, _encode, _log_softmax,
+                    mask_rows)
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                                 buffer_rows[:, None], None, past)
         past = cache["past"]
         del cache  # free this step's activations before the next step allocates
-        shifted = logits[:, -1] - logits[:, -1].max(axis=-1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        log_probs = _log_softmax(logits[:, -1])
         candidates: list[tuple[float, int, int, _Hypothesis, Transition]] = []
         for hyp_index, hyp in enumerate(live):
             for token_id, transition in vocabulary:

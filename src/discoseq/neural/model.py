@@ -26,7 +26,7 @@ from ..masks import MaskPair
 from .layers import (causal_mask, dropout, dropout_bwd, embed, embed_bwd,
                      layer_norm, layer_norm_bwd, linear, linear_bwd,
                      masked_attention, masked_attention_bwd, relu, relu_bwd,
-                     sinusoidal_positions)
+                     sinusoidal_positions, softmax_rows)
 
 BOS = "<bos>"
 UNK = "<unk>"
@@ -380,9 +380,12 @@ def forward(word_ids: np.ndarray, prefix_ids: Sequence[int],
     stack_rows, buffer_rows = mask_rows(mask_trace)
     memory, _ = _encode(params, config, np.asarray(word_ids, dtype=np.int64), None)
     logits, _ = _decode(params, config, memory, in_ids, stack_rows, buffer_rows, None)
-    peak = logits.max(axis=-1, keepdims=True)
-    exp = np.exp(logits - peak)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return softmax_rows(logits)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _smoothed_ce(logits: np.ndarray, targets: np.ndarray,
@@ -395,10 +398,7 @@ def _smoothed_ce(logits: np.ndarray, targets: np.ndarray,
     """
     vocab = logits.shape[1]
     rows = np.arange(len(targets))
-    peak = logits.max(axis=-1, keepdims=True)
-    shifted = logits - peak
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = _log_softmax(logits)
     nll = -log_probs[rows, targets]
     uniform = -log_probs.mean(axis=-1)
     total = float(((1.0 - smoothing) * nll + smoothing * uniform).sum())

@@ -40,8 +40,22 @@ REDUCE_L = "REDUCE_L"      # REDUCE carrying the label it closes (enriched)
 REDUCE_KL = "REDUCE_KL"    # bottom-up REDUCE#k(X)
 FINISH = "FINISH"
 
-_KINDS_WITH_K = {SHIFT_K, SWAP_K, REDUCE_KL}
-_KINDS_WITH_LABEL = {NT, REDUCE_L, REDUCE_KL}
+# kind -> (word, least k if it carries #k else None, carries (X)); the one
+# place a token's spelling lives
+_SPELLING = {
+    SHIFT: ("SHIFT", None, False),
+    SHIFT_K: ("SHIFT", 0, False),
+    SWAP: ("SWAP", None, False),
+    SWAP_K: ("SWAP", 1, False),
+    NT: ("NT", None, True),
+    REDUCE: ("REDUCE", None, False),
+    REDUCE_L: ("REDUCE", None, True),
+    REDUCE_KL: ("REDUCE", 1, True),
+    FINISH: ("FINISH", None, False),
+}
+_KIND_OF_SPELLING = {(word, least_k is not None, with_label): kind
+                     for kind, (word, least_k, with_label) in _SPELLING.items()}
+_TOKEN_RE = re.compile(r"([A-Z]+)(?:#(\d+))?(?:\((.+)\))?")
 _LABEL_RE = re.compile(r"[^\s()]+")
 
 
@@ -56,42 +70,25 @@ class Transition:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if (self.k is not None) != (self.kind in _KINDS_WITH_K):
+        if self.kind not in _SPELLING:
+            raise ValueError(f"unknown transition kind {self.kind!r}")
+        _, least_k, with_label = _SPELLING[self.kind]
+        if (self.k is None) != (least_k is None):
             raise ValueError(f"{self.kind} parameter k mismatch")
-        if (self.label is not None) != (self.kind in _KINDS_WITH_LABEL):
+        if (self.label is not None) != with_label:
             raise ValueError(f"{self.kind} label mismatch")
-        if self.k is not None:
-            minimum = 0 if self.kind == SHIFT_K else 1
-            if self.k < minimum:
-                raise ValueError(f"{self.kind} requires k >= {minimum}, got {self.k}")
+        if self.k is not None and self.k < least_k:
+            raise ValueError(f"{self.kind} requires k >= {least_k}, got {self.k}")
         if self.label is not None and not _LABEL_RE.fullmatch(self.label):
             raise ValueError(f"bad label {self.label!r}: no whitespace or parentheses")
 
     def __str__(self) -> str:
-        if self.kind == SHIFT_K:
-            return f"SHIFT#{self.k}"
-        if self.kind == SWAP_K:
-            return f"SWAP#{self.k}"
-        if self.kind == NT:
-            return f"NT({self.label})"
-        if self.kind == REDUCE_L:
-            return f"REDUCE({self.label})"
-        if self.kind == REDUCE_KL:
-            return f"REDUCE#{self.k}({self.label})"
-        return self.kind
-
-    def normalized(self) -> "Transition":
-        """Fold degenerate parameters: SHIFT#0 -> SHIFT, SWAP#1 -> SWAP.
-
-        Surface forms are kept distinct everywhere else because a scheme
-        that parameterizes a transition spells every instance that way,
-        including the degenerate one.
-        """
-        if self.kind == SHIFT_K and self.k == 0:
-            return Transition(SHIFT)
-        if self.kind == SWAP_K and self.k == 1:
-            return Transition(SWAP)
-        return self
+        text = _SPELLING[self.kind][0]
+        if self.k is not None:
+            text += f"#{self.k}"
+        if self.label is not None:
+            text += f"({self.label})"
+        return text
 
 
 def shift() -> Transition:
@@ -130,25 +127,14 @@ def finish() -> Transition:
     return Transition(FINISH)
 
 
-_TOKEN_RES = [
-    (re.compile(r"SHIFT#(\d+)$"), lambda m: shift_k(int(m.group(1)))),
-    (re.compile(r"SWAP#(\d+)$"), lambda m: swap_k(int(m.group(1)))),
-    (re.compile(r"REDUCE#(\d+)\((.+)\)$"), lambda m: reduce_kl(int(m.group(1)), m.group(2))),
-    (re.compile(r"NT\((.+)\)$"), lambda m: nt(m.group(1))),
-    (re.compile(r"REDUCE\((.+)\)$"), lambda m: reduce_l(m.group(1))),
-    (re.compile(r"SHIFT$"), lambda m: shift()),
-    (re.compile(r"SWAP$"), lambda m: swap()),
-    (re.compile(r"REDUCE$"), lambda m: reduce_()),
-    (re.compile(r"FINISH$"), lambda m: finish()),
-]
-
-
 def parse_transition(text: str) -> Transition:
-    for pattern, build in _TOKEN_RES:
-        matched = pattern.fullmatch(text)
-        if matched:
+    matched = _TOKEN_RE.fullmatch(text)
+    if matched is not None:
+        word, k, label = matched.groups()
+        kind = _KIND_OF_SPELLING.get((word, k is not None, label is not None))
+        if kind is not None:
             try:
-                return build(matched)
+                return Transition(kind, None if k is None else int(k), label)
             except ValueError as err:
                 raise ValueError(f"bad transition token {text!r}: {err}") from None
     raise ValueError(f"bad transition token {text!r}")
@@ -226,33 +212,34 @@ DISCO_SWAP = "swap"
 DISCO_SWAP_K = "swapk"
 DISCO_SHIFT_K = "shiftk"
 
-_BASES = (TOP_DOWN, IN_ORDER, BOTTOM_UP)
-_DISCOS = (DISCO_NONE, DISCO_SWAP, DISCO_SWAP_K, DISCO_SHIFT_K)
+# (base, reordering flavor, enriched) -> the kinds of each shipped scheme's
+# tokens; under SHIFT#k every shift is spelled SHIFT#k, even #0
+_SCHEME_KINDS = {
+    (TOP_DOWN, DISCO_NONE, False): frozenset({SHIFT, NT, REDUCE}),
+    (TOP_DOWN, DISCO_NONE, True): frozenset({SHIFT, NT, REDUCE_L}),
+    (IN_ORDER, DISCO_NONE, False): frozenset({SHIFT, NT, REDUCE, FINISH}),
+    (IN_ORDER, DISCO_NONE, True): frozenset({SHIFT, NT, REDUCE_L, FINISH}),
+    (BOTTOM_UP, DISCO_NONE, False): frozenset({SHIFT, REDUCE_KL, FINISH}),
+    (TOP_DOWN, DISCO_SWAP, False): frozenset({SHIFT, NT, REDUCE, SWAP}),
+    (IN_ORDER, DISCO_SWAP, False): frozenset({SHIFT, NT, REDUCE, FINISH, SWAP}),
+    (BOTTOM_UP, DISCO_SWAP, False): frozenset({SHIFT, REDUCE_KL, FINISH, SWAP}),
+    (IN_ORDER, DISCO_SWAP_K, False): frozenset({SHIFT, NT, REDUCE, FINISH, SWAP_K}),
+    (IN_ORDER, DISCO_SHIFT_K, False): frozenset({SHIFT_K, NT, REDUCE, FINISH}),
+}
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """A linearization scheme: base system, reordering flavor, enrichment.
-
-    The shipped combinations mirror the ones that are actually useful:
-    SWAP works with every base, SWAP#k and SHIFT#k only with in-order,
-    and `enriched` (labels on REDUCE) only with top-down or in-order on
-    continuous material.
-    """
+    """A linearization scheme: base system, reordering flavor, enrichment."""
 
     base: str
     disco: str = DISCO_NONE
     enriched: bool = False
 
     def __post_init__(self) -> None:
-        if self.base not in _BASES:
-            raise ValueError(f"unknown base system {self.base!r}")
-        if self.disco not in _DISCOS:
-            raise ValueError(f"unknown reordering flavor {self.disco!r}")
-        if self.disco in (DISCO_SWAP_K, DISCO_SHIFT_K) and self.base != IN_ORDER:
-            raise ValueError(f"{self.disco} is only supported with {IN_ORDER}")
-        if self.enriched and (self.base == BOTTOM_UP or self.disco != DISCO_NONE):
-            raise ValueError("enriched REDUCE requires topdown or inorder without reordering")
+        if (self.base, self.disco, self.enriched) not in _SCHEME_KINDS:
+            raise ValueError(f"no shipped scheme has base {self.base!r}, reordering "
+                             f"{self.disco!r} and enriched={self.enriched}")
 
     def __str__(self) -> str:
         name = self.base
@@ -265,21 +252,7 @@ class Scheme:
     @cached_property
     def kinds(self) -> frozenset[str]:
         """Transition kinds this scheme's token vocabulary draws from."""
-        reduce_kind = REDUCE_L if self.enriched else REDUCE
-        if self.base == BOTTOM_UP:
-            kinds = {SHIFT, REDUCE_KL, FINISH}
-        elif self.base == IN_ORDER:
-            kinds = {SHIFT, NT, reduce_kind, FINISH}
-        else:
-            kinds = {SHIFT, NT, reduce_kind}
-        if self.disco == DISCO_SWAP:
-            kinds.add(SWAP)
-        elif self.disco == DISCO_SWAP_K:
-            kinds.add(SWAP_K)
-        elif self.disco == DISCO_SHIFT_K:
-            kinds.discard(SHIFT)  # every shift is spelled SHIFT#k, even #0
-            kinds.add(SHIFT_K)
-        return frozenset(kinds)
+        return _SCHEME_KINDS[(self.base, self.disco, self.enriched)]
 
 
 def parse_scheme(name: str) -> Scheme:
@@ -298,18 +271,7 @@ def parse_scheme(name: str) -> Scheme:
         raise ValueError(f"bad scheme name {name!r}: {err}") from None
 
 
-SHIPPED_SCHEMES: tuple[Scheme, ...] = (
-    Scheme(TOP_DOWN),
-    Scheme(TOP_DOWN, enriched=True),
-    Scheme(IN_ORDER),
-    Scheme(IN_ORDER, enriched=True),
-    Scheme(BOTTOM_UP),
-    Scheme(TOP_DOWN, DISCO_SWAP),
-    Scheme(IN_ORDER, DISCO_SWAP),
-    Scheme(BOTTOM_UP, DISCO_SWAP),
-    Scheme(IN_ORDER, DISCO_SWAP_K),
-    Scheme(IN_ORDER, DISCO_SHIFT_K),
-)
+SHIPPED_SCHEMES: tuple[Scheme, ...] = tuple(Scheme(*key) for key in _SCHEME_KINDS)
 
 
 # --- legality and application ---------------------------------------------
@@ -323,6 +285,12 @@ def topmost_marker(stack: tuple[StackItem, ...]) -> int | None:
         if isinstance(stack[i], MarkerItem):
             return i
     return None
+
+
+def _complete(config: Configuration) -> bool:
+    """The terminal shape: an empty buffer and one constituent on the stack."""
+    return (not config.buffer and len(config.stack) == 1
+            and isinstance(config.stack[0], ConstituentItem))
 
 
 def _swap_guard(config: Configuration, k: int) -> str | None:
@@ -362,9 +330,7 @@ def illegality(config: Configuration, t: Transition, scheme: Scheme) -> str | No
         return _swap_guard(config, t.k)
     if t.kind == NT:
         if scheme.base == TOP_DOWN:
-            if is_terminal(config, scheme):
-                return "configuration is terminal"
-            return None
+            return "configuration is terminal" if _complete(config) else None
         if not config.stack or not _is_material(config.stack[-1]):
             return "the constituent's first child must sit on top of the stack"
         return None
@@ -380,18 +346,14 @@ def illegality(config: Configuration, t: Transition, scheme: Scheme) -> str | No
             return "nothing below the open non-terminal to close over"
         return None
     if t.kind == REDUCE_KL:
+        # bottom-up has no NT, so every stack item is material
         if len(config.stack) < t.k:
             return f"needs {t.k} stack items, have {len(config.stack)}"
-        if not all(_is_material(item) for item in config.stack[-t.k:]):
-            return "an open non-terminal sits among the top items"
         return None
-    if t.kind == FINISH:
-        if config.buffer:
-            return "buffer is not empty"
-        if len(config.stack) != 1 or not isinstance(config.stack[0], ConstituentItem):
-            return "stack is not a single constituent"
+    # FINISH
+    if _complete(config):
         return None
-    raise ValueError(f"unknown transition kind {t.kind!r}")
+    return "buffer is not empty" if config.buffer else "stack is not a single constituent"
 
 
 def legal(config: Configuration, t: Transition, scheme: Scheme) -> bool:
@@ -448,17 +410,14 @@ def apply(config: Configuration, t: Transition, scheme: Scheme) -> Configuration
         node = Constituent(t.label, children)
         return Configuration(stack[:-t.k] + (ConstituentItem(node),), buffer)
 
-    if t.kind == FINISH:
-        return Configuration(stack, buffer, finished=True)
-
-    raise ValueError(f"unknown transition kind {t.kind!r}")
+    # FINISH
+    return Configuration(stack, buffer, finished=True)
 
 
 def is_terminal(config: Configuration, scheme: Scheme) -> bool:
     """Top-down terminates on shape alone; the others need FINISH."""
     if scheme.base == TOP_DOWN:
-        return (not config.buffer and len(config.stack) == 1
-                and isinstance(config.stack[0], ConstituentItem))
+        return _complete(config)
     return config.finished
 
 

@@ -181,7 +181,7 @@ def test_criterion_8_metric_sanity(fig_tree, toy20, cont5):
         assert report.labeled.f1 == 100.0
     gold = dq.parse_discbracket("(S (NP 0=a) (VP 1=b))")
     pred = dq.parse_discbracket("(S (NP 0=a) (NP 1=b))")
-    score = dq.f1([gold], [pred], ignore_root=True)
+    score = dq.evaluate([gold], [pred], ignore_root=True).labeled
     assert (score.precision, score.recall, score.f1) == (50.0, 50.0, 50.0)
     passed(8)
 

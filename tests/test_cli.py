@@ -80,6 +80,19 @@ def test_bad_tree_is_reported_the_same_way(tmp_path, capsys, command):
     assert err == f"discoseq: {path}: line 2: position 0 appears twice at byte 7\n"
 
 
+@pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "train"])
+def test_unencodable_tree_is_reported_the_same_way(tmp_path, capsys, command):
+    path = tmp_path / "disc.discbracket"
+    path.write_text("(S 0=a 1=b)\n\n(S (VP 0=a 2=c) 1=b)\n", encoding="utf-8")
+    argv = [command, "--scheme", "topdown", "--in", str(path)]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == (f"discoseq: {path}: line 3: scheme topdown cannot express "
+                   "discontinuous constituents\n")
+
+
 def test_linearize_text(toy_path, tmp_path, capsys):
     out = tmp_path / "tokens.txt"
     code, _, _ = run(["linearize", "--scheme", "inorder+swap",
@@ -255,14 +268,25 @@ def test_eval_jobs_matches_serial(toy_path, capsys):
     assert out1 == out2
 
 
-def test_eval_sentence_mismatch_is_a_data_error(tmp_path, capsys):
+def _eval_mismatch(tmp_path, capsys, gold_text, pred_text):
     gold = tmp_path / "gold.discbracket"
     pred = tmp_path / "pred.discbracket"
-    gold.write_text("(S 0=a)\n", encoding="utf-8")
-    pred.write_text("(S 0=b)\n", encoding="utf-8")
+    gold.write_text(gold_text, encoding="utf-8")
+    pred.write_text(pred_text, encoding="utf-8")
     code, _, err = run(["eval", "--gold", str(gold), "--pred", str(pred)], capsys)
+    return code, err, pred
+
+
+def test_eval_sentence_mismatch_is_a_data_error(tmp_path, capsys):
+    code, err, pred = _eval_mismatch(tmp_path, capsys, "(S 0=a)\n", "(S 0=b)\n")
     assert code == 2
-    assert "index 0" in err
+    assert err == f"discoseq: {pred}: line 1: sentence mismatch\n"
+
+
+def test_eval_sentence_mismatch_names_the_line_after_a_blank(tmp_path, capsys):
+    code, err, pred = _eval_mismatch(tmp_path, capsys, "(S 0=a)\n", "\n(S 0=b)\n")
+    assert code == 2
+    assert err == f"discoseq: {pred}: line 2: sentence mismatch\n"
 
 
 def test_linearize_jobs_matches_serial(toy_path, tmp_path, capsys):

@@ -16,7 +16,7 @@ def T(line):
 def test_hand_counted_fifty_percent():
     gold = T("(S (NP 0=a) (VP 1=b))")
     pred = T("(S (NP 0=a) (NP 1=b))")
-    score = dq.f1([gold], [pred], ignore_root=True)
+    score = dq.evaluate([gold], [pred], ignore_root=True).labeled
     assert (score.precision, score.recall, score.f1) == (50.0, 50.0, 50.0)
     assert score.matched == 1 and score.gold_total == 2
 
@@ -32,14 +32,14 @@ def test_gold_vs_gold_is_perfect(toy20):
 @given(trees())
 @settings(deadline=None)
 def test_self_evaluation_is_always_perfect(tree):
-    score = dq.f1([tree], [tree])
+    score = dq.evaluate([tree], [tree]).labeled
     assert score.f1 == 100.0 or score.zero_denominator
 
 
 def test_empty_prediction_has_zero_recall():
     gold = T("(S (NP 0=a) (VP 1=b))")
     flat = T("(S 0=a 1=b)")  # no brackets besides the ignored root
-    score = dq.f1([gold], [flat], ignore_root=True)
+    score = dq.evaluate([gold], [flat], ignore_root=True).labeled
     assert score.recall == 0.0 and score.f1 == 0.0
     assert score.predicted_total == 0
     assert score.precision == 100.0 and score.zero_denominator
@@ -50,14 +50,14 @@ def test_missing_crossing_scores_zero_disc_f1(fig_tree):
         "(S 0=Allerdings 1=wird (PP 2=in 3=bestimmten 4=Vierteln)"
         " 5=Wasser (PP 6=aus 7=Brunnen) 8=gewonnen)"
     )
-    score = dq.disc_f1([fig_tree], [continuous])
+    score = dq.evaluate([fig_tree], [continuous]).discontinuous
     assert score.gold_total == 1
     assert score.predicted_total == 0
     assert score.recall == 0.0 and score.f1 == 0.0
 
 
 def test_continuous_banks_flag_empty_disc_denominator(cont5):
-    score = dq.disc_f1(list(cont5), list(cont5))
+    score = dq.evaluate(list(cont5), list(cont5)).discontinuous
     assert score.f1 == 100.0
     assert score.zero_denominator
     assert score.gold_total == 0
@@ -67,7 +67,7 @@ def test_duplicate_brackets_need_duplicate_partners():
     gold = T("(S (NP (NP 0=a)) 1=b)")
     assert dq.bracket_items(gold, ignore_root=True) == Counter({("NP", frozenset({0})): 2})
     pred = T("(S (NP 0=a) 1=b)")
-    score = dq.f1([gold], [pred], ignore_root=True)
+    score = dq.evaluate([gold], [pred], ignore_root=True).labeled
     assert score.matched == 1
     assert score.gold_total == 2 and score.predicted_total == 1
 
@@ -126,14 +126,14 @@ def test_evaluate_rejects_size_mismatch():
 def test_exact_match_fraction():
     gold = [T("(S 0=a 1=b)"), T("(S (NP 0=a) 1=b)")]
     pred = [T("(S 0=a 1=b)"), T("(S 0=a 1=b)")]
-    assert dq.exact_match(gold, pred) == 0.5
-    assert dq.exact_match([], []) == 1.0
+    assert dq.evaluate(gold, pred).exact_match == 0.5
+    assert dq.evaluate([], []).exact_match == 1.0
 
 
 def test_f1_is_zero_when_nothing_matches():
     gold = T("(S (NP 0=a) 1=b)")
     pred = T("(S (VP 0=a) 1=b)")
-    score = dq.f1([gold], [pred], ignore_root=True)
+    score = dq.evaluate([gold], [pred], ignore_root=True).labeled
     assert score.f1 == 0.0 and not score.zero_denominator
 
 
@@ -143,8 +143,8 @@ def test_precision_recall_duality(a, b):
     if len(a.sentence) != len(b.sentence):
         return
     b = dq.ConstituentTree(a.sentence, b.root)
-    forward = dq.f1([a], [b])
-    backward = dq.f1([b], [a])
+    forward = dq.evaluate([a], [b]).labeled
+    backward = dq.evaluate([b], [a]).labeled
     assert forward.precision == backward.recall
     assert forward.recall == backward.precision
 
@@ -164,7 +164,7 @@ def test_library_defaults_match_the_eval_command(tmp_path, capsys):
     from discoseq import cli
     gold = "(S (NP 0=the 1=dog) (VP 2=ran) 3=.)"
     pred = "(S 0=the 1=dog (VP 2=ran) 3=.)"
-    assert round(dq.f1([T(gold)], [T(pred)]).f1, 2) == 80.0
+    assert round(dq.evaluate([T(gold)], [T(pred)]).labeled.f1, 2) == 80.0
     (tmp_path / "gold").write_text(gold + "\n", encoding="utf-8")
     (tmp_path / "pred").write_text(pred + "\n", encoding="utf-8")
     code = cli.main(["eval", "--gold", str(tmp_path / "gold"),

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,13 +42,6 @@ def test_shift0_and_shift_are_distinct_tokens():
     assert tr.swap_k(1) != tr.swap()
 
 
-def test_normalized_folds_degenerate_parameters():
-    assert tr.shift_k(0).normalized() == tr.shift()
-    assert tr.swap_k(1).normalized() == tr.swap()
-    assert tr.shift_k(2).normalized() == tr.shift_k(2)
-    assert tr.reduce_kl(2, "X").normalized() == tr.reduce_kl(2, "X")
-
-
 @pytest.mark.parametrize("junk", [
     "SHIFTY", "NT", "NT()", "REDUCE#x", "SWAP#", "REDUCE#2", "SHIFT#-1",
     "FINISH(X)", "",
@@ -63,6 +58,10 @@ def test_parse_transition_rejects_junk(junk):
     lambda: tr.nt(""),
     lambda: tr.nt("a b"),
     lambda: tr.nt("a(b"),
+    lambda: tr.Transition("BOGUS"),
+    lambda: tr.Transition(tr.SHIFT, k=1),
+    lambda: tr.Transition(tr.SHIFT_K),
+    lambda: tr.Transition(tr.FINISH, label="X"),
 ])
 def test_constructor_validation(make):
     with pytest.raises(ValueError):
@@ -76,6 +75,15 @@ def test_constructor_validation(make):
 ]))
 def test_parse_is_left_inverse_of_str(token):
     assert dq.parse_transition(str(token)) == token
+
+
+@pytest.mark.parametrize("kind", sorted(tr._SPELLING))
+def test_every_spelled_kind_roundtrips(kind):
+    _, least_k, with_label = tr._SPELLING[kind]
+    for k in ([None] if least_k is None else [least_k, least_k + 1, 12]):
+        for label in (["S", "VP-2", "$,"] if with_label else [None]):
+            token = tr.Transition(kind, k=k, label=label)
+            assert dq.parse_transition(str(token)) == token
 
 
 def test_parse_format_transitions_line():
@@ -98,13 +106,30 @@ def test_all_shipped_scheme_names_roundtrip():
         assert dq.parse_scheme(str(scheme)) == scheme
 
 
+def test_readme_scheme_table_lists_the_shipped_schemes():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Linearization schemes")[1]
+    table = section.split("\n## ")[0]
+    names = re.findall(r"^\| `([^`]+)`", table, flags=re.MULTILINE)
+    assert names == [str(s) for s in dq.SHIPPED_SCHEMES]
+
+
 @pytest.mark.parametrize("name", [
     "bottomup+shiftk", "topdown+swapk", "bottomup:enriched",
     "inorder+swap:enriched", "sideways", "inorder+", "",
+    "inorder:enriched+none",
 ])
 def test_parse_scheme_rejects(name):
     with pytest.raises(ValueError):
         dq.parse_scheme(name)
+
+
+@pytest.mark.parametrize("fields", [
+    ("inorder:enriched",), ("inorder", "swapk", True), ("inorder", "+swap"),
+])
+def test_scheme_rejects_unshipped_fields(fields):
+    with pytest.raises(ValueError):
+        dq.Scheme(*fields)
 
 
 def test_scheme_token_kinds():
