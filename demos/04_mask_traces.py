@@ -10,6 +10,7 @@ Run: python3 demos/04_mask_traces.py
 """
 
 import discoseq as dq
+from discoseq.neural.model import mask_rows
 
 scheme = dq.parse_scheme("inorder+swap")
 tree = dq.parse_discbracket("(S (VP 0=a 2=c) 1=b)")
@@ -29,10 +30,11 @@ for step, pair in enumerate(trace):
     print(f"{step:>4}  {token:<9}  {fmt(pair.stack_positions):<9}"
           f"  {fmt(pair.buffer_positions)}")
 
-# The actual mask vectors are additive: 0.0 for visible, -inf for not.
-final = trace[-1]
-print("\nfinal stack mask: ", final.stack)
-print("final buffer mask:", final.buffer)
+# The model adds the masks to attention scores as rows of 0.0 (visible)
+# and -inf (hidden); column 0 is a sentinel that both heads always see.
+stack_rows, buffer_rows = mask_rows(trace[-1:], n)
+print("\nfinal stack row: ", stack_rows[0])
+print("final buffer row:", buffer_rows[0])
 
 # Stepping past FINISH (or applying any inconsistent token) raises.
 state = dq.initial_state(n, scheme)

@@ -9,7 +9,7 @@ buffer masks replayed from the token stream alone.
 """
 
 from .decode import DecodeResult, LabelMismatch, Repair, decode
-from .masks import NEG_INF, MaskPair, MaskState, initial_state, step, trace
+from .masks import MaskPair, MaskState, initial_state, step, trace
 from .metrics import (DEFAULT_PUNCTUATION, MetricsError, Report, Score,
                       bracket_items, evaluate)
 from .oracle import EncodeError, VocabStats, encode, vocab_stats
@@ -32,7 +32,7 @@ __all__ = [
     "Configuration", "Constituent", "ConstituentTree",
     "DEFAULT_PUNCTUATION", "DecodeResult", "EncodeError", "IllegalTransition",
     "LabelMismatch", "MaskPair", "MaskState", "MetricsError",
-    "NEG_INF", "Repair", "Report", "SHIPPED_SCHEMES", "Scheme",
+    "Repair", "Report", "SHIPPED_SCHEMES", "Scheme",
     "Score", "Transition", "TreebankError", "Violation",
     "VocabStats", "apply",
     "bracket_items", "bundled", "canonical_leaf_order", "decode",

@@ -25,8 +25,6 @@ from . import __version__
 from .decode import decode
 from .masks import trace
 from .metrics import MetricsError, PairCounts, pair_counts, summarize
-from .neural import (TrainingDiverged, load_checkpoint, predict,
-                     save_checkpoint, train)
 from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
@@ -69,7 +67,8 @@ def _open_out(path: str):
 
 
 def _numbered_lines(handle) -> list[tuple[int, str]]:
-    return [(no, line.strip()) for no, line in enumerate(handle, 1)
+    """The non-blank lines as read, without the newline, and their numbers."""
+    return [(no, line.rstrip("\n")) for no, line in enumerate(handle, 1)
             if line.strip()]
 
 
@@ -178,7 +177,7 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
                                 f"{len(token_lines)} token lines")
     items = []
     for index, (line_no, line) in enumerate(token_lines):
-        if line.startswith("{"):
+        if line.lstrip().startswith("{"):
             try:
                 record = json.loads(line)
                 words = record["sentence"]
@@ -351,6 +350,7 @@ def _cmd_eval(args) -> int:
 # --- train / predict -------------------------------------------------------
 
 def _cmd_train(args) -> int:
+    from .neural import save_checkpoint, train
     gold, line_nos = _read_treebank(args.infile, args.format)
     overrides = {name: value for name, value in (
         ("epochs", args.epochs), ("seed", args.seed),
@@ -372,15 +372,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .neural import load_checkpoint, predict
     params, config = load_checkpoint(args.checkpoint)
     scheme = parse_scheme(config.scheme)
     with _open_in(args.infile) as handle:
-        sentences = [line.split() for _, line in _numbered_lines(handle)]
+        sentences = [(no, line.split()) for no, line in _numbered_lines(handle)]
     repaired = 0
     with _open_out(args.outfile) as out:
-        for words in sentences:
-            prediction = predict(params, config, words, beam_size=args.beam,
-                                 max_len=args.max_len)
+        for line_no, words in sentences:
+            try:
+                prediction = predict(params, config, words, beam_size=args.beam,
+                                     max_len=args.max_len)
+            except ValueError as err:
+                raise TreebankError(str(err), source=_source(args.infile),
+                                    line_no=line_no) from None
             result = decode(words, list(prediction.tokens), scheme,
                             args.fallback_label)
             if not result.clean:
@@ -516,7 +521,7 @@ def main(argv=None) -> int:
     except (OracleInvariantError, IllegalTransition) as err:
         print(f"discoseq: invariant breach: {err}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (TreebankError, TrainingDiverged, ValueError, OSError) as err:
+    except (TreebankError, ValueError, OSError) as err:
         print(f"discoseq: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,18 +1,16 @@
 """Deterministic stack and buffer attention masks.
 
-Each decoding step carries two additive mask vectors over the input
-positions, one for the stack attention head and one for the buffer
-head.  An entry is 0 where the head may attend and -inf where it must
-not, so adding the mask to pre-softmax scores zeroes the masked
-attention weights exactly.
+Each decoding step carries two sets of input positions: the ones the
+stack attention head may attend and the ones the buffer head may
+attend.  Every other position is masked for that head.  The model turns
+a pair into additive {0, -inf} rows (`neural.model.mask_rows`).
 
 The masks are a function of the parse configuration: every material
-item on the stack unmasks its lowest position in the stack vector, and
-every buffer item unmasks its lowest position in the buffer vector.
-Open non-terminals unmask nothing, and the other positions of a built
-constituent stay masked in both vectors.  So initially every word is
-unmasked in the buffer vector only, and a position is unmasked in at
-most one vector.
+item on the stack contributes its lowest position to the stack set, and
+every buffer item its lowest position to the buffer set.  Open
+non-terminals contribute nothing, and the other positions of a built
+constituent stay out of both sets.  So initially every word is in the
+buffer set only, and a position is in at most one set.
 
 A MaskState pairs the configuration replayed by `transitions.apply`
 with the mask pair read off it; an illegal token raises
@@ -22,32 +20,16 @@ IllegalTransition there.
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import transitions as tr
 from .transitions import Configuration, MarkerItem, Scheme, Transition
-
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
 class MaskPair:
-    """Additive masks over input positions; entries are 0.0 or -inf."""
+    """The input positions the stack head and the buffer head may attend."""
 
-    stack: np.ndarray
-    buffer: np.ndarray
-
-    def __post_init__(self) -> None:
-        for array in (self.stack, self.buffer):
-            array.setflags(write=False)
-
-    @property
-    def stack_positions(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self.stack == 0.0))
-
-    @property
-    def buffer_positions(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self.buffer == 0.0))
+    stack_positions: frozenset[int]
+    buffer_positions: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -59,26 +41,22 @@ class MaskState:
     pair: MaskPair
 
 
-def _read_pair(config: Configuration, n_words: int) -> MaskPair:
-    stack = np.full(n_words, NEG_INF)
-    buffer = np.full(n_words, NEG_INF)
-    for item in config.stack:
-        if not isinstance(item, MarkerItem):
-            stack[item.min_position] = 0.0
-    for item in config.buffer:
-        buffer[item.min_position] = 0.0
-    return MaskPair(stack, buffer)
+def _read_pair(config: Configuration) -> MaskPair:
+    return MaskPair(
+        frozenset(item.min_position for item in config.stack
+                  if not isinstance(item, MarkerItem)),
+        frozenset(item.min_position for item in config.buffer))
 
 
 def initial_state(n_words: int, scheme: Scheme) -> MaskState:
     config = tr.initial(n_words)
-    return MaskState(scheme, config, _read_pair(config, n_words))
+    return MaskState(scheme, config, _read_pair(config))
 
 
 def step(state: MaskState, token: Transition) -> MaskState:
     """Apply one token and read the new masks off the configuration."""
     config = tr.apply(state.config, token, state.scheme)
-    return MaskState(state.scheme, config, _read_pair(config, len(state.pair.stack)))
+    return MaskState(state.scheme, config, _read_pair(config))
 
 
 def trace(n_words: int, tokens: Iterable[Transition],

@@ -77,7 +77,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                 break
         in_ids = np.array([[hyp.token_ids[-1] if hyp.token_ids else config.bos_id]
                            for hyp in live], dtype=np.int64)
-        stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live])
+        stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
         logits, cache = _decode(params, config, memory, in_ids, stack_rows[:, None],
                                 buffer_rows[:, None], None, past)
         past = cache["past"]

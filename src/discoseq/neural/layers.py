@@ -109,12 +109,11 @@ def embed_bwd(d_out: np.ndarray, table_shape: tuple, ids: np.ndarray,
     return d_table
 
 
-def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
-    """The fixed sin/cos position table; even columns sin, odd columns cos."""
-    positions = np.arange(length)[:, None]
+def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:
+    """The fixed sin/cos table's rows at `positions`; even columns sin, odd cos."""
     exponents = np.arange(0, d_model, 2) / d_model
-    angles = positions / np.power(10000.0, exponents)[None, :]
-    table = np.zeros((length, d_model))
+    angles = positions[:, None] / np.power(10000.0, exponents)[None, :]
+    table = np.zeros((len(positions), d_model))
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
     return table

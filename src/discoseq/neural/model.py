@@ -2,8 +2,8 @@
 
 The decoder's cross-attention reserves two heads per layer: head 0 may
 only attend input words currently on the stack, head 1 only words still
-in the buffer, both steered by the additive mask vectors the mask
-engine derives from the token stream.  The remaining heads are free.
+in the buffer, both steered by the position sets that the mask engine
+derives from the token stream.  The remaining heads are free.
 A learned sentinel row is prepended to the encoder memory and is always
 visible to the two specialized heads, so their softmax stays defined
 when the stack or buffer is empty; masked positions get exactly zero
@@ -18,13 +18,14 @@ smoothing 0.01, batches of 3584 tokens and 80 epochs.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from ..masks import MaskPair
-from .layers import (causal_mask, dropout, dropout_bwd, embed, embed_bwd,
-                     layer_norm, layer_norm_bwd, linear, linear_bwd,
+from .layers import (NEG_INF, causal_mask, dropout, dropout_bwd, embed,
+                     embed_bwd, layer_norm, layer_norm_bwd, linear, linear_bwd,
                      masked_attention, masked_attention_bwd, relu, relu_bwd,
                      sinusoidal_positions, softmax_rows)
 
@@ -221,7 +222,8 @@ def _encode(p: Parameters, config: ModelConfig, word_ids: np.ndarray,
     if n > config.max_positions:
         raise ValueError(f"sentence length {n} exceeds max_positions")
     scale = math.sqrt(config.d_model)
-    x = embed(p["word_emb"], word_ids, scale) + sinusoidal_positions(n, config.d_model)
+    x = (embed(p["word_emb"], word_ids, scale)
+         + sinusoidal_positions(np.arange(n), config.d_model))
     x, drop_emb = dropout(x, config.dropout, rng)
     layers = []
     for i in range(config.n_layers):
@@ -256,15 +258,22 @@ def _encode_bwd(p: Parameters, config: ModelConfig, d_memory: np.ndarray,
                           math.sqrt(config.d_model)))
 
 
-def mask_rows(pairs: Sequence[MaskPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the per-step mask vectors, prepending the sentinel column.
+def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Additive (len(pairs), n_words + 1) stack and buffer rows.
 
-    The sentinel (memory row 0) is always attendable for both
-    specialized heads, so rows whose structure is empty stay finite.
+    Entries are 0.0 where the head may attend and -inf elsewhere.
+    Position p is column p + 1; column 0 is the sentinel (memory row
+    0), always attendable for both specialized heads, so rows whose
+    structure is empty stay finite.
     """
-    stack = np.stack([np.concatenate(([0.0], pair.stack)) for pair in pairs])
-    buffer = np.stack([np.concatenate(([0.0], pair.buffer)) for pair in pairs])
-    return stack, buffer
+    sets = ([pair.stack_positions for pair in pairs]
+            + [pair.buffer_positions for pair in pairs])
+    rows = np.full((len(sets), n_words + 1), NEG_INF)
+    rows[:, 0] = 0.0
+    sizes = [len(positions) for positions in sets]
+    columns = np.fromiter(chain.from_iterable(sets), np.int64, sum(sizes))
+    rows[np.repeat(np.arange(len(sets)), sizes), columns + 1] = 0.0
+    return rows[:len(pairs)], rows[len(pairs):]
 
 
 def _cross_head_masks(config: ModelConfig, stack_rows: np.ndarray,
@@ -298,7 +307,7 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
         raise ValueError(f"sequence length {start + t} exceeds max_positions")
     scale = math.sqrt(config.d_model)
     y = (embed(p["tok_emb"], in_ids, scale)
-         + sinusoidal_positions(start + t, config.d_model)[start:])
+         + sinusoidal_positions(np.arange(start, start + t), config.d_model))
     y, drop_emb = dropout(y, config.dropout, rng)
     self_mask = np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1)
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
@@ -377,7 +386,7 @@ def forward(word_ids: np.ndarray, prefix_ids: Sequence[int],
     if len(mask_trace) != len(prefix) + 1:
         raise ValueError("mask trace must have one pair per step plus the start")
     in_ids = np.concatenate(([config.bos_id], prefix))
-    stack_rows, buffer_rows = mask_rows(mask_trace)
+    stack_rows, buffer_rows = mask_rows(mask_trace, len(word_ids))
     memory, _ = _encode(params, config, np.asarray(word_ids, dtype=np.int64), None)
     logits, _ = _decode(params, config, memory, in_ids, stack_rows, buffer_rows, None)
     return softmax_rows(logits)

@@ -19,7 +19,7 @@ from .model import (BOS, UNK, Example, ModelConfig, Parameters, init_parameters,
                     loss_and_grad, mask_rows)
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(ValueError):
     """Raised when the loss stops being finite."""
 
 
@@ -69,7 +69,7 @@ def build_examples(trees: Iterable[ConstituentTree], scheme: str | Scheme,
         pairs = trace(len(tree.sentence), tokens, scheme)
         # pairs[t] is the structure before emitting token t; the final
         # pair describes the terminal state and is never conditioned on.
-        stack_rows, buffer_rows = mask_rows(pairs[:len(tokens)])
+        stack_rows, buffer_rows = mask_rows(pairs[:len(tokens)], len(tree.sentence))
         try:
             target_ids = np.array([config.token_to_id[str(t)] for t in tokens],
                                   dtype=np.int64)

@@ -20,7 +20,8 @@ shifts the k-th buffer item (0-based) instead of the first.
 
 A transition is written exactly the way it is serialized: `SHIFT`,
 `SHIFT#2`, `SWAP`, `SWAP#3`, `NT(VP)`, `REDUCE`, `REDUCE(VP)`,
-`REDUCE#2(VP)`, `FINISH`.
+`REDUCE#2(VP)`, `FINISH`.  So `k` is in ASCII digits without leading
+zeros.
 """
 
 import re
@@ -55,7 +56,7 @@ _SPELLING = {
 }
 _KIND_OF_SPELLING = {(word, least_k is not None, with_label): kind
                      for kind, (word, least_k, with_label) in _SPELLING.items()}
-_TOKEN_RE = re.compile(r"([A-Z]+)(?:#(\d+))?(?:\((.+)\))?")
+_TOKEN_RE = re.compile(r"([A-Z]+)(?:#(0|[1-9][0-9]*))?(?:\((.+)\))?")
 _LABEL_RE = re.compile(r"[^\s()]+")
 
 

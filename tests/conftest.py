@@ -3,7 +3,7 @@
 Two independent oracles live here so the incremental implementations can be
 checked against something that shares no code with them:
 
-* ``replay_pairs`` recomputes both attention mask vectors at every step by
+* ``replay_pairs`` recomputes both mask position sets at every step by
   replaying a plain Configuration and reading positions off its stack and
   buffer directly.
 * ``random_tree`` / ``trees`` build arbitrary valid constituency trees, first

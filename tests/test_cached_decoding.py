@@ -13,6 +13,7 @@ import pytest
 import discoseq as dq
 from discoseq.neural import ModelConfig, forward, init_parameters
 from discoseq.neural import model as nm
+from discoseq.neural.layers import sinusoidal_positions
 from discoseq.neural.training import build_vocabularies
 
 from conftest import ALL_SCHEMES
@@ -39,13 +40,20 @@ def _gold(tree, scheme, config):
 
 def _step(params, config, memory, in_ids, pairs, past):
     """One cached step for a batch: distributions (B, vocab) and the new past."""
-    stack_rows, buffer_rows = nm.mask_rows(pairs)
+    stack_rows, buffer_rows = nm.mask_rows(pairs, memory.shape[0] - 1)
     logits, cache = nm._decode(params, config, memory,
                                np.array(in_ids, dtype=np.int64)[:, None],
                                stack_rows[:, None], buffer_rows[:, None], None, past)
     last = logits[:, -1]
     exp = np.exp(last - last.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True), cache["past"]
+
+
+@pytest.mark.parametrize("start,stop", [(0, 512), (0, 1), (7, 8), (511, 512), (3, 40)])
+def test_a_step_builds_exactly_its_rows_of_the_position_table(start, stop):
+    table = sinusoidal_positions(np.arange(512), 64)
+    rows = sinusoidal_positions(np.arange(start, stop), 64)
+    assert np.array_equal(rows, table[start:stop])
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,20 @@ def test_bad_tree_is_reported_the_same_way(tmp_path, capsys, command):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err == f"discoseq: {path}: line 2: position 0 appears twice at byte 7\n"
+
+
+@pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "eval"])
+def test_offsets_count_from_the_line_as_read(tmp_path, capsys, command):
+    path = tmp_path / "indented.discbracket"
+    path.write_text("  (S 0=a b)\n", encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--gold", str(path), "--pred", str(path)]
+    else:
+        argv = [command, "--scheme", "inorder+swap", "--in", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == (f"discoseq: {path}: line 1: discbracket leaf must look like "
+                   "index=word at byte 9\n")
 
 
 @pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "train"])
@@ -320,6 +335,33 @@ def test_train_then_predict(tmp_path, toy20, capsys):
     tree = dq.load_treebank(out_path)[0]
     assert tree.sentence == ("the", "dog", "ran")
     assert dq.validate(tree) is None
+
+
+def test_symbolic_commands_do_not_load_numpy(tmp_path):
+    toy = Path(dq.__file__).parent / "data" / "toy20.discbracket"
+    tree = toy.read_text(encoding="utf-8").splitlines()[0]
+    jsonl, trees = tmp_path / "toy.jsonl", tmp_path / "toy.trees"
+    scheme = ["--scheme", "inorder+swap"]
+    commands = [
+        ["linearize", *scheme, "--in", str(toy), "--out", str(jsonl), "--jsonl"],
+        ["delinearize", *scheme, "--tokens", str(jsonl), "--out", str(trees)],
+        ["roundtrip", *scheme, "--in", str(toy)],
+        ["stats", *scheme, "--in", str(toy)],
+        ["mask-trace", *scheme, "--tree", tree],
+        ["eval", "--gold", str(toy), "--pred", str(trees)],
+    ]
+    script = (
+        "import json, sys\n"
+        "import discoseq, discoseq.cli\n"
+        "codes = [discoseq.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if 'numpy' in m)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, numpy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert numpy_modules == []
 
 
 def test_predict_rejects_missing_checkpoint(tmp_path, capsys):

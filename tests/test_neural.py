@@ -206,15 +206,15 @@ def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4, toy20):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config)
     sentences = tmp_path / "sentences.txt"
-    sentences.write_text(" ".join(words) + "\n", encoding="utf-8")
+    sentences.write_text("\n\n" + " ".join(words) + "\n", encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "discoseq.cli", "predict", "--checkpoint", str(path),
          "--in", str(sentences), "--max-len", "20"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
-    assert "exceeds max_positions" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"discoseq: {sentences}: line 3: sequence length 9 "
+                           "exceeds max_positions\n")
 
 
 def test_cross_head_masks_shape(setup):
@@ -233,13 +233,14 @@ def test_mask_rows_sentinel_column(setup, toy4):
     scheme = dq.parse_scheme(config.scheme)
     tokens = dq.encode(toy4[0], scheme)
     pairs = dq.trace(len(toy4[0].sentence), tokens, scheme)
-    stack_rows, buffer_rows = nm.mask_rows(pairs)
     n = len(toy4[0].sentence)
-    assert stack_rows.shape == (len(pairs), n + 1)
+    stack_rows, buffer_rows = nm.mask_rows(pairs, n)
+    assert stack_rows.shape == buffer_rows.shape == (len(pairs), n + 1)
+    assert set(np.unique(np.concatenate((stack_rows, buffer_rows)))) == {0.0, -np.inf}
     assert np.all(stack_rows[:, 0] == 0.0) and np.all(buffer_rows[:, 0] == 0.0)
-    for row, pair in zip(stack_rows, pairs):
-        unmasked = {p for p in range(n) if row[p + 1] == 0.0}
-        assert unmasked == set(pair.stack_positions)
+    for stack_row, buffer_row, pair in zip(stack_rows, buffer_rows, pairs):
+        assert {p for p in range(n) if stack_row[p + 1] == 0.0} == pair.stack_positions
+        assert {p for p in range(n) if buffer_row[p + 1] == 0.0} == pair.buffer_positions
 
 
 def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, toy4):

@@ -44,7 +44,8 @@ def test_shift0_and_shift_are_distinct_tokens():
 
 @pytest.mark.parametrize("junk", [
     "SHIFTY", "NT", "NT()", "REDUCE#x", "SWAP#", "REDUCE#2", "SHIFT#-1",
-    "FINISH(X)", "",
+    "FINISH(X)", "", "SHIFT#007", "SWAP#01", "REDUCE#02(VP)", "SHIFT#\u0663",
+    "SHIFT#00",
 ])
 def test_parse_transition_rejects_junk(junk):
     with pytest.raises(ValueError):
@@ -84,6 +85,19 @@ def test_every_spelled_kind_roundtrips(kind):
         for label in (["S", "VP-2", "$,"] if with_label else [None]):
             token = tr.Transition(kind, k=k, label=label)
             assert dq.parse_transition(str(token)) == token
+
+
+@given(st.one_of(
+    st.from_regex(r"(SHIFT|SWAP|NT|REDUCE|FINISH)(#[0-9\u0660-\u0669]{1,3})?"
+                  r"(\([A-Z()]{0,3}\))?", fullmatch=True),
+    st.text(alphabet="SHIFTWAPNREDUC#0123()\u0663 ", max_size=12),
+))
+def test_every_accepted_spelling_is_canonical(text):
+    try:
+        token = dq.parse_transition(text)
+    except ValueError:
+        return
+    assert str(token) == text
 
 
 def test_parse_format_transitions_line():
