@@ -28,6 +28,7 @@ from .metrics import MetricsError, PairCounts, pair_counts, summarize
 from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
+from .tree import ConstituentTree
 from .treebank import (TreebankError, emit_discbracket, parse_bracketed,
                        parse_discbracket, parse_treebank)
 
@@ -50,6 +51,12 @@ def _scheme_arg(text: str) -> Scheme:
         return parse_scheme(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _open_in(path: str):
@@ -76,20 +83,19 @@ def _source(path: str) -> str:
     return "<stdin>" if path == "-" else path
 
 
-def _parse_tree(line: str, fmt: str):
-    return (parse_discbracket if fmt == "discbracket" else parse_bracketed)(line)
+@contextmanager
+def _at_line(source: str, line_no: int):
+    """Name the source and line of a data error raised in the block.
 
-
-def _encode_line(item: tuple[int, str], fmt: str, scheme: Scheme, source: str):
-    """Parse and encode one numbered input line; errors name the line."""
-    line_no, line = item
+    A TreebankError keeps its message and byte offset; any other
+    ValueError becomes a TreebankError with its text.
+    """
     try:
-        tree = _parse_tree(line, fmt)
-        return tree, encode(tree, scheme)
+        yield
     except TreebankError as err:
         raise TreebankError(err.message, source=source, line_no=line_no,
                             offset=err.offset) from None
-    except EncodeError as err:
+    except ValueError as err:
         raise TreebankError(str(err), source=source, line_no=line_no) from None
 
 
@@ -108,10 +114,8 @@ def _naming_unencodable(trees, line_nos: list[int], scheme: Scheme, source: str)
         yield
     except EncodeError:
         for tree, line_no in zip(trees, line_nos):
-            try:
+            with _at_line(source, line_no):
                 encode(tree, scheme)
-            except EncodeError as err:
-                raise TreebankError(str(err), source=source, line_no=line_no) from None
         raise
 
 
@@ -126,9 +130,11 @@ def _mapped(func, items, jobs):
 
 # --- linearize -------------------------------------------------------------
 
-def _linearize_item(item: tuple[int, str], fmt: str, scheme: Scheme,
+def _linearize_item(item: tuple[int, ConstituentTree], scheme: Scheme,
                     jsonl: bool, source: str) -> str:
-    tree, tokens = _encode_line(item, fmt, scheme, source)
+    line_no, tree = item
+    with _at_line(source, line_no):
+        tokens = encode(tree, scheme)
     if jsonl:
         return json.dumps({"sentence": list(tree.sentence),
                            "scheme": str(scheme),
@@ -138,12 +144,13 @@ def _linearize_item(item: tuple[int, str], fmt: str, scheme: Scheme,
 
 
 def _cmd_linearize(args) -> int:
-    worker = functools.partial(_linearize_item, fmt=args.format,
-                               scheme=args.scheme, jsonl=args.jsonl,
-                               source=_source(args.infile))
-    with _open_in(args.infile) as inp, _open_out(args.outfile) as out:
-        for rendered in _mapped(worker, _numbered_lines(inp), args.jobs):
-            print(rendered, file=out)
+    trees, line_nos = _read_treebank(args.infile, args.format)
+    worker = functools.partial(_linearize_item, scheme=args.scheme,
+                               jsonl=args.jsonl, source=_source(args.infile))
+    rendered = list(_mapped(worker, zip(line_nos, trees), args.jobs))
+    with _open_out(args.outfile) as out:
+        for line in rendered:
+            print(line, file=out)
     return EXIT_OK
 
 
@@ -152,11 +159,9 @@ def _cmd_linearize(args) -> int:
 def _delinearize_item(item: tuple[int, list[str], list[str]], scheme: Scheme,
                       fallback: str, source: str):
     line_no, words, token_texts = item
-    try:
+    with _at_line(source, line_no):
         tokens = parse_transitions(" ".join(token_texts))
         result = decode(words, tokens, scheme, fallback)
-    except ValueError as err:
-        raise TreebankError(str(err), source=source, line_no=line_no) from None
     return emit_discbracket(result.tree), result.repairs, len(result.label_mismatches)
 
 
@@ -178,22 +183,20 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
     items = []
     for index, (line_no, line) in enumerate(token_lines):
         if line.lstrip().startswith("{"):
-            try:
-                record = json.loads(line)
-                words = record["sentence"]
-                token_texts = record["tokens"]
-            except (ValueError, KeyError, TypeError) as err:
-                raise TreebankError(f"bad JSONL record: {err}", source=source,
-                                    line_no=line_no) from None
-            if not (_is_string_list(words) and _is_string_list(token_texts)):
-                raise TreebankError("bad JSONL record: sentence and tokens must "
-                                    "be lists of strings", source=source,
-                                    line_no=line_no)
-            recorded = record.get("scheme")
-            if recorded is not None and recorded != str(args.scheme):
-                raise TreebankError(
-                    f"tokens were produced under scheme {recorded!r}, "
-                    f"not {args.scheme}", source=source, line_no=line_no)
+            with _at_line(source, line_no):
+                try:
+                    record = json.loads(line)
+                    words = record["sentence"]
+                    token_texts = record["tokens"]
+                except (ValueError, KeyError, TypeError) as err:
+                    raise ValueError(f"bad JSONL record: {err}") from None
+                if not (_is_string_list(words) and _is_string_list(token_texts)):
+                    raise ValueError("bad JSONL record: sentence and tokens must "
+                                     "be lists of strings")
+                recorded = record.get("scheme")
+                if recorded is not None and recorded != str(args.scheme):
+                    raise ValueError(f"tokens were produced under scheme "
+                                     f"{recorded!r}, not {args.scheme}")
         else:
             if sentences is None:
                 raise TreebankError(
@@ -233,27 +236,25 @@ def _cmd_delinearize(args) -> int:
 # --- roundtrip -------------------------------------------------------------
 
 def _cmd_roundtrip(args) -> int:
-    total = 0
-    failures = 0
+    trees, line_nos = _read_treebank(args.infile, args.format)
     source = _source(args.infile)
-    with _open_in(args.infile) as inp:
-        for line_no, line in _numbered_lines(inp):
-            tree, tokens = _encode_line((line_no, line), args.format,
-                                        args.scheme, source)
-            total += 1
-            result = decode(list(tree.sentence), tokens, args.scheme)
-            identical = (result.tree.root == tree.root
-                         and list(result.tree.sentence) == list(tree.sentence))
-            if identical and result.clean and not result.label_mismatches:
-                continue
-            failures += 1
-            print(f"line {line_no}: MISMATCH")
-            print(f"  input:   {emit_discbracket(tree)}")
-            print(f"  decoded: {emit_discbracket(result.tree)}")
-            for repair in result.repairs:
-                print(f"  repair:  {repair.rule} at step {repair.step}: "
-                      f"{repair.detail}")
-    print(f"roundtrip: {total - failures}/{total} trees reproduced",
+    failures = 0
+    for line_no, tree in zip(line_nos, trees):
+        with _at_line(source, line_no):
+            tokens = encode(tree, args.scheme)
+        result = decode(list(tree.sentence), tokens, args.scheme)
+        identical = (result.tree.root == tree.root
+                     and list(result.tree.sentence) == list(tree.sentence))
+        if identical and result.clean and not result.label_mismatches:
+            continue
+        failures += 1
+        print(f"line {line_no}: MISMATCH")
+        print(f"  input:   {emit_discbracket(tree)}")
+        print(f"  decoded: {emit_discbracket(result.tree)}")
+        for repair in result.repairs:
+            print(f"  repair:  {repair.rule} at step {repair.step}: "
+                  f"{repair.detail}")
+    print(f"roundtrip: {len(trees) - failures}/{len(trees)} trees reproduced",
           file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
@@ -279,12 +280,12 @@ def _format_positions(positions: frozenset[int]) -> str:
 
 
 def _cmd_mask_trace(args) -> int:
-    text = args.tree.strip()
+    text = args.tree.rstrip("\n")
     if args.format == "auto":
         fmt = "discbracket" if re.search(r"(?<!\\)=", text) else "bracketed"
     else:
         fmt = args.format
-    tree = _parse_tree(text, fmt)
+    tree = (parse_discbracket if fmt == "discbracket" else parse_bracketed)(text)
     tokens = encode(tree, args.scheme)
     pairs = trace(len(tree.sentence), tokens, args.scheme)
     print("step\ttoken\tstack\tbuffer")
@@ -300,12 +301,10 @@ def _cmd_mask_trace(args) -> int:
 def _eval_item(item, remove_punctuation: bool, ignore_root: bool,
                source: str) -> PairCounts:
     line_no, gold_tree, predicted_tree = item
-    try:
+    with _at_line(source, line_no):
         return pair_counts(gold_tree, predicted_tree,
                            remove_punctuation=remove_punctuation,
                            ignore_root=ignore_root)
-    except MetricsError as err:
-        raise TreebankError(str(err), source=source, line_no=line_no) from None
 
 
 def _cmd_eval(args) -> int:
@@ -380,12 +379,9 @@ def _cmd_predict(args) -> int:
     repaired = 0
     with _open_out(args.outfile) as out:
         for line_no, words in sentences:
-            try:
+            with _at_line(_source(args.infile), line_no):
                 prediction = predict(params, config, words, beam_size=args.beam,
                                      max_len=args.max_len)
-            except ValueError as err:
-                raise TreebankError(str(err), source=_source(args.infile),
-                                    line_no=line_no) from None
             result = decode(words, list(prediction.tokens), scheme,
                             args.fallback_label)
             if not result.clean:
@@ -410,7 +406,7 @@ def _add_format(sub) -> None:
 
 
 def _add_jobs(sub) -> None:
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+    sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                      help="process items with N workers (order is preserved)")
 
 
@@ -491,9 +487,9 @@ def _build_parser() -> _Parser:
     _add_format(sub)
     sub.add_argument("--out", dest="outfile", required=True, metavar="CKPT",
                      help="checkpoint file to write")
-    sub.add_argument("--epochs", type=int, default=None)
+    sub.add_argument("--epochs", type=_positive_int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--d-model", type=int, default=None)
+    sub.add_argument("--d-model", type=_positive_int, default=None)
     sub.add_argument("--early-stop-accuracy", type=float, default=None,
                      metavar="A", help="stop once teacher-forced token "
                                        "accuracy reaches A (0..1)")
@@ -501,11 +497,11 @@ def _build_parser() -> _Parser:
 
     sub = commands.add_parser("predict", help="parse raw sentences")
     sub.add_argument("--checkpoint", required=True, metavar="CKPT")
-    sub.add_argument("--beam", type=int, default=10)
+    sub.add_argument("--beam", type=_positive_int, default=10)
     sub.add_argument("--in", dest="infile", default="-", metavar="FILE",
                      help="one space-separated sentence per line")
     sub.add_argument("--out", dest="outfile", default="-", metavar="FILE")
-    sub.add_argument("--max-len", type=int, default=None)
+    sub.add_argument("--max-len", type=_positive_int, default=None)
     sub.add_argument("--fallback-label", default="ROOT", metavar="X")
     sub.set_defaults(handler=_cmd_predict)
     return parser

@@ -57,6 +57,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.d_model < 1:
+            raise ValueError("d_model must be positive")
         if self.n_heads < 2:
             raise ValueError("need at least a stack head and a buffer head")
         if self.d_model % self.n_heads:
@@ -417,34 +419,33 @@ def _smoothed_ce(logits: np.ndarray, targets: np.ndarray,
     return total, d_logits
 
 
-def _example_pass(params: Parameters, config: ModelConfig, example: Example,
-                  rng: np.random.Generator | None, want_grads: bool,
-                  ) -> tuple[float, int, int, Parameters | None]:
-    targets = example.target_ids
-    in_ids = np.concatenate(([config.bos_id], targets[:-1]))
-    memory, enc_cache = _encode(params, config, example.word_ids, rng)
-    logits, dec_cache = _decode(params, config, memory, in_ids,
-                                example.stack_rows, example.buffer_rows, rng)
-    total, d_logits = _smoothed_ce(logits, targets, config.label_smoothing)
-    correct = int((logits.argmax(axis=-1) == targets).sum())
-    if not want_grads:
-        return total, len(targets), correct, None
-    grads: Parameters = {}
-    d_memory = _decode_bwd(params, config, d_logits, dec_cache, grads)
-    _encode_bwd(params, config, d_memory, enc_cache, grads)
-    return total, len(targets), correct, grads
+def _batch_pass(params: Parameters, config: ModelConfig, batch: Sequence[Example],
+                rng: np.random.Generator | None, grads: Parameters | None,
+                ) -> tuple[float, int, int]:
+    """Summed loss, target and correct counts; sums gradients into `grads`."""
+    total = 0.0
+    count = 0
+    correct = 0
+    for example in batch:
+        targets = example.target_ids
+        in_ids = np.concatenate(([config.bos_id], targets[:-1]))
+        memory, enc_cache = _encode(params, config, example.word_ids, rng)
+        logits, dec_cache = _decode(params, config, memory, in_ids,
+                                    example.stack_rows, example.buffer_rows, rng)
+        example_total, d_logits = _smoothed_ce(logits, targets, config.label_smoothing)
+        total += example_total
+        count += len(targets)
+        correct += int((logits.argmax(axis=-1) == targets).sum())
+        if grads is not None:
+            d_memory = _decode_bwd(params, config, d_logits, dec_cache, grads)
+            _encode_bwd(params, config, d_memory, enc_cache, grads)
+    return total, count, correct
 
 
 def batch_loss(params: Parameters, config: ModelConfig,
                batch: Sequence[Example]) -> float:
     """Mean label-smoothed cross entropy per target token."""
-    total = 0.0
-    count = 0
-    for example in batch:
-        example_total, example_count, _, _ = _example_pass(
-            params, config, example, None, want_grads=False)
-        total += example_total
-        count += example_count
+    total, count, _ = _batch_pass(params, config, batch, None, None)
     return total / count
 
 
@@ -452,18 +453,8 @@ def loss_and_grad(params: Parameters, config: ModelConfig, batch: Sequence[Examp
                   rng: np.random.Generator | None = None,
                   ) -> tuple[float, Parameters, int, int]:
     """Token-mean loss, gradients, and (correct, total) token counts."""
-    total = 0.0
-    count = 0
-    correct = 0
     grads: Parameters = {}
-    for example in batch:
-        example_total, example_count, example_correct, example_grads = _example_pass(
-            params, config, example, rng, want_grads=True)
-        total += example_total
-        count += example_count
-        correct += example_correct
-        for name, grad in example_grads.items():
-            _accumulate(grads, name, grad)
+    total, count, correct = _batch_pass(params, config, batch, rng, grads)
     for name in grads:
         grads[name] /= count
     return total / count, grads, correct, count

@@ -57,10 +57,6 @@ class Constituent:
             else:
                 yield from child.leaves()
 
-    @property
-    def is_continuous(self) -> bool:
-        return yield_is_consecutive(self.positions)
-
 
 @dataclass(frozen=True)
 class ConstituentTree:

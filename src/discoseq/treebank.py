@@ -178,37 +178,33 @@ def _escape(text: str, escaped: set[str]) -> str:
     return "".join("\\" + ch if ch in escaped else ch for ch in text)
 
 
+def _render(tree: ConstituentTree, numbered: bool) -> str:
+    """One line of brackets; `numbered` leaves are written position=word."""
+
+    def render(node: Constituent) -> str:
+        parts = [_escape(node.label, _LABEL_ESCAPED)]
+        for child in node.children:
+            if isinstance(child, int):
+                word = _escape(tree.sentence[child], _WORD_ESCAPED)
+                parts.append(f"{child}={word}" if numbered else word)
+            else:
+                parts.append(render(child))
+        return "(" + " ".join(parts) + ")"
+
+    return render(tree.root)
+
+
 def emit_bracketed(tree: ConstituentTree) -> str:
     """Render a continuous tree as a single bracketed line."""
     if not is_continuous(tree):
         raise TreebankError(
             "tree has discontinuous constituents; emit_discbracket can express them")
-
-    def render(node: Constituent) -> str:
-        parts = [_escape(node.label, _LABEL_ESCAPED)]
-        for child in node.children:
-            if isinstance(child, int):
-                parts.append(_escape(tree.sentence[child], _WORD_ESCAPED))
-            else:
-                parts.append(render(child))
-        return "(" + " ".join(parts) + ")"
-
-    return render(tree.root)
+    return _render(tree, numbered=False)
 
 
 def emit_discbracket(tree: ConstituentTree) -> str:
     """Render any tree as a single discbracket line."""
-
-    def render(node: Constituent) -> str:
-        parts = [_escape(node.label, _LABEL_ESCAPED)]
-        for child in node.children:
-            if isinstance(child, int):
-                parts.append(f"{child}={_escape(tree.sentence[child], _WORD_ESCAPED)}")
-            else:
-                parts.append(render(child))
-        return "(" + " ".join(parts) + ")"
-
-    return render(tree.root)
+    return _render(tree, numbered=True)
 
 
 def _open_text(path: str | Path, mode: str):

@@ -76,22 +76,27 @@ def test_bad_tree_is_reported_the_same_way(tmp_path, capsys, command):
         argv = ["eval", "--gold", str(path), "--pred", str(path)]
     else:
         argv = [command, "--scheme", "inorder+swap", "--in", str(path)]
-    code, _, err = run(argv, capsys)
-    assert code == 2
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
     assert err == f"discoseq: {path}: line 2: position 0 appears twice at byte 7\n"
 
 
-@pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "eval"])
+@pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "eval",
+                                     "mask-trace"])
 def test_offsets_count_from_the_line_as_read(tmp_path, capsys, command):
     path = tmp_path / "indented.discbracket"
     path.write_text("  (S 0=a b)\n", encoding="utf-8")
+    where = f"{path}: line 1: "
     if command == "eval":
         argv = ["eval", "--gold", str(path), "--pred", str(path)]
+    elif command == "mask-trace":
+        argv = [command, "--scheme", "inorder+swap", "--tree", path.read_text()]
+        where = ""
     else:
         argv = [command, "--scheme", "inorder+swap", "--in", str(path)]
     code, _, err = run(argv, capsys)
     assert code == 2
-    assert err == (f"discoseq: {path}: line 1: discbracket leaf must look like "
+    assert err == (f"discoseq: {where}discbracket leaf must look like "
                    "index=word at byte 9\n")
 
 
@@ -106,6 +111,37 @@ def test_unencodable_tree_is_reported_the_same_way(tmp_path, capsys, command):
     assert code == 2
     assert err == (f"discoseq: {path}: line 3: scheme topdown cannot express "
                    "discontinuous constituents\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--checkpoint", "model.ckpt", "--beam", "0"],
+    ["predict", "--checkpoint", "model.ckpt", "--max-len", "0"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--epochs", "0"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--d-model", "0"],
+    ["linearize", "--scheme", "inorder", "--jobs", "0"],
+    ["linearize", "--scheme", "inorder", "--jobs", "-3"],
+], ids=["beam", "max-len", "epochs", "d-model", "jobs-0", "jobs-negative"])
+def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
+    bank = tmp_path / "one.discbracket"
+    bank.write_text("(S 0=a 1=b)\n", encoding="utf-8")
+    if argv[0] != "predict":
+        argv = argv + ["--in", str(bank)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "expected a positive integer" in err
+    assert "Traceback" not in err
+
+
+def test_linearize_leaves_out_untouched_on_a_bad_line(tmp_path, capsys):
+    path = tmp_path / "bad.discbracket"
+    path.write_text("(S 0=a)\n(S 0=a 0=b)\n", encoding="utf-8")
+    out = tmp_path / "tokens.txt"
+    out.write_text("kept\n", encoding="utf-8")
+    code, _, _ = run(["linearize", "--scheme", "inorder+swap", "--in", str(path),
+                      "--out", str(out)], capsys)
+    assert code == 2
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_linearize_text(toy_path, tmp_path, capsys):
@@ -206,6 +242,19 @@ def test_roundtrip_reports_mismatches(toy_path, capsys, monkeypatch):
     assert code == 3
     assert "MISMATCH" in out and "repair:" in out
     assert "roundtrip: 0/20 trees reproduced" in err
+
+
+def test_roundtrip_reports_a_bad_line_before_any_mismatch(tmp_path, capsys,
+                                                         monkeypatch):
+    path = tmp_path / "bad.discbracket"
+    path.write_text("(S 0=a 1=b)\n(S 0=a 0=b)\n", encoding="utf-8")
+    real = cli.decode
+    monkeypatch.setattr(cli, "decode", lambda sentence, tokens, scheme, *rest:
+                        real(sentence, [], scheme, *rest))
+    code, out, err = run(["roundtrip", "--scheme", "inorder+swap",
+                          "--in", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"discoseq: {path}: line 2: position 0 appears twice at byte 7\n"
 
 
 def test_stats_table(tmp_path, capsys):

@@ -472,13 +472,20 @@ def _list_vocabulary(header):
     return header
 
 
+def _zero_width(header):
+    header["config"]["d_model"] = 0
+    return header
+
+
 @pytest.mark.parametrize("edit", [
     lambda header: header["tensors"],
     lambda header: {k: v for k, v in header.items() if k != "tensors"},
     _without_dtype,
     _string_shape,
     _list_vocabulary,
-], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary"])
+    _zero_width,
+], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
+        "zero-width"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"

@@ -4,7 +4,8 @@
 wrappers, so renaming or dropping one of those bindings silently loses
 a per-layer figure, and so does a binding the code no longer calls
 through.  The first test reads the list without installing anything;
-the second installs the tracer around one toy `predict`.
+the others install the tracer around one toy `predict` and around the
+CLI's linearize -> delinearize -> eval round trip.
 """
 
 import importlib
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+import discoseq as dq
+from discoseq import cli
 from discoseq.neural import ModelConfig, beam, init_parameters
 from discoseq.neural.training import build_vocabularies
 
@@ -20,6 +23,9 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PREDICT_SPANS = ("beam.predict", "model.encode", "model.decode", "model.mask_rows",
                  "masks.step", "transitions.legal", "layers.masked_attention")
+CONVERT_SPANS = ("cli.main", "treebank.parse_treebank", "tree.validate",
+                 "oracle.encode", "transitions.apply", "transitions.parse_transitions",
+                 "decode.decode", "treebank.emit_discbracket", "metrics.pair_counts")
 
 
 def _load_tracing():
@@ -50,3 +56,23 @@ def test_predict_runs_through_the_traced_bindings(toy20):
         tracer.uninstall()
     table = tracer.by_name()
     assert [name for name in PREDICT_SPANS if name not in table] == []
+
+
+def test_convert_runs_through_the_traced_bindings(toy20, tmp_path, capsys):
+    gold, tokens, trees = (tmp_path / name for name in ("gold", "tokens", "trees"))
+    dq.save_treebank(toy20, gold)
+    scheme = ["--scheme", "inorder+swap"]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["linearize", *scheme, "--in", str(gold), "--out", str(tokens),
+                           "--jsonl"]),
+                 cli.main(["delinearize", *scheme, "--tokens", str(tokens),
+                           "--out", str(trees)]),
+                 cli.main(["eval", "--gold", str(gold), "--pred", str(trees), "--json"])]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0]
+    table = tracer.by_name()
+    assert [name for name in CONVERT_SPANS if name not in table] == []
