@@ -12,7 +12,6 @@ invariant.
 
 import argparse
 import functools
-import gzip
 import json
 import re
 import sys
@@ -29,8 +28,8 @@ from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
 from .tree import ConstituentTree
-from .treebank import (TreebankError, emit_discbracket, parse_bracketed,
-                       parse_discbracket, parse_treebank)
+from .treebank import (TreebankError, _open_text, emit_discbracket,
+                       parse_bracketed, parse_discbracket, parse_treebank)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,18 +58,24 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _d_model(text: str) -> int:
+    """A width the model accepts; ModelConfig holds the rule."""
+    from .neural.model import BOS, UNK, ModelConfig  # only train takes it
+    d_model = _positive_int(text)
+    try:
+        ModelConfig(scheme="", word_to_id={UNK: 0}, token_to_id={BOS: 0},
+                    d_model=d_model)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return d_model
+
+
 def _open_in(path: str):
-    if path == "-":
-        return nullcontext(sys.stdin)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    return nullcontext(sys.stdin) if path == "-" else _open_text(path, "r")
 
 
 def _open_out(path: str):
-    if path == "-":
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    return nullcontext(sys.stdout) if path == "-" else _open_text(path, "w")
 
 
 def _numbered_lines(handle) -> list[tuple[int, str]]:
@@ -489,7 +494,7 @@ def _build_parser() -> _Parser:
                      help="checkpoint file to write")
     sub.add_argument("--epochs", type=_positive_int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--d-model", type=_positive_int, default=None)
+    sub.add_argument("--d-model", type=_d_model, default=None)
     sub.add_argument("--early-stop-accuracy", type=float, default=None,
                      metavar="A", help="stop once teacher-forced token "
                                        "accuracy reaches A (0..1)")

@@ -85,9 +85,7 @@ def decode(sentence: Sequence[str], tokens: Iterable[Transition],
     if not tr.is_terminal(config, scheme):
         config, end_repairs = _force_terminal(config, scheme, fallback_label)
         repairs.extend(end_repairs)
-    root_item = config.stack[0]
-    assert isinstance(root_item, tr.ConstituentItem)
-    tree = ConstituentTree(sentence, root_item.node)
+    tree = ConstituentTree(sentence, config.stack[0])
     return DecodeResult(tree, tuple(repairs), tuple(mismatches))
 
 
@@ -116,16 +114,14 @@ def _force_terminal(config: Configuration, scheme: Scheme,
 
     material = [i for i in config.stack if not isinstance(i, tr.MarkerItem)]
     markers = len(config.stack) - len(material)
-    needs_wrap = len(material) != 1 or isinstance(material[0], tr.WordItem)
+    needs_wrap = len(material) != 1 or isinstance(material[0], int)
     if markers or needs_wrap:
         detail = []
         if markers:
             detail.append(f"discarded {markers} unmatched open non-terminals")
         if needs_wrap:
-            children = tuple(tr.as_child(item) for item in material)
-            node = Constituent(fallback_label, children)
-            material = [tr.ConstituentItem(node)]
-            detail.append(f"wrapped {len(children)} items in {fallback_label!r}")
+            detail.append(f"wrapped {len(material)} items in {fallback_label!r}")
+            material = [Constituent(fallback_label, tuple(material))]
         repairs.append(Repair("R3", -1, "; ".join(detail)))
     config = Configuration((material[0],), (), finished=True)
     return config, repairs

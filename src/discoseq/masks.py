@@ -5,12 +5,13 @@ stack attention head may attend and the ones the buffer head may
 attend.  Every other position is masked for that head.  The model turns
 a pair into additive {0, -inf} rows (`neural.model.mask_rows`).
 
-The masks are a function of the parse configuration: every material
-item on the stack contributes its lowest position to the stack set, and
-every buffer item its lowest position to the buffer set.  Open
-non-terminals contribute nothing, and the other positions of a built
-constituent stay out of both sets.  So initially every word is in the
-buffer set only, and a position is in at most one set.
+The masks are a function of the parse configuration.  Its items are
+word positions, built constituents and open non-terminal markers.  A
+word position on the stack or in the buffer enters that side's set
+itself; a built constituent contributes only its lowest position, so
+its other positions stay out of both sets.  Markers contribute nothing.
+So initially every word is in the buffer set only, and a position is
+in at most one set.
 
 A MaskState pairs the configuration replayed by `transitions.apply`
 with the mask pair read off it; an illegal token raises
@@ -22,6 +23,7 @@ from typing import Iterable
 
 from . import transitions as tr
 from .transitions import Configuration, MarkerItem, Scheme, Transition
+from .tree import min_position
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,9 @@ class MaskState:
 
 def _read_pair(config: Configuration) -> MaskPair:
     return MaskPair(
-        frozenset(item.min_position for item in config.stack
+        frozenset(min_position(item) for item in config.stack
                   if not isinstance(item, MarkerItem)),
-        frozenset(item.min_position for item in config.buffer))
+        frozenset(min_position(item) for item in config.buffer))
 
 
 def initial_state(n_words: int, scheme: Scheme) -> MaskState:

@@ -29,6 +29,27 @@ class OracleInvariantError(AssertionError):
     """The oracle's own replay check failed; this is a bug, not bad input."""
 
 
+def _fetch(buffer_index: int, scheme: Scheme) -> list[Transition]:
+    """Tokens that bring the word at `buffer_index` to the stack top."""
+    if scheme.disco == tr.DISCO_SHIFT_K:
+        return [tr.shift_k(buffer_index)]
+    shifts = [tr.shift()] * (buffer_index + 1)
+    if buffer_index == 0:
+        return shifts
+    if scheme.disco == tr.DISCO_SWAP_K:
+        return shifts + [tr.swap_k(buffer_index)]
+    if scheme.disco == tr.DISCO_SWAP:
+        return shifts + [tr.swap()] * buffer_index
+    # unreachable for continuous trees, guarded in encode
+    raise OracleInvariantError("reordering needed under a plain scheme")
+
+
+def _close(node: Constituent, scheme: Scheme) -> Transition:
+    if scheme.base == tr.BOTTOM_UP:
+        return tr.reduce_kl(len(node.children), node.label)
+    return tr.reduce_l(node.label) if scheme.enriched else tr.reduce_()
+
+
 def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
     """Linearize a tree into transition tokens under the given scheme.
 
@@ -51,53 +72,25 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
         config = tr.apply(config, t, scheme)
         out.append(t)
 
-    def fetch(position: int) -> None:
-        buffer_index = next(
-            i for i, item in enumerate(config.buffer)
-            if isinstance(item, tr.WordItem) and item.position == position)
-        if scheme.disco == tr.DISCO_SHIFT_K:
-            emit(tr.shift_k(buffer_index))
-            return
-        for _ in range(buffer_index + 1):
-            emit(tr.shift())
-        if buffer_index == 0:
-            return
-        if scheme.disco == tr.DISCO_SWAP_K:
-            emit(tr.swap_k(buffer_index))
-        elif scheme.disco == tr.DISCO_SWAP:
-            for _ in range(buffer_index):
-                emit(tr.swap())
-        else:  # unreachable for continuous trees, guarded above
-            raise OracleInvariantError("reordering needed under a plain scheme")
-
-    def close(label: str) -> None:
-        emit(tr.reduce_l(label) if scheme.enriched else tr.reduce_())
-
-    def handle(child: Constituent | int) -> None:
-        if isinstance(child, int):
-            fetch(child)
-        else:
-            walk(child)
-
-    def walk(node: Constituent) -> None:
-        children = node.children  # already in canonical order
-        if scheme.base == tr.TOP_DOWN:
+    # one loop over (node, index of its next child); top-down opens a
+    # node before its first child, in-order after it, bottom-up never
+    open_at = {tr.TOP_DOWN: 0, tr.IN_ORDER: 1}.get(scheme.base)
+    pending: list[tuple[Constituent, int]] = [(tree.root, 0)]
+    while pending:
+        node, index = pending.pop()
+        if index == open_at:
             emit(tr.nt(node.label))
-            for child in children:
-                handle(child)
-            close(node.label)
-        elif scheme.base == tr.IN_ORDER:
-            handle(children[0])
-            emit(tr.nt(node.label))
-            for child in children[1:]:
-                handle(child)
-            close(node.label)
+        if index == len(node.children):
+            emit(_close(node, scheme))
+            continue
+        pending.append((node, index + 1))
+        child = node.children[index]  # children are in canonical order
+        if isinstance(child, Constituent):
+            pending.append((child, 0))
         else:
-            for child in children:
-                handle(child)
-            emit(tr.reduce_kl(len(children), node.label))
+            for t in _fetch(config.buffer.index(child), scheme):
+                emit(t)
 
-    walk(tree.root)
     if tr.FINISH in scheme.kinds:
         emit(tr.finish())
 

@@ -1,7 +1,9 @@
 """Shift-reduce transition systems for (dis)continuous constituency parsing.
 
-Three base systems share one configuration type, a stack of items plus a
-buffer of not-yet-consumed items:
+Three base systems share one configuration type, a stack plus a buffer
+of not-yet-consumed items.  The items are the tree's own values: a word
+position (an int), a built `Constituent`, or, on the stack only, a
+`MarkerItem` for an open non-terminal.
 
 * top-down    opens a constituent with NT(X) before its children and
               closes it with REDUCE, which pops every item above the
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-from .tree import Constituent, ConstituentTree
+from .tree import Child, Constituent, ConstituentTree, min_position
 
 SHIFT = "SHIFT"
 SHIFT_K = "SHIFT_K"
@@ -153,46 +155,29 @@ def format_transitions(transitions: Iterable[Transition]) -> str:
 # --- configurations -------------------------------------------------------
 
 @dataclass(frozen=True)
-class WordItem:
-    position: int
-
-    @property
-    def min_position(self) -> int:
-        return self.position
-
-
-@dataclass(frozen=True)
 class MarkerItem:
     """An open non-terminal pushed by NT(X); never counts as material."""
 
     label: str
 
 
-@dataclass(frozen=True)
-class ConstituentItem:
-    node: Constituent
-
-    @property
-    def min_position(self) -> int:
-        return min(self.node.positions)
-
-
-StackItem = Union[WordItem, MarkerItem, ConstituentItem]
-MaterialItem = Union[WordItem, ConstituentItem]  # what SWAP and REDUCE may touch
+StackItem = Union[Child, MarkerItem]
 
 
 @dataclass(frozen=True)
 class Configuration:
     """Stack, buffer, and the terminal flag used by in-order and bottom-up.
 
-    The buffer usually holds word items in sentence order; a SWAP may
-    return a built constituent to the buffer front, after which SHIFT
-    re-shifts it like any other item.  Every word position occurs
-    exactly once across the stack items' yields and the buffer.
+    Stack items are word positions, built constituents and markers for
+    open non-terminals.  The buffer usually holds word positions in
+    sentence order; a SWAP may return a built constituent to the buffer
+    front, after which SHIFT re-shifts it like any other item.  Every
+    word position occurs exactly once across the stack items' yields and
+    the buffer.
     """
 
     stack: tuple[StackItem, ...]
-    buffer: tuple[MaterialItem, ...]
+    buffer: tuple[Child, ...]
     finished: bool = False
 
 
@@ -200,7 +185,7 @@ def initial(n_words: int) -> Configuration:
     """Empty stack, all words in the buffer in sentence order."""
     if n_words < 1:
         raise ValueError("a configuration needs at least one word")
-    return Configuration(stack=(), buffer=tuple(WordItem(i) for i in range(n_words)))
+    return Configuration(stack=(), buffer=tuple(range(n_words)))
 
 
 # --- schemes --------------------------------------------------------------
@@ -291,7 +276,7 @@ def topmost_marker(stack: tuple[StackItem, ...]) -> int | None:
 def _complete(config: Configuration) -> bool:
     """The terminal shape: an empty buffer and one constituent on the stack."""
     return (not config.buffer and len(config.stack) == 1
-            and isinstance(config.stack[0], ConstituentItem))
+            and isinstance(config.stack[0], Constituent))
 
 
 def _swap_guard(config: Configuration, k: int) -> str | None:
@@ -307,7 +292,7 @@ def _swap_guard(config: Configuration, k: int) -> str | None:
         below = config.stack[-i]
         if not _is_material(below):
             return "an open non-terminal sits among the items to move"
-        if below.min_position >= top.min_position:
+        if min_position(below) >= min_position(top):
             return "items are no longer in original order (swap would undo a swap)"
     return None
 
@@ -361,10 +346,6 @@ def legal(config: Configuration, t: Transition, scheme: Scheme) -> bool:
     return illegality(config, t, scheme) is None
 
 
-def as_child(item: MaterialItem) -> Constituent | int:
-    return item.position if isinstance(item, WordItem) else item.node
-
-
 def apply(config: Configuration, t: Transition, scheme: Scheme) -> Configuration:
     """Apply a legal transition; raise IllegalTransition naming the guard."""
     reason = illegality(config, t, scheme)
@@ -390,26 +371,18 @@ def apply(config: Configuration, t: Transition, scheme: Scheme) -> Configuration
         return Configuration(stack + (MarkerItem(t.label),), buffer)
 
     if t.kind in (REDUCE, REDUCE_L):
+        # top-down:  (S|X|sk|..|s0, B) => (S|X_{sk..s0}, B)
+        # in-order:  (S|sk|X|sk-1|..|s0, B) => (S|X_{sk..s0}, B)
         marker_index = topmost_marker(stack)
-        marker = stack[marker_index]
-        above = stack[marker_index + 1:]
-        if scheme.base == TOP_DOWN:
-            # (S|X|sk|..|s0, B) => (S|X_{sk..s0}, B)
-            children = tuple(as_child(item) for item in above)
-            below = stack[:marker_index]
-        else:
-            # (S|sk|X|sk-1|..|s0, B) => (S|X_{sk..s0}, B)
-            first = stack[marker_index - 1]
-            children = (as_child(first),) + tuple(as_child(i) for i in above)
-            below = stack[:marker_index - 1]
-        node = Constituent(marker.label, children)
-        return Configuration(below + (ConstituentItem(node),), buffer)
+        start = marker_index if scheme.base == TOP_DOWN else marker_index - 1
+        children = stack[start:marker_index] + stack[marker_index + 1:]
+        node = Constituent(stack[marker_index].label, children)
+        return Configuration(stack[:start] + (node,), buffer)
 
     if t.kind == REDUCE_KL:
         # (S|sk-1|..|s0, B) => (S|X_{sk-1..s0}, B)
-        children = tuple(as_child(item) for item in stack[-t.k:])
-        node = Constituent(t.label, children)
-        return Configuration(stack[:-t.k] + (ConstituentItem(node),), buffer)
+        node = Constituent(t.label, stack[-t.k:])
+        return Configuration(stack[:-t.k] + (node,), buffer)
 
     # FINISH
     return Configuration(stack, buffer, finished=True)
@@ -427,6 +400,4 @@ def extract_tree(config: Configuration, sentence: tuple[str, ...],
     """Read the finished parse out of a terminal configuration."""
     if not is_terminal(config, scheme):
         raise IllegalTransition("configuration is not terminal")
-    root_item = config.stack[0]
-    assert isinstance(root_item, ConstituentItem)
-    return ConstituentTree(sentence, root_item.node)
+    return ConstituentTree(sentence, config.stack[0])

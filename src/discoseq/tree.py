@@ -17,7 +17,8 @@ Child = Union["Constituent", int]
 _EMPTY_SORT_KEY = float("inf")  # empty children sort last; validate() flags them
 
 
-def _min_position(child: Child) -> float:
+def min_position(child: Child) -> float:
+    """The lowest position a child covers; children are sorted by it."""
     if isinstance(child, int):
         return child
     return min(child.positions) if child.positions else _EMPTY_SORT_KEY
@@ -32,7 +33,7 @@ class Constituent:
     positions: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        kids = tuple(sorted(self.children, key=_min_position))
+        kids = tuple(sorted(self.children, key=min_position))
         covered: set[int] = set()
         for child in kids:
             if isinstance(child, int):

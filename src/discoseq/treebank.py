@@ -99,56 +99,48 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
     tokens = _tokenize(line)
     if not tokens:
         raise TreebankError("empty line where a tree was expected", offset=0)
-    pos = 0  # cursor into tokens
-    words: dict[int, str] = {}  # position -> word
-    next_index = 0  # implicit numbering for the bracketed format
-
-    def take_leaf(token: tuple) -> int:
-        nonlocal next_index
-        _, start, parts = token
-        if discontinuous:
-            if len(parts) != 2 or not parts[0].isdigit():
-                raise _offset_error(
-                    "discbracket leaf must look like index=word", line, start)
-            index = int(parts[0])
-            word = parts[1]
-        else:
-            index = next_index
-            next_index += 1
-            word = "=".join(parts)
-        if index in words:
-            raise _offset_error(f"position {index} appears twice", line, start)
-        words[index] = word
-        return index
-
-    def parse_node() -> Constituent:
-        nonlocal pos
-        open_tok = tokens[pos]
-        pos += 1  # past "("
-        if pos >= len(tokens) or tokens[pos][0] != "atom":
-            raise _offset_error("expected a label after '('", line, open_tok[1])
-        label = "=".join(tokens[pos][2])
-        if not label:
-            raise _offset_error("empty label", line, tokens[pos][1])
-        pos += 1
-        children: list[Constituent | int] = []
-        while pos < len(tokens) and tokens[pos][0] != ")":
-            if tokens[pos][0] == "(":
-                children.append(parse_node())
-            else:
-                children.append(take_leaf(tokens[pos]))
-                pos += 1
-        if pos >= len(tokens):
-            raise _offset_error("unbalanced '(': missing ')'", line, open_tok[1])
-        if not children:
-            raise _offset_error(f"constituent {label!r} has no children",
-                                line, open_tok[1])
-        pos += 1  # past ")"
-        return Constituent(label, tuple(children))
-
     if tokens[0][0] != "(":
         raise _offset_error("a tree must start with '('", line, tokens[0][1])
-    root = parse_node()
+    words: dict[int, str] = {}  # position -> word
+    # the open constituents, innermost last: (offset of "(", label, children)
+    open_nodes: list[tuple[int, str, list[Constituent | int]]] = []
+    pos = 0  # cursor into tokens
+    while True:
+        token = tokens[pos]
+        if token[0] == "(":
+            pos += 1
+            if pos >= len(tokens) or tokens[pos][0] != "atom":
+                raise _offset_error("expected a label after '('", line, token[1])
+            label = "=".join(tokens[pos][2])
+            if not label:
+                raise _offset_error("empty label", line, tokens[pos][1])
+            open_nodes.append((token[1], label, []))
+        elif token[0] == ")":
+            start, label, children = open_nodes.pop()
+            if not children:
+                raise _offset_error(f"constituent {label!r} has no children",
+                                    line, start)
+            node = Constituent(label, tuple(children))
+            if not open_nodes:
+                pos += 1
+                break
+            open_nodes[-1][2].append(node)
+        else:
+            _, start, parts = token
+            if not discontinuous:
+                index, word = len(words), "=".join(parts)
+            elif len(parts) != 2 or not parts[0].isdigit():
+                raise _offset_error(
+                    "discbracket leaf must look like index=word", line, start)
+            else:
+                index, word = int(parts[0]), parts[1]
+            if index in words:
+                raise _offset_error(f"position {index} appears twice", line, start)
+            words[index] = word
+            open_nodes[-1][2].append(index)
+        pos += 1
+        if pos >= len(tokens):
+            raise _offset_error("unbalanced '(': missing ')'", line, open_nodes[-1][0])
     if pos != len(tokens):
         raise _offset_error("trailing material after the tree", line, tokens[pos][1])
 
@@ -156,7 +148,7 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
         missing = sorted(set(range(max(words) + 1)) - set(words))
         raise TreebankError(f"missing word positions {missing}", offset=0)
     sentence = tuple(words[i] for i in range(len(words)))
-    tree = ConstituentTree(sentence, root)
+    tree = ConstituentTree(sentence, node)
     violation = validate(tree)
     if violation is not None:
         raise TreebankError(f"invalid tree: {violation.rule}: {violation.detail}",
@@ -180,18 +172,20 @@ def _escape(text: str, escaped: set[str]) -> str:
 
 def _render(tree: ConstituentTree, numbered: bool) -> str:
     """One line of brackets; `numbered` leaves are written position=word."""
-
-    def render(node: Constituent) -> str:
-        parts = [_escape(node.label, _LABEL_ESCAPED)]
-        for child in node.children:
-            if isinstance(child, int):
-                word = _escape(tree.sentence[child], _WORD_ESCAPED)
-                parts.append(f"{child}={word}" if numbered else word)
-            else:
-                parts.append(render(child))
-        return "(" + " ".join(parts) + ")"
-
-    return render(tree.root)
+    pieces: list[str] = []  # each opens with the space before it
+    pending: list[Constituent | int | str] = [tree.root]  # next on top
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Constituent):
+            pieces.append(" (" + _escape(item.label, _LABEL_ESCAPED))
+            pending.append(")")
+            pending.extend(reversed(item.children))
+        elif isinstance(item, int):
+            word = _escape(tree.sentence[item], _WORD_ESCAPED)
+            pieces.append(f" {item}={word}" if numbered else " " + word)
+        else:
+            pieces.append(item)
+    return "".join(pieces)[1:]
 
 
 def emit_bracketed(tree: ConstituentTree) -> str:

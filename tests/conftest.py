@@ -103,10 +103,10 @@ def trees(draw, max_leaves: int = 10, *, discontinuous: bool = True) -> dq.Const
 # mask replay oracle
 
 def _representative(item: tr.StackItem) -> int:
-    if isinstance(item, tr.WordItem):
-        return item.position
-    assert isinstance(item, tr.ConstituentItem)
-    return min(item.node.positions)
+    if isinstance(item, int):
+        return item
+    assert isinstance(item, dq.Constituent)
+    return min(item.positions)
 
 
 def config_pair(config: tr.Configuration) -> tuple[frozenset[int], frozenset[int]]:

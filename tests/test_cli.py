@@ -1,3 +1,4 @@
+import gzip
 import json
 import subprocess
 import sys
@@ -133,6 +134,20 @@ def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_d_model_the_model_cannot_split_is_a_usage_error(tmp_path):
+    bank = tmp_path / "one.discbracket"
+    bank.write_text("(S 0=a 1=b)\n", encoding="utf-8")
+    ckpt = tmp_path / "m.ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "discoseq.cli", "train", "--scheme", "inorder",
+         "--in", str(bank), "--out", str(ckpt), "--d-model", "6"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "argument --d-model: d_model must divide evenly into heads" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not ckpt.exists()
+
+
 def test_linearize_leaves_out_untouched_on_a_bad_line(tmp_path, capsys):
     path = tmp_path / "bad.discbracket"
     path.write_text("(S 0=a)\n(S 0=a 0=b)\n", encoding="utf-8")
@@ -169,6 +184,21 @@ def test_linearize_jsonl_and_back(toy_path, tmp_path, capsys):
     assert code == 0
     assert rebuilt.read_bytes() == toy_path.read_bytes()
     assert "20 trees, 0 repaired" in err
+
+
+def test_gz_out_paths_are_compressed(toy_path, tmp_path, capsys):
+    tokens, trees = tmp_path / "tokens.jsonl.gz", tmp_path / "trees.discbracket.gz"
+    scheme = ["--scheme", "inorder+swap"]
+    assert run(["linearize", *scheme, "--jsonl", "--in", str(toy_path),
+                "--out", str(tokens)], capsys)[0] == 0
+    assert run(["delinearize", *scheme, "--tokens", str(tokens),
+                "--out", str(trees)], capsys)[0] == 0
+    code, out, _ = run(["eval", "--json", "--gold", str(toy_path),
+                        "--pred", str(trees)], capsys)
+    assert code == 0
+    assert json.loads(out)["exact_match"] == 1.0
+    with gzip.open(trees, "rt", encoding="utf-8") as handle:
+        assert handle.read() == toy_path.read_text(encoding="utf-8")
 
 
 def test_delinearize_text_mode_needs_sentences(toy_path, tmp_path, capsys):

@@ -147,11 +147,8 @@ def test_buffer_stays_ascending(tree):
         config = dq.initial(n)
         for token in dq.encode(tree, scheme):
             config = dq.apply(config, token, scheme)
-            reprs = [
-                item.position if hasattr(item, "position")
-                else min(item.node.positions)
-                for item in config.buffer
-            ]
+            reprs = [item if isinstance(item, int) else min(item.positions)
+                     for item in config.buffer]
             assert reprs == sorted(reprs)
 
 

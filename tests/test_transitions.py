@@ -163,7 +163,7 @@ def test_scheme_token_kinds():
 def test_initial_configuration():
     config = dq.initial(3)
     assert config.stack == ()
-    assert [w.position for w in config.buffer] == [0, 1, 2]
+    assert list(config.buffer) == [0, 1, 2]
     assert not config.finished
 
 
@@ -174,22 +174,22 @@ def test_initial_requires_a_word():
 
 def test_shift_moves_buffer_front():
     config = dq.apply(dq.initial(3), tr.shift(), INORDER)
-    assert [w.position for w in config.stack] == [0]
-    assert [w.position for w in config.buffer] == [1, 2]
+    assert list(config.stack) == [0]
+    assert list(config.buffer) == [1, 2]
 
 
 def test_shift_k_picks_by_index():
     config = dq.apply(dq.initial(4), tr.shift_k(2), SHIFTK)
-    assert [w.position for w in config.stack] == [2]
-    assert [w.position for w in config.buffer] == [0, 1, 3]
+    assert list(config.stack) == [2]
+    assert list(config.buffer) == [0, 1, 3]
 
 
 def test_swap_returns_second_item_to_buffer_front():
     config = dq.initial(3)
     for token in (tr.shift(), tr.shift(), tr.swap()):
         config = dq.apply(config, token, SWAP)
-    assert [w.position for w in config.stack] == [1]
-    assert [w.position for w in config.buffer] == [0, 2]
+    assert list(config.stack) == [1]
+    assert list(config.buffer) == [0, 2]
 
 
 def test_swap_k_preserves_depth_order():
@@ -197,8 +197,8 @@ def test_swap_k_preserves_depth_order():
     for token in (tr.shift(), tr.shift(), tr.shift(), tr.swap_k(2)):
         config = dq.apply(config, token, SWAPK)
     # the two moved items reach the buffer deepest first
-    assert [w.position for w in config.stack] == [2]
-    assert [w.position for w in config.buffer] == [0, 1, 3]
+    assert list(config.stack) == [2]
+    assert list(config.buffer) == [0, 1, 3]
 
 
 def test_swap_undo_guard():

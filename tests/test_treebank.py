@@ -1,3 +1,4 @@
+import gc
 import gzip
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
-from conftest import FIG_LINE, trees
+from conftest import DISCO_SCHEMES, FIG_LINE, trees
 
 
 def test_parse_discbracket_fig():
@@ -109,3 +110,25 @@ def test_bundled_fixtures(toy20, cont5, fig_tree):
 def test_bundled_unknown_name():
     with pytest.raises(dq.TreebankError):
         dq.bundled("nope.discbracket")
+
+
+def test_tree_walks_leave_nothing_for_the_cycle_collector(toy20):
+    """Reading, writing and encoding walk trees in loops; a nested function
+    that calls itself would leave a reference cycle behind on every call."""
+    lines = [dq.emit_discbracket(tree) for tree in toy20]
+    calls = {
+        "parse_discbracket": lambda: [dq.parse_discbracket(line) for line in lines],
+        "emit_discbracket": lambda: [dq.emit_discbracket(tree) for tree in toy20],
+        "encode": lambda: [dq.encode(tree, scheme)
+                           for tree in toy20 for scheme in DISCO_SCHEMES],
+    }
+    left = {}
+    for name, call in calls.items():
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            left[name] = gc.collect()
+        finally:
+            gc.enable()
+    assert left == dict.fromkeys(calls, 0)
