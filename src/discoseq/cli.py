@@ -58,6 +58,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _d_model(text: str) -> int:
     """A width the model accepts; ModelConfig holds the rule."""
     from .neural.model import BOS, UNK, ModelConfig  # only train takes it
@@ -493,7 +499,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--out", dest="outfile", required=True, metavar="CKPT",
                      help="checkpoint file to write")
     sub.add_argument("--epochs", type=_positive_int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_non_negative_int, default=None)
     sub.add_argument("--d-model", type=_d_model, default=None)
     sub.add_argument("--early-stop-accuracy", type=float, default=None,
                      metavar="A", help="stop once teacher-forced token "

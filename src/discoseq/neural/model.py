@@ -9,6 +9,10 @@ visible to the two specialized heads, so their softmax stays defined
 when the stack or buffer is empty; masked positions get exactly zero
 attention weight either way.
 
+Both stacks are post-norm residual layers, and `_SUBLAYERS` is the one
+statement of their layout: `init_parameters`, the forward loop
+`_layers` and the backward loop `_layers_bwd` all read it.
+
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
 heads, dropout 0.33) and Adam (lr 5e-4, betas 0.9/0.98, eps 1e-8) with
@@ -86,6 +90,10 @@ class ModelConfig:
 
 Parameters = dict[str, np.ndarray]
 
+# Each layer runs its side's sublayers in order; sublayer j (from 1) is
+# followed by the residual add and the norm `ln{j}`.
+_SUBLAYERS = {"enc": ("self", "ff"), "dec": ("self", "cross", "ff")}
+
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
     d, ff = config.d_model, config.d_ff
@@ -101,10 +109,6 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters
         for proj in ("bq", "bk", "bv", "bo"):
             params[f"{prefix}.{proj}"] = np.zeros(d)
 
-    def norm(prefix: str) -> None:
-        params[f"{prefix}.g"] = np.ones(d)
-        params[f"{prefix}.b"] = np.zeros(d)
-
     def feed_forward(prefix: str) -> None:
         glorot(f"{prefix}.w1", d, ff)
         params[f"{prefix}.b1"] = np.zeros(ff)
@@ -115,18 +119,12 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters
     params["word_emb"] = rng.standard_normal((len(config.word_to_id), d)) * scale
     params["tok_emb"] = rng.standard_normal((len(config.token_to_id), d)) * scale
     params["sentinel"] = rng.standard_normal(d) * scale
-    for i in range(config.n_layers):
-        attention(f"enc{i}.self")
-        norm(f"enc{i}.ln1")
-        feed_forward(f"enc{i}.ff")
-        norm(f"enc{i}.ln2")
-    for i in range(config.n_layers):
-        attention(f"dec{i}.self")
-        norm(f"dec{i}.ln1")
-        attention(f"dec{i}.cross")
-        norm(f"dec{i}.ln2")
-        feed_forward(f"dec{i}.ff")
-        norm(f"dec{i}.ln3")
+    for side, kinds in _SUBLAYERS.items():
+        for i in range(config.n_layers):
+            for j, kind in enumerate(kinds, 1):
+                (feed_forward if kind == "ff" else attention)(f"{side}{i}.{kind}")
+                params[f"{side}{i}.ln{j}.g"] = np.ones(d)
+                params[f"{side}{i}.ln{j}.b"] = np.zeros(d)
     glorot("out.w", d, len(config.token_to_id))
     params["out.b"] = np.zeros(len(config.token_to_id))
     return params
@@ -206,16 +204,70 @@ def _sublayer_ff_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple
     return d_x
 
 
-def _norm(p: Parameters, prefix: str, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    return layer_norm(x, p[f"{prefix}.g"], p[f"{prefix}.b"])
+def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
+            rng: np.random.Generator | None, self_mask: np.ndarray | None = None,
+            past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+            memory: np.ndarray | None = None, cross_masks: np.ndarray | None = None,
+            ) -> tuple[np.ndarray, list[tuple]]:
+    """The `side` layer stack: x = ln_j(x + dropout(sublayer_j(x))).
+
+    Self-attention reads `self_mask` and layer i's `past` keys and
+    values; cross-attention reads `memory` under `cross_masks`.  Returns
+    the output and one (kind, name, norm name, sublayer cache, dropout
+    mask, norm cache) step per sublayer, in run order.
+    """
+    steps = []
+    for i in range(config.n_layers):
+        for j, kind in enumerate(_SUBLAYERS[side], 1):
+            name, ln = f"{side}{i}.{kind}", f"{side}{i}.ln{j}"
+            if kind == "ff":
+                out, cache = _sublayer_ff(p, name, x)
+            elif kind == "self":
+                out, cache = _mha(p, name, x, x, self_mask, config.n_heads,
+                                  None if past is None else past[i])
+            else:
+                out, cache = _mha(p, name, x, memory, cross_masks, config.n_heads)
+            out, drop = dropout(out, config.dropout, rng)
+            x, norm = layer_norm(x + out, p[f"{ln}.g"], p[f"{ln}.b"])
+            steps.append((kind, name, ln, cache, drop, norm))
+    return x, steps
 
 
-def _norm_bwd(prefix: str, d_out: np.ndarray, cache: tuple,
-              grads: Parameters) -> np.ndarray:
-    d_x, d_g, d_b = layer_norm_bwd(d_out, cache)
-    _accumulate(grads, f"{prefix}.g", d_g)
-    _accumulate(grads, f"{prefix}.b", d_b)
-    return d_x
+def _layers_bwd(p: Parameters, config: ModelConfig, d_x: np.ndarray, steps: list[tuple],
+                grads: Parameters) -> tuple[np.ndarray, np.ndarray | None]:
+    """Input gradient of `_layers` and, for the decoder, the memory
+    gradient summed from the last layer down."""
+    d_memory = None
+    for kind, name, ln, cache, drop, norm in reversed(steps):
+        d_sum, d_g, d_b = layer_norm_bwd(d_x, norm)
+        _accumulate(grads, f"{ln}.g", d_g)
+        _accumulate(grads, f"{ln}.b", d_b)
+        d_out = dropout_bwd(d_sum, drop)
+        if kind == "ff":
+            d_x = d_sum + _sublayer_ff_bwd(p, name, d_out, cache, grads)
+            continue
+        d_q, d_kv = _mha_bwd(p, name, d_out, cache, config.n_heads, grads)
+        if kind == "self":
+            d_x = d_sum + d_q + d_kv
+        else:
+            d_x = d_sum + d_q
+            d_memory = d_kv if d_memory is None else d_memory + d_kv
+    return d_x, d_memory
+
+
+def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray, start: int,
+           rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Scaled `table` rows of `ids` plus positions from `start`, with dropout."""
+    x = (embed(p[table], ids, math.sqrt(config.d_model))
+         + sinusoidal_positions(np.arange(start, start + ids.shape[-1]), config.d_model))
+    return dropout(x, config.dropout, rng)
+
+
+def _embed_bwd(p: Parameters, config: ModelConfig, table: str, d_x: np.ndarray,
+               cache: dict, grads: Parameters) -> None:
+    d_x = dropout_bwd(d_x, cache["drop_emb"])
+    _accumulate(grads, table, embed_bwd(d_x, p[table].shape, cache["ids"],
+                                        math.sqrt(config.d_model)))
 
 
 def _encode(p: Parameters, config: ModelConfig, word_ids: np.ndarray,
@@ -223,41 +275,17 @@ def _encode(p: Parameters, config: ModelConfig, word_ids: np.ndarray,
     n = len(word_ids)
     if n > config.max_positions:
         raise ValueError(f"sentence length {n} exceeds max_positions")
-    scale = math.sqrt(config.d_model)
-    x = (embed(p["word_emb"], word_ids, scale)
-         + sinusoidal_positions(np.arange(n), config.d_model))
-    x, drop_emb = dropout(x, config.dropout, rng)
-    layers = []
-    for i in range(config.n_layers):
-        attn, attn_cache = _mha(p, f"enc{i}.self", x, x, None, config.n_heads)
-        attn, drop1 = dropout(attn, config.dropout, rng)
-        h1, ln1_cache = _norm(p, f"enc{i}.ln1", x + attn)
-        ff, ff_cache = _sublayer_ff(p, f"enc{i}.ff", h1)
-        ff, drop2 = dropout(ff, config.dropout, rng)
-        x, ln2_cache = _norm(p, f"enc{i}.ln2", h1 + ff)
-        layers.append((attn_cache, drop1, ln1_cache, ff_cache, drop2, ln2_cache))
+    x, drop_emb = _embed(p, config, "word_emb", word_ids, 0, rng)
+    x, layers = _layers(p, config, "enc", x, rng)
     memory = np.vstack([p["sentinel"][None, :], x])
-    return memory, {"word_ids": word_ids, "drop_emb": drop_emb, "layers": layers}
+    return memory, {"ids": word_ids, "drop_emb": drop_emb, "layers": layers}
 
 
 def _encode_bwd(p: Parameters, config: ModelConfig, d_memory: np.ndarray,
                 cache: dict, grads: Parameters) -> None:
     _accumulate(grads, "sentinel", d_memory[0])
-    d_x = d_memory[1:].copy()
-    for i in reversed(range(config.n_layers)):
-        attn_cache, drop1, ln1_cache, ff_cache, drop2, ln2_cache = cache["layers"][i]
-        d_sum = _norm_bwd(f"enc{i}.ln2", d_x, ln2_cache, grads)
-        d_ff = dropout_bwd(d_sum, drop2)
-        d_h1 = d_sum + _sublayer_ff_bwd(p, f"enc{i}.ff", d_ff, ff_cache, grads)
-        d_sum = _norm_bwd(f"enc{i}.ln1", d_h1, ln1_cache, grads)
-        d_attn = dropout_bwd(d_sum, drop1)
-        d_xq, d_xkv = _mha_bwd(p, f"enc{i}.self", d_attn, attn_cache,
-                               config.n_heads, grads)
-        d_x = d_sum + d_xq + d_xkv
-    d_x = dropout_bwd(d_x, cache["drop_emb"])
-    _accumulate(grads, "word_emb",
-                embed_bwd(d_x, p["word_emb"].shape, cache["word_ids"],
-                          math.sqrt(config.d_model)))
+    d_x, _ = _layers_bwd(p, config, d_memory[1:], cache["layers"], grads)
+    _embed_bwd(p, config, "word_emb", d_x, cache, grads)
 
 
 def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,30 +335,13 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     start = 0 if past is None else past[0][0].shape[-2]
     if start + t > config.max_positions:
         raise ValueError(f"sequence length {start + t} exceeds max_positions")
-    scale = math.sqrt(config.d_model)
-    y = (embed(p["tok_emb"], in_ids, scale)
-         + sinusoidal_positions(np.arange(start, start + t), config.d_model))
-    y, drop_emb = dropout(y, config.dropout, rng)
+    y, drop_emb = _embed(p, config, "tok_emb", in_ids, start, rng)
     self_mask = np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1)
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
-    layers = []
-    for i in range(config.n_layers):
-        attn, self_cache = _mha(p, f"dec{i}.self", y, y, self_mask, config.n_heads,
-                                None if past is None else past[i])
-        attn, drop1 = dropout(attn, config.dropout, rng)
-        h1, ln1_cache = _norm(p, f"dec{i}.ln1", y + attn)
-        cross, cross_cache = _mha(p, f"dec{i}.cross", h1, memory, cross_masks,
-                                  config.n_heads)
-        cross, drop2 = dropout(cross, config.dropout, rng)
-        h2, ln2_cache = _norm(p, f"dec{i}.ln2", h1 + cross)
-        ff, ff_cache = _sublayer_ff(p, f"dec{i}.ff", h2)
-        ff, drop3 = dropout(ff, config.dropout, rng)
-        y, ln3_cache = _norm(p, f"dec{i}.ln3", h2 + ff)
-        layers.append((self_cache, drop1, ln1_cache, cross_cache, drop2,
-                       ln2_cache, ff_cache, drop3, ln3_cache))
+    y, layers = _layers(p, config, "dec", y, rng, self_mask, past, memory, cross_masks)
     logits = linear(y, p["out.w"], p["out.b"])
-    return logits, {"in_ids": in_ids, "drop_emb": drop_emb, "layers": layers,
-                    "final": y, "past": [layer[0][3:5] for layer in layers]}
+    return logits, {"ids": in_ids, "drop_emb": drop_emb, "layers": layers, "final": y,
+                    "past": [step[3][3:5] for step in layers if step[0] == "self"]}
 
 
 def _decode_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray,
@@ -339,28 +350,8 @@ def _decode_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray,
     d_y, d_out_w, d_out_b = linear_bwd(d_logits, cache["final"], p["out.w"])
     _accumulate(grads, "out.w", d_out_w)
     _accumulate(grads, "out.b", d_out_b)
-    d_memory = None
-    for i in reversed(range(config.n_layers)):
-        (self_cache, drop1, ln1_cache, cross_cache, drop2,
-         ln2_cache, ff_cache, drop3, ln3_cache) = cache["layers"][i]
-        d_sum = _norm_bwd(f"dec{i}.ln3", d_y, ln3_cache, grads)
-        d_ff = dropout_bwd(d_sum, drop3)
-        d_h2 = d_sum + _sublayer_ff_bwd(p, f"dec{i}.ff", d_ff, ff_cache, grads)
-        d_sum = _norm_bwd(f"dec{i}.ln2", d_h2, ln2_cache, grads)
-        d_cross = dropout_bwd(d_sum, drop2)
-        d_h1, d_mem = _mha_bwd(p, f"dec{i}.cross", d_cross, cross_cache,
-                               config.n_heads, grads)
-        d_memory = d_mem if d_memory is None else d_memory + d_mem
-        d_h1 = d_h1 + d_sum
-        d_sum = _norm_bwd(f"dec{i}.ln1", d_h1, ln1_cache, grads)
-        d_attn = dropout_bwd(d_sum, drop1)
-        d_yq, d_ykv = _mha_bwd(p, f"dec{i}.self", d_attn, self_cache,
-                               config.n_heads, grads)
-        d_y = d_sum + d_yq + d_ykv
-    d_y = dropout_bwd(d_y, cache["drop_emb"])
-    _accumulate(grads, "tok_emb",
-                embed_bwd(d_y, p["tok_emb"].shape, cache["in_ids"],
-                          math.sqrt(config.d_model)))
+    d_y, d_memory = _layers_bwd(p, config, d_y, cache["layers"], grads)
+    _embed_bwd(p, config, "tok_emb", d_y, cache, grads)
     return d_memory
 
 

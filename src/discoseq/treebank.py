@@ -111,10 +111,7 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
             pos += 1
             if pos >= len(tokens) or tokens[pos][0] != "atom":
                 raise _offset_error("expected a label after '('", line, token[1])
-            label = "=".join(tokens[pos][2])
-            if not label:
-                raise _offset_error("empty label", line, tokens[pos][1])
-            open_nodes.append((token[1], label, []))
+            open_nodes.append((token[1], "=".join(tokens[pos][2]), []))
         elif token[0] == ")":
             start, label, children = open_nodes.pop()
             if not children:

@@ -121,7 +121,8 @@ def test_unencodable_tree_is_reported_the_same_way(tmp_path, capsys, command):
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--d-model", "0"],
     ["linearize", "--scheme", "inorder", "--jobs", "0"],
     ["linearize", "--scheme", "inorder", "--jobs", "-3"],
-], ids=["beam", "max-len", "epochs", "d-model", "jobs-0", "jobs-negative"])
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--seed", "-1"],
+], ids=["beam", "max-len", "epochs", "d-model", "jobs-0", "jobs-negative", "seed"])
 def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
     bank = tmp_path / "one.discbracket"
     bank.write_text("(S 0=a 1=b)\n", encoding="utf-8")
@@ -130,7 +131,8 @@ def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""
-    assert "expected a positive integer" in err
+    expected = "non-negative" if "--seed" in argv else "positive"
+    assert f"expected a {expected} integer" in err
     assert "Traceback" not in err
 
 

@@ -377,6 +377,35 @@ def test_grad_check_refuses_big_models(toy4):
         grad_check(params, config, examples[:1])
 
 
+def test_dropout_gradients_match_central_differences(toy20):
+    """`grad_check` runs in evaluation mode, so this checks the dropout
+    backward: every evaluation draws the same masks from a fresh rng."""
+    from discoseq.neural import loss_and_grad
+    trees = sorted(toy20, key=len)[:2]
+    config = tiny_config(trees, n_layers=2, dropout=0.3)
+    params = init_parameters(config, np.random.default_rng(0))
+    examples = build_examples(trees, SCHEME, config)
+
+    def loss() -> float:
+        return loss_and_grad(params, config, examples, np.random.default_rng(7))[0]
+
+    _, analytic, _, _ = loss_and_grad(params, config, examples, np.random.default_rng(7))
+    step, worst = 1e-5, 0.0
+    for name in sorted(params):
+        flat, grad = params[name].reshape(-1), analytic[name].reshape(-1)
+        for i in range(3):
+            kept = flat[i]
+            flat[i] = kept + step
+            upper = loss()
+            flat[i] = kept - step
+            lower = loss()
+            flat[i] = kept
+            numeric = (upper - lower) / (2.0 * step)
+            scale = max(abs(numeric), abs(grad[i]), 1e-4)
+            worst = max(worst, abs(numeric - grad[i]) / scale)
+    assert worst < 1e-5
+
+
 def test_batch_loss_agrees_with_loss_and_grad(setup):
     from discoseq.neural import loss_and_grad
     config, params, examples = setup

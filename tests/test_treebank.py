@@ -19,6 +19,10 @@ def test_parse_discbracket_fig():
 
 def test_emit_discbracket_is_canonical_inverse():
     assert dq.emit_discbracket(dq.parse_discbracket(FIG_LINE)) == FIG_LINE
+    # an atom is never empty: a label of bare '=' is the label "="
+    only_equals = dq.parse_discbracket("(= 0=a)")
+    assert only_equals.root.label == "="
+    assert dq.emit_discbracket(only_equals) == "(= 0=a)"
 
 
 def test_parse_bracketed_numbers_left_to_right():
