@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict
 from multiprocessing import Pool
 
@@ -53,15 +53,22 @@ def _scheme_arg(text: str) -> Scheme:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _fraction(text: str) -> float:
+    with suppress(ValueError):
+        if 0.0 <= float(text) <= 1.0:  # false for nan too
+            return float(text)
+    raise argparse.ArgumentTypeError(f"expected a number from 0 to 1, got {text!r}")
 
 
 def _d_model(text: str) -> int:
@@ -254,9 +261,7 @@ def _cmd_roundtrip(args) -> int:
         with _at_line(source, line_no):
             tokens = encode(tree, args.scheme)
         result = decode(list(tree.sentence), tokens, args.scheme)
-        identical = (result.tree.root == tree.root
-                     and list(result.tree.sentence) == list(tree.sentence))
-        if identical and result.clean and not result.label_mismatches:
+        if result.tree == tree and result.clean and not result.label_mismatches:
             continue
         failures += 1
         print(f"line {line_no}: MISMATCH")
@@ -384,6 +389,10 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     from .neural import load_checkpoint, predict
     params, config = load_checkpoint(args.checkpoint)
+    if args.max_len is not None and args.max_len > config.max_positions:
+        print(f"discoseq predict: error: argument --max-len: the checkpoint allows at "
+              f"most {config.max_positions}, got {args.max_len}", file=sys.stderr)
+        return EXIT_USAGE
     scheme = parse_scheme(config.scheme)
     with _open_in(args.infile) as handle:
         sentences = [(no, line.split()) for no, line in _numbered_lines(handle)]
@@ -501,7 +510,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--epochs", type=_positive_int, default=None)
     sub.add_argument("--seed", type=_non_negative_int, default=None)
     sub.add_argument("--d-model", type=_d_model, default=None)
-    sub.add_argument("--early-stop-accuracy", type=float, default=None,
+    sub.add_argument("--early-stop-accuracy", type=_fraction, default=None,
                      metavar="A", help="stop once teacher-forced token "
                                        "accuracy reaches A (0..1)")
     sub.set_defaults(handler=_cmd_train)

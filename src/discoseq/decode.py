@@ -10,8 +10,8 @@ empty log.
     R3  tokens ran out with leftovers on the stack: discard unmatched
         open non-terminals and, if more than one item (or a bare word)
         remains, wrap everything in a fallback-labeled constituent
-    R4  SHIFT#k beyond the buffer: clamp k to the last buffer item
-    R5  REDUCE#k beyond the available items: clamp k to what is there
+    R4  SHIFT#k beyond the buffer: clamp k to the largest legal k
+    R5  REDUCE#k beyond the available items: clamp k to the largest legal k
 
 Decoding is deterministic; repairs never reorder the words.
 """
@@ -69,16 +69,17 @@ def decode(sentence: Sequence[str], tokens: Iterable[Transition],
         reason = tr.illegality(config, token, scheme)
         if reason is None:
             if token.kind == tr.REDUCE_L:
-                marker_index = tr.topmost_marker(config.stack)
-                marker = config.stack[marker_index]
+                marker = config.stack[tr.topmost_marker(config.stack)]
                 if marker.label != token.label:
                     mismatches.append(LabelMismatch(step, marker.label, token.label))
             config = tr.apply(config, token, scheme)
             continue
-        clamped = _clamp(config, token, scheme)
-        if clamped is not None:
-            repairs.append(Repair(clamped[1], step, clamped[2]))
-            config = tr.apply(config, clamped[0], scheme)
+        rule = {tr.SHIFT_K: "R4", tr.REDUCE_KL: "R5"}.get(token.kind)
+        largest = tr.legal(config, scheme).get(token.kind, -1) if rule else -1
+        if largest >= 0:
+            fixed = Transition(token.kind, largest, token.label)
+            repairs.append(Repair(rule, step, f"clamped {token} to {fixed}"))
+            config = tr.apply(config, fixed, scheme)
         else:
             repairs.append(Repair("R1", step, f"skipped {token}: {reason}"))
 
@@ -87,20 +88,6 @@ def decode(sentence: Sequence[str], tokens: Iterable[Transition],
         repairs.extend(end_repairs)
     tree = ConstituentTree(sentence, config.stack[0])
     return DecodeResult(tree, tuple(repairs), tuple(mismatches))
-
-
-def _clamp(config: Configuration, token: Transition,
-           scheme: Scheme) -> tuple[Transition, str, str] | None:
-    """R4/R5 parameter clamping, when a smaller k would have been legal."""
-    if config.finished or token.kind not in scheme.kinds:
-        return None
-    if token.kind == tr.SHIFT_K and config.buffer and token.k >= len(config.buffer):
-        fixed = tr.shift_k(len(config.buffer) - 1)
-        return fixed, "R4", f"clamped {token} to {fixed}"
-    if token.kind == tr.REDUCE_KL and 0 < len(config.stack) < token.k:
-        fixed = tr.reduce_kl(len(config.stack), token.label)
-        return fixed, "R5", f"clamped {token} to {fixed}"
-    return None
 
 
 def _force_terminal(config: Configuration, scheme: Scheme,

@@ -85,8 +85,9 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
         log_probs = _log_softmax(logits[:, -1])
         candidates: list[tuple[float, int, int, _Hypothesis, Transition]] = []
         for hyp_index, hyp in enumerate(live):
+            largest = legal(hyp.state.config, scheme)
             for token_id, transition in vocabulary:
-                if legal(hyp.state.config, transition, scheme):
+                if (transition.k or 0) <= largest.get(transition.kind, -1):
                     candidates.append((hyp.score + log_probs[hyp_index, token_id],
                                        token_id, hyp_index, hyp, transition))
         if not candidates:

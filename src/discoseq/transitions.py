@@ -24,6 +24,10 @@ A transition is written exactly the way it is serialized: `SHIFT`,
 `SHIFT#2`, `SWAP`, `SWAP#3`, `NT(VP)`, `REDUCE`, `REDUCE(VP)`,
 `REDUCE#2(VP)`, `FINISH`.  So `k` is in ASCII digits without leading
 zeros.
+
+`legal(config, scheme)` maps each of the scheme's kinds to its largest
+legal k: 0 for a legal kind without k, -1 when no token of the kind is
+legal.  So `t` is legal exactly when `(t.k or 0) <= table.get(t.kind, -1)`.
 """
 
 import re
@@ -279,22 +283,22 @@ def _complete(config: Configuration) -> bool:
             and isinstance(config.stack[0], Constituent))
 
 
-def _swap_guard(config: Configuration, k: int) -> str | None:
-    # the k items below the top move; markers never move and the moved
-    # items must precede the top in original order, so a swap cannot be
-    # undone by another swap
-    if len(config.stack) < k + 1:
-        return f"needs {k + 1} stack items, have {len(config.stack)}"
-    top = config.stack[-1]
-    if not _is_material(top):
-        return "stack top is an open non-terminal"
-    for i in range(2, k + 2):
-        below = config.stack[-i]
-        if not _is_material(below):
-            return "an open non-terminal sits among the items to move"
-        if min_position(below) >= min_position(top):
-            return "items are no longer in original order (swap would undo a swap)"
-    return None
+def _largest_k(config: Configuration, kind: str, most: int) -> int:
+    """The largest k that passes the guard of `kind`'s #k tokens.  SWAP#k moves
+    the k items below the top, scanning at most `most`: markers stay, and moved
+    items must precede the top in original order, so no swap undoes another."""
+    if kind == SHIFT_K:
+        return len(config.buffer) - 1
+    if kind == REDUCE_KL:  # a bottom-up stack holds no markers
+        return len(config.stack)
+    if not config.stack or isinstance(config.stack[-1], MarkerItem):
+        return 0
+    top, k = min_position(config.stack[-1]), 0
+    for below in config.stack[-2:-most - 2:-1]:  # nearest the top first
+        if isinstance(below, MarkerItem) or min_position(below) >= top:
+            break
+        k += 1
+    return k
 
 
 def illegality(config: Configuration, t: Transition, scheme: Scheme) -> str | None:
@@ -307,13 +311,13 @@ def illegality(config: Configuration, t: Transition, scheme: Scheme) -> str | No
     if t.kind == SHIFT:
         return None if config.buffer else "buffer is empty"
     if t.kind == SHIFT_K:
-        if len(config.buffer) <= t.k:
-            return f"buffer has {len(config.buffer)} items, none at index {t.k}"
-        return None
-    if t.kind == SWAP:
-        return _swap_guard(config, 1)
-    if t.kind == SWAP_K:
-        return _swap_guard(config, t.k)
+        return None if t.k <= _largest_k(config, SHIFT_K, t.k) else (
+            f"buffer has {len(config.buffer)} items, none at index {t.k}")
+    if t.kind in (SWAP, SWAP_K):  # SWAP is the guard of SWAP#1
+        movable = _largest_k(config, SWAP_K, t.k or 1)
+        return None if movable >= (t.k or 1) else (
+            f"only {movable} below the top may move (markers stay, and moved "
+            "items must precede the top in original order)")
     if t.kind == NT:
         if scheme.base == TOP_DOWN:
             return "configuration is terminal" if _complete(config) else None
@@ -332,18 +336,24 @@ def illegality(config: Configuration, t: Transition, scheme: Scheme) -> str | No
             return "nothing below the open non-terminal to close over"
         return None
     if t.kind == REDUCE_KL:
-        # bottom-up has no NT, so every stack item is material
-        if len(config.stack) < t.k:
-            return f"needs {t.k} stack items, have {len(config.stack)}"
-        return None
+        return None if t.k <= _largest_k(config, REDUCE_KL, t.k) else (
+            f"needs {t.k} stack items, have {len(config.stack)}")
     # FINISH
     if _complete(config):
         return None
     return "buffer is not empty" if config.buffer else "stack is not a single constituent"
 
 
-def legal(config: Configuration, t: Transition, scheme: Scheme) -> bool:
-    return illegality(config, t, scheme) is None
+# each kind's least token; no guard reads the stand-in label
+_LEAST = {kind: Transition(kind, least_k, "X" if with_label else None)
+          for kind, (_, least_k, with_label) in _SPELLING.items()}
+
+
+def legal(config: Configuration, scheme: Scheme) -> dict[str, int]:
+    """Each of the scheme's kinds -> its largest legal k (see the module doc)."""
+    return {kind: -1 if illegality(config, least, scheme) is not None
+            else 0 if least.k is None else _largest_k(config, kind, len(config.stack))
+            for kind, least in _LEAST.items() if kind in scheme.kinds}
 
 
 def apply(config: Configuration, t: Transition, scheme: Scheme) -> Configuration:

@@ -72,9 +72,6 @@ class ConstituentTree:
     def __len__(self) -> int:
         return len(self.sentence)
 
-    def constituents(self) -> Iterator[Constituent]:
-        return self.root.constituents()
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -92,12 +89,12 @@ def yield_is_consecutive(positions: frozenset[int]) -> bool:
 
 def is_continuous(tree: ConstituentTree) -> bool:
     """True when every constituent covers a consecutive block of positions."""
-    return all(yield_is_consecutive(c.positions) for c in tree.constituents())
+    return all(yield_is_consecutive(c.positions) for c in tree.root.constituents())
 
 
 def discontinuous_constituents(tree: ConstituentTree) -> list[Constituent]:
     """All constituents with a gapped yield, in pre-order."""
-    return [c for c in tree.constituents() if not yield_is_consecutive(c.positions)]
+    return [c for c in tree.root.constituents() if not yield_is_consecutive(c.positions)]
 
 
 def canonical_leaf_order(tree: ConstituentTree) -> tuple[int, ...]:
@@ -148,7 +145,7 @@ def validate(tree: ConstituentTree) -> Violation | None:
     positions inside the sentence, and a root that covers every word.
     """
     n = len(tree.sentence)
-    for node in tree.constituents():
+    for node in tree.root.constituents():
         if not node.children:
             return Violation("empty-constituent", f"constituent {node.label!r} has no children")
         seen: set[int] = set()

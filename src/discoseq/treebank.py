@@ -87,12 +87,8 @@ def _tokenize(line: str) -> list[tuple]:
     return tokens
 
 
-def _byte_offset(line: str, char_index: int) -> int:
-    return len(line[:char_index].encode("utf-8"))
-
-
 def _offset_error(message: str, line: str, char_index: int) -> TreebankError:
-    return TreebankError(message, offset=_byte_offset(line, char_index))
+    return TreebankError(message, offset=len(line[:char_index].encode("utf-8")))
 
 
 def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:

@@ -155,13 +155,19 @@ def candidate_pool(n_words: int, scheme: tr.Scheme) -> list[tr.Transition]:
     return pool
 
 
+def is_legal(config: tr.Configuration, t: tr.Transition, scheme: tr.Scheme) -> bool:
+    """The rule `legal`'s table states: k within the kind's largest legal k."""
+    return (t.k or 0) <= dq.legal(config, scheme).get(t.kind, -1)
+
+
 def random_walk(rng: random.Random, n_words: int, scheme: tr.Scheme,
                 max_steps: int = 40) -> list[tr.Transition]:
     config = dq.initial(n_words)
     pool = candidate_pool(n_words, scheme)
     out: list[tr.Transition] = []
     while len(out) < max_steps:
-        options = [t for t in pool if dq.legal(config, t, scheme)]
+        largest = dq.legal(config, scheme)
+        options = [t for t in pool if (t.k or 0) <= largest.get(t.kind, -1)]
         if not options:
             break
         token = rng.choice(options)

@@ -122,7 +122,16 @@ def test_unencodable_tree_is_reported_the_same_way(tmp_path, capsys, command):
     ["linearize", "--scheme", "inorder", "--jobs", "0"],
     ["linearize", "--scheme", "inorder", "--jobs", "-3"],
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--seed", "-1"],
-], ids=["beam", "max-len", "epochs", "d-model", "jobs-0", "jobs-negative", "seed"])
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--seed", "\u00b2"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--seed", "\u0663"],
+    ["predict", "--checkpoint", "model.ckpt", "--beam", "\u00b2"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "-5"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "1.5"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "nan"],
+    ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "inf"],
+], ids=["beam", "max-len", "epochs", "d-model", "jobs-0", "jobs-negative", "seed",
+        "seed-superscript-digit", "seed-arabic-indic-digit", "beam-superscript-digit",
+        "early-stop-negative", "early-stop-above-one", "early-stop-nan", "early-stop-inf"])
 def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
     bank = tmp_path / "one.discbracket"
     bank.write_text("(S 0=a 1=b)\n", encoding="utf-8")
@@ -131,8 +140,12 @@ def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""
-    expected = "non-negative" if "--seed" in argv else "positive"
-    assert f"expected a {expected} integer" in err
+    if "--early-stop-accuracy" in argv:
+        assert "expected a number from 0 to 1" in err
+    else:
+        expected = "non-negative" if "--seed" in argv else "positive"
+        assert f"expected a {expected} integer" in err
+    assert "_int" not in err
     assert "Traceback" not in err
 
 
@@ -443,6 +456,31 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
     codes, numpy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert numpy_modules == []
+
+
+def test_max_len_beyond_the_checkpoint_is_a_usage_error(tmp_path, toy20, capsys):
+    import numpy as np
+    from discoseq.neural import ModelConfig, init_parameters, save_checkpoint
+    from discoseq.neural.training import build_vocabularies
+    words, tokens = build_vocabularies(list(toy20)[:2], "inorder+swap")
+    config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=12)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(str(ckpt), init_parameters(config, np.random.default_rng(0)), config)
+    sentences = tmp_path / "sents.txt"
+    sentences.write_text("the dog ran\n", encoding="utf-8")
+    out_path = tmp_path / "pred.discbracket"
+    argv = ["predict", "--checkpoint", str(ckpt), "--beam", "1", "--in", str(sentences),
+            "--out", str(out_path)]
+    code, out, err = run(argv + ["--max-len", "13"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("discoseq predict: error: argument --max-len: the checkpoint allows "
+                   "at most 12, got 13\n")
+    assert not out_path.exists()
+    code, _, err = run(argv + ["--max-len", "12"], capsys)
+    assert code == 0
+    assert "1 sentences" in err
 
 
 def test_predict_rejects_missing_checkpoint(tmp_path, capsys):

@@ -205,15 +205,17 @@ def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4, toy20):
         predict(params, config, words, beam_size=1, max_len=20)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config)
+    # the CLI refuses such a --max-len before it reads a sentence (a usage
+    # error, see test_cli); a sentence the checkpoint cannot hold is bad data
     sentences = tmp_path / "sentences.txt"
-    sentences.write_text("\n\n" + " ".join(words) + "\n", encoding="utf-8")
+    sentences.write_text("\n\n" + " ".join(["a"] * 9) + "\n", encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "discoseq.cli", "predict", "--checkpoint", str(path),
-         "--in", str(sentences), "--max-len", "20"],
+         "--in", str(sentences)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr == (f"discoseq: {sentences}: line 3: sequence length 9 "
+    assert proc.stderr == (f"discoseq: {sentences}: line 3: sentence length 9 "
                            "exceeds max_positions\n")
 
 

@@ -48,14 +48,18 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
                          d_model=8, n_heads=2, n_layers=1, d_ff=16)
     params = init_parameters(config, np.random.default_rng(0))
+    beam_size = 2
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        beam.predict(params, config, list(trees[0].sentence), beam_size=2, max_len=6)
+        beam.predict(params, config, list(trees[0].sentence), beam_size=beam_size,
+                     max_len=6)
     finally:
         tracer.uninstall()
     table = tracer.by_name()
     assert [name for name in PREDICT_SPANS if name not in table] == []
+    # one legality table per live hypothesis per decoder step, at most
+    assert table["transitions.legal"]["calls"] <= beam_size * table["model.decode"]["calls"]
 
 
 def test_convert_runs_through_the_traced_bindings(toy20, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import discoseq as dq
 from discoseq import transitions as tr
-from conftest import ALL_SCHEMES, candidate_pool, random_walk
+from conftest import ALL_SCHEMES, candidate_pool, is_legal, random_walk
 
 INORDER = dq.parse_scheme("inorder")
 SWAP = dq.parse_scheme("inorder+swap")
@@ -266,18 +266,54 @@ def test_reduce_kl_needs_k_material_items():
     assert dq.illegality(config, tr.reduce_kl(1, "S"), BOTTOMUP) is None
 
 
-def test_legal_agrees_with_illegality():
-    rng = random.Random(11)
-    for _ in range(200):
-        scheme = rng.choice(ALL_SCHEMES)
-        n = rng.randint(1, 6)
+def _oracle_prefixes(trees, scheme):
+    """Every configuration an oracle sequence passes through, with its n."""
+    for tree in trees:
+        try:
+            tokens = dq.encode(tree, scheme)
+        except dq.EncodeError:
+            continue
+        n = len(tree.sentence)
         config = dq.initial(n)
-        for token in random_walk(rng, n, scheme, max_steps=rng.randint(0, 12)):
+        yield config, n
+        for token in tokens:
             config = dq.apply(config, token, scheme)
-        probe = rng.choice(candidate_pool(n, scheme) + [tr.nt("ZZ")])
-        assert dq.legal(config, probe, scheme) == (
-            dq.illegality(config, probe, scheme) is None
-        )
+            yield config, n
+
+
+def _probes(n, scheme):
+    """The candidate pool, every kind at k up to n + 1, and foreign kinds."""
+    return (candidate_pool(n, scheme)
+            + [tr.shift(), tr.swap(), tr.nt("ZZ"), tr.reduce_(), tr.reduce_l("ZZ"),
+               tr.finish(), tr.shift_k(0)]
+            + [t for k in range(1, n + 2)
+               for t in (tr.shift_k(k), tr.swap_k(k), tr.reduce_kl(k, "ZZ"))])
+
+
+@pytest.fixture(scope="module")
+def oracle_configs(toy20):
+    trees = list(toy20) + list(dq.bundled("fig_disco.discbracket"))
+    return {scheme: list(_oracle_prefixes(trees, scheme)) for scheme in ALL_SCHEMES}
+
+
+@given(st.sampled_from(ALL_SCHEMES), st.booleans(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_legal_agrees_with_illegality(oracle_configs, scheme, from_walk, data):
+    if from_walk:
+        n = data.draw(st.integers(1, 8), label="n")
+        rng = random.Random(data.draw(st.integers(0, 2**31), label="seed"))
+        config = dq.initial(n)
+        for token in random_walk(rng, n, scheme, max_steps=rng.randint(0, 40)):
+            config = dq.apply(config, token, scheme)
+    else:
+        config, n = data.draw(st.sampled_from(oracle_configs[scheme]), label="prefix")
+    largest = dq.legal(config, scheme)
+    probes = _probes(n, scheme)
+    legal_probes = [t for t in probes if dq.illegality(config, t, scheme) is None]
+    assert [t for t in probes if is_legal(config, t, scheme)] == legal_probes
+    assert {kind for kind, k in largest.items() if k >= 0} \
+        == {t.kind for t in legal_probes}
+    assert set(largest) == scheme.kinds
 
 
 # --- parameterised token laws ------------------------------------------------
@@ -294,7 +330,7 @@ def test_shift0_equals_shift():
     checked = 0
     while checked < 50:
         config = _walk_to(rng, rng.randint(1, 6), SHIFTK, rng.randint(0, 10))
-        if not dq.legal(config, tr.shift_k(0), SHIFTK):
+        if not is_legal(config, tr.shift_k(0), SHIFTK):
             continue
         via_k = dq.apply(config, tr.shift_k(0), SHIFTK)
         via_plain = dq.apply(config, tr.shift(), SWAP)
@@ -309,7 +345,7 @@ def test_swap_k_equals_k_swaps():
         n = rng.randint(3, 7)
         config = _walk_to(rng, n, SWAPK, rng.randint(2, 14))
         k = rng.randint(1, 3)
-        if not dq.legal(config, tr.swap_k(k), SWAPK):
+        if not is_legal(config, tr.swap_k(k), SWAPK):
             continue
         via_k = dq.apply(config, tr.swap_k(k), SWAPK)
         via_steps = config
