@@ -11,7 +11,9 @@ batched decoder call that feeds every hypothesis only its newest token
 and mask row.  Earlier positions come from the per-layer self-attention
 keys and values that the previous call returned; once the children are
 chosen, those rows are gathered by parent, so each child continues its
-parent's cache.
+parent's cache.  The encoder memory is fixed for the sentence, so its
+cross-attention keys and values are projected once, by the first step,
+and every later step and hypothesis shares them.
 """
 
 from dataclasses import dataclass
@@ -66,6 +68,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     live = [_Hypothesis(score=0.0, token_ids=[], tokens=[],
                         state=initial_state(n, scheme))]
     past = None  # per decoder layer: self-attention (keys, values), a row per live hyp
+    memory_kv = None  # per decoder layer: cross-attention (keys, values) of the memory
     finished: list[_Hypothesis] = []
     for _ in range(max_len):
         if not live:
@@ -79,8 +82,8 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
         logits, cache = _decode(params, config, memory, in_ids, stack_rows[:, None],
-                                buffer_rows[:, None], None, past)
-        past = cache["past"]
+                                buffer_rows[:, None], None, past, memory_kv)
+        past, memory_kv = cache["past"], cache["memory_kv"]
         del cache  # free this step's activations before the next step allocates
         log_probs = _log_softmax(logits[:, -1])
         candidates: list[tuple[float, int, int, _Hypothesis, Transition]] = []

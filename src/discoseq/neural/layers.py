@@ -3,7 +3,9 @@
 Everything is float64.  The forward functions work along the last
 axis and take any leading axes: training passes one sequence as
 (T, d) rows, beam search one new row per hypothesis as (B, 1, d), and
-attention adds an axis per head.  The backward functions serve
+attention adds an axis per head.  `linear` flattens the leading axes
+into rows, so a beam step's stacked rows are one matrix product rather
+than one vector product per hypothesis.  The backward functions serve
 training, so they take (T, d) rows; only the attention backward also
 takes leading axes.  A forward whose backward needs more than the
 inputs and output also returns that cache.  Backwards return gradients
@@ -61,7 +63,7 @@ def masked_attention_bwd(d_out: np.ndarray, queries: np.ndarray, keys: np.ndarra
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
+    return (x.reshape(-1, w.shape[0]) @ w + b).reshape(*x.shape[:-1], w.shape[1])
 
 
 def linear_bwd(d_out: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -71,9 +73,12 @@ def linear_bwd(d_out: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                eps: float = 1e-5) -> tuple[np.ndarray, tuple]:
-    mean = x.mean(axis=-1, keepdims=True)
+    # add.reduce over the width is what `.mean` computes, without its
+    # Python-level wrapper
+    width = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / width
     centered = x - mean
-    variance = (centered ** 2).mean(axis=-1, keepdims=True)
+    variance = np.add.reduce(centered ** 2, axis=-1, keepdims=True) / width
     inv_std = 1.0 / np.sqrt(variance + eps)
     normalized = centered * inv_std
     return gain * normalized + bias, (normalized, inv_std, gain)

@@ -151,15 +151,22 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
          head_masks: np.ndarray | None, n_heads: int,
          past: tuple[np.ndarray, np.ndarray] | None = None,
+         kv: tuple[np.ndarray, np.ndarray] | None = None,
          ) -> tuple[np.ndarray, tuple]:
     """Multi-head attention; `past` keys and values precede the new ones.
 
     The cache's `k` and `v` (entries 3 and 4) hold past plus new rows,
-    so they are the next call's `past`.
+    so they are the next call's `past`.  Given `kv`, the keys and values
+    that an earlier call projected from the same `x_kv`, they are used
+    as they are and `x_kv` is not projected again; training never
+    passes them.
     """
     q = _split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), n_heads)
-    k = _split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
-    v = _split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
+    if kv is not None:
+        k, v = kv
+    else:
+        k = _split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
+        v = _split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
     if past is not None:
         k = np.concatenate((past[0], k), axis=-2)
         v = np.concatenate((past[1], v), axis=-2)
@@ -208,12 +215,14 @@ def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
             rng: np.random.Generator | None, self_mask: np.ndarray | None = None,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             memory: np.ndarray | None = None, cross_masks: np.ndarray | None = None,
+            memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, list[tuple]]:
     """The `side` layer stack: x = ln_j(x + dropout(sublayer_j(x))).
 
     Self-attention reads `self_mask` and layer i's `past` keys and
-    values; cross-attention reads `memory` under `cross_masks`.  Returns
-    the output and one (kind, name, norm name, sublayer cache, dropout
+    values; cross-attention reads `memory` under `cross_masks`, through
+    layer i's `memory_kv` keys and values when given.  Returns the
+    output and one (kind, name, norm name, sublayer cache, dropout
     mask, norm cache) step per sublayer, in run order.
     """
     steps = []
@@ -226,7 +235,8 @@ def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
                 out, cache = _mha(p, name, x, x, self_mask, config.n_heads,
                                   None if past is None else past[i])
             else:
-                out, cache = _mha(p, name, x, memory, cross_masks, config.n_heads)
+                out, cache = _mha(p, name, x, memory, cross_masks, config.n_heads,
+                                  kv=None if memory_kv is None else memory_kv[i])
             out, drop = dropout(out, config.dropout, rng)
             x, norm = layer_norm(x + out, p[f"{ln}.g"], p[f"{ln}.b"])
             steps.append((kind, name, ln, cache, drop, norm))
@@ -320,6 +330,7 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
             in_ids: np.ndarray, stack_rows: np.ndarray, buffer_rows: np.ndarray,
             rng: np.random.Generator | None,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+            memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, dict]:
     """Decoder logits for the input tokens `in_ids` (..., T).
 
@@ -329,19 +340,27 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     per-layer self-attention keys and values of the earlier positions
     that the previous call returned as `cache["past"]`.  Positions and
     the causal mask then start at the past length, and the
-    `max_positions` check counts past and new rows together.
+    `max_positions` check counts past and new rows together.  A
+    one-token step sees every earlier position, so it gets no self mask.
+
+    `cache["memory_kv"]` holds each layer's cross-attention keys and
+    values of `memory`, shared by every row.  Passing them back as
+    `memory_kv` with the same memory skips projecting it again.
     """
     t = in_ids.shape[-1]
     start = 0 if past is None else past[0][0].shape[-2]
     if start + t > config.max_positions:
         raise ValueError(f"sequence length {start + t} exceeds max_positions")
     y, drop_emb = _embed(p, config, "tok_emb", in_ids, start, rng)
-    self_mask = np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1)
+    self_mask = (None if t == 1
+                 else np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1))
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
-    y, layers = _layers(p, config, "dec", y, rng, self_mask, past, memory, cross_masks)
+    y, layers = _layers(p, config, "dec", y, rng, self_mask, past, memory, cross_masks,
+                        memory_kv)
     logits = linear(y, p["out.w"], p["out.b"])
     return logits, {"ids": in_ids, "drop_emb": drop_emb, "layers": layers, "final": y,
-                    "past": [step[3][3:5] for step in layers if step[0] == "self"]}
+                    "past": [step[3][3:5] for step in layers if step[0] == "self"],
+                    "memory_kv": [step[3][3:5] for step in layers if step[0] == "cross"]}
 
 
 def _decode_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray,

@@ -112,9 +112,15 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
     """Fit a model on oracle sequences for the given scheme.
 
     With no explicit config, vocabularies are built from the trees and
-    remaining keyword arguments override ModelConfig defaults.  Raises
-    TrainingDiverged when a batch loss is not finite.
+    remaining keyword arguments override ModelConfig defaults.  Training
+    stops after the first epoch whose token accuracy reaches
+    `early_stop_accuracy`, a number from 0 to 1.  Raises TrainingDiverged
+    when a batch loss is not finite.
     """
+    # the chained comparison is false for nan too
+    if early_stop_accuracy is not None and not 0.0 <= early_stop_accuracy <= 1.0:
+        raise ValueError("early_stop_accuracy: expected a number from 0 to 1, "
+                         f"got {early_stop_accuracy!r}")
     scheme = _as_scheme(scheme)
     trees = list(trees)
     if not trees:

@@ -122,7 +122,7 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
             _, start, parts = token
             if not discontinuous:
                 index, word = len(words), "=".join(parts)
-            elif len(parts) != 2 or not parts[0].isdigit():
+            elif len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
                 raise _offset_error(
                     "discbracket leaf must look like index=word", line, start)
             else:

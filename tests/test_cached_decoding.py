@@ -2,9 +2,12 @@
 
 Beam search feeds `_decode` one new token per hypothesis and carries
 the earlier positions as per-layer self-attention keys and values
-(`past`).  Its distributions must equal the rows `forward` computes
-over whole sequences, and hypotheses stepped in one batch must not
-see each other.
+(`past`), and from the second step on the memory's cross-attention
+keys and values (`memory_kv`) that the first step projected.  Its
+distributions must equal the rows `forward` computes over whole
+sequences, and hypotheses stepped in one batch must not see each
+other.  The layer functions a step runs through agree with their
+plain references.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 import discoseq as dq
 from discoseq.neural import ModelConfig, forward, init_parameters
 from discoseq.neural import model as nm
-from discoseq.neural.layers import sinusoidal_positions
+from discoseq.neural.layers import layer_norm, linear, sinusoidal_positions
 from discoseq.neural.training import build_vocabularies
 
 from conftest import ALL_SCHEMES
@@ -38,15 +41,17 @@ def _gold(tree, scheme, config):
     return ids, dq.trace(len(tree.sentence), tokens, scheme)
 
 
-def _step(params, config, memory, in_ids, pairs, past):
-    """One cached step for a batch: distributions (B, vocab) and the new past."""
+def _step(params, config, memory, in_ids, pairs, past, memory_kv):
+    """One cached step for a batch: distributions (B, vocab), the new
+    past and the memory's cross keys and values."""
     stack_rows, buffer_rows = nm.mask_rows(pairs, memory.shape[0] - 1)
     logits, cache = nm._decode(params, config, memory,
                                np.array(in_ids, dtype=np.int64)[:, None],
-                               stack_rows[:, None], buffer_rows[:, None], None, past)
+                               stack_rows[:, None], buffer_rows[:, None], None, past,
+                               memory_kv)
     last = logits[:, -1]
     exp = np.exp(last - last.max(axis=-1, keepdims=True))
-    return exp / exp.sum(axis=-1, keepdims=True), cache["past"]
+    return exp / exp.sum(axis=-1, keepdims=True), cache["past"], cache["memory_kv"]
 
 
 @pytest.mark.parametrize("start,stop", [(0, 512), (0, 1), (7, 8), (511, 512), (3, 40)])
@@ -65,9 +70,10 @@ def test_cached_steps_match_forward(toy20, scheme):
         word_ids = config.word_ids(tree.sentence)
         expected = forward(word_ids, ids, pairs, params, config)
         memory, _ = nm._encode(params, config, word_ids, None)
-        past = None
+        past = memory_kv = None
         for t, in_id in enumerate([config.bos_id] + ids):
-            probs, past = _step(params, config, memory, [in_id], [pairs[t]], past)
+            probs, past, memory_kv = _step(params, config, memory, [in_id], [pairs[t]],
+                                           past, memory_kv)
             np.testing.assert_allclose(probs[0], expected[t], rtol=0, atol=TOLERANCE)
 
 
@@ -85,9 +91,10 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
 
     alone = []
     for hyp_ids, hyp_pairs in hyps:
-        past, rows = None, []
+        past, memory_kv, rows = None, None, []
         for in_id, pair in zip(hyp_ids, hyp_pairs):
-            probs, past = _step(params, config, memory, [in_id], [pair], past)
+            probs, past, memory_kv = _step(params, config, memory, [in_id], [pair],
+                                           past, memory_kv)
             rows.append(probs[0])
         alone.append(rows)
 
@@ -95,13 +102,36 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
     # way beam search does and continue the parents' sequences
     half = len(inputs) // 2
     parents = [2, 0, 0]
-    past = None
+    past = memory_kv = None
     for t in range(len(inputs)):
         if t == half:
             past = [(keys[parents], values[parents]) for keys, values in past]
             hyps = [hyps[i] for i in parents]
             alone = [alone[i] for i in parents]
-        probs, past = _step(params, config, memory, [h[0][t] for h in hyps],
-                            [h[1][t] for h in hyps], past)
+        probs, past, memory_kv = _step(params, config, memory, [h[0][t] for h in hyps],
+                                       [h[1][t] for h in hyps], past, memory_kv)
         for row, expected in zip(probs, alone):
             np.testing.assert_allclose(row, expected[t], rtol=0, atol=TOLERANCE)
+
+
+@pytest.mark.parametrize("shape", [(7, 16), (5, 1, 16)])
+def test_layer_norm_matches_the_mean_reference(shape):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(shape) * 3.0 + 1.0
+    gain, bias = rng.standard_normal(16), rng.standard_normal(16)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+    normalized = centered * inv_std
+    out, _ = layer_norm(x, gain, bias)
+    assert np.array_equal(out, gain * normalized + bias)
+
+
+def test_linear_on_stacked_rows_matches_each_row_alone():
+    rng = np.random.default_rng(6)
+    w, b = rng.standard_normal((16, 24)), rng.standard_normal(24)
+    rows = rng.standard_normal((10, 16))
+    assert np.array_equal(linear(rows, w, b), rows @ w + b)  # training's 2-D rows
+    stacked = linear(rows[:, None], w, b)
+    assert stacked.shape == (10, 1, 24)
+    for row, out in zip(rows, stacked):
+        np.testing.assert_allclose(out[0], row @ w + b, rtol=0, atol=1e-12)

@@ -101,6 +101,18 @@ def test_offsets_count_from_the_line_as_read(tmp_path, capsys, command):
                    "index=word at byte 9\n")
 
 
+@pytest.mark.parametrize("leaf", ["\u0660=a 1=b", "\u00b2=a 0=b"],
+                         ids=["arabic-indic-digit", "superscript-digit"])
+def test_leaf_index_takes_ascii_digits_only(tmp_path, capsys, leaf):
+    path = tmp_path / "digits.discbracket"
+    path.write_text(f"(S 0=a)\n(S {leaf})\n", encoding="utf-8")
+    code, out, err = run(["linearize", "--scheme", "inorder+swap", "--in", str(path)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"discoseq: {path}: line 2: discbracket leaf must look like "
+                   "index=word at byte 3\n")
+
+
 @pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "train"])
 def test_unencodable_tree_is_reported_the_same_way(tmp_path, capsys, command):
     path = tmp_path / "disc.discbracket"

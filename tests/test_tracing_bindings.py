@@ -58,8 +58,16 @@ def test_predict_runs_through_the_traced_bindings(toy20):
         tracer.uninstall()
     table = tracer.by_name()
     assert [name for name in PREDICT_SPANS if name not in table] == []
+    steps = table["model.decode"]["calls"]
     # one legality table per live hypothesis per decoder step, at most
-    assert table["transitions.legal"]["calls"] <= beam_size * table["model.decode"]["calls"]
+    assert table["transitions.legal"]["calls"] <= beam_size * steps
+    # per layer, a step makes 4 self-attention, 2 cross-attention and 2
+    # feed-forward projections, plus the output layer's; the encoder's 6 per
+    # layer and the memory's 2 cross keys and values run once per sentence
+    per_layer = 8 * config.n_layers
+    assert table["layers.linear"]["calls"] <= (per_layer + 1) * steps + per_layer
+    # a one-token step sees its whole past, so it needs no causal mask
+    assert "layers.causal_mask" not in table
 
 
 def test_convert_runs_through_the_traced_bindings(toy20, tmp_path, capsys):

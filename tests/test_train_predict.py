@@ -66,6 +66,12 @@ def test_train_rejects_empty_input():
         train([], SCHEME)
 
 
+@pytest.mark.parametrize("accuracy", [-5.0, 1.5, math.nan, math.inf])
+def test_train_rejects_an_early_stop_accuracy_outside_0_to_1(toy4, accuracy):
+    with pytest.raises(ValueError, match="expected a number from 0 to 1"):
+        train(toy4, SCHEME, early_stop_accuracy=accuracy, **dict(RECIPE, epochs=3))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_train_aborts_on_non_finite_loss(toy4):

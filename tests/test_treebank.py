@@ -67,6 +67,8 @@ def test_emit_parse_roundtrip(tree, fmt):
     ("", "empty line where a tree was expected"),
     ("(S)", "constituent 'S' has no children"),
     ("(S x=a)", "discbracket leaf must look like index=word"),
+    ("(S \u0660=a 1=b)", "discbracket leaf must look like index=word"),
+    ("(S \u00b2=a 0=b)", "discbracket leaf must look like index=word"),
     ("0=a", "a tree must start with '('"),
 ])
 def test_parse_errors(line, message):
