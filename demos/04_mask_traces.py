@@ -41,7 +41,7 @@ state = dq.initial_state(n, scheme)
 for token in tokens:
     state = dq.step(state, token)
 try:
-    dq.step(state, dq.shift())
+    dq.step(state, dq.parse_transition("SHIFT"))
 except dq.IllegalTransition as exc:
     print("\nstep after FINISH:", exc)
 

@@ -14,11 +14,10 @@ from .metrics import (DEFAULT_PUNCTUATION, MetricsError, Report, Score,
                       bracket_items, evaluate)
 from .oracle import EncodeError, VocabStats, encode, vocab_stats
 from .transitions import (SHIPPED_SCHEMES, Configuration, IllegalTransition,
-                          Scheme, Transition, apply, extract_tree, finish,
+                          Scheme, Transition, apply, extract_tree,
                           format_transitions, illegality, initial, is_terminal,
-                          legal, nt, parse_scheme, parse_transition,
-                          parse_transitions, reduce_, reduce_kl, reduce_l,
-                          shift, shift_k, swap, swap_k)
+                          legal, parse_scheme, parse_transition,
+                          parse_transitions)
 from .tree import (Constituent, ConstituentTree, Violation, canonical_leaf_order,
                    discontinuous_constituents, is_continuous, permute_leaves,
                    reorder_canonical, validate, yield_is_consecutive)
@@ -38,11 +37,10 @@ __all__ = [
     "bracket_items", "bundled", "canonical_leaf_order", "decode",
     "discontinuous_constituents", "emit_bracketed",
     "emit_discbracket", "encode", "evaluate",
-    "extract_tree", "finish", "format_transitions", "illegality",
+    "extract_tree", "format_transitions", "illegality",
     "initial", "initial_state", "is_continuous", "is_terminal", "legal",
-    "load_treebank", "nt", "parse_bracketed", "parse_discbracket",
+    "load_treebank", "parse_bracketed", "parse_discbracket",
     "parse_scheme", "parse_transition", "parse_transitions", "parse_treebank",
-    "permute_leaves", "reduce_", "reduce_kl", "reduce_l", "reorder_canonical",
-    "save_treebank", "shift", "shift_k", "step", "swap", "swap_k", "trace",
+    "permute_leaves", "reorder_canonical", "save_treebank", "step", "trace",
     "validate", "vocab_stats", "yield_is_consecutive",
 ]

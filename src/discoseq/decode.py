@@ -57,7 +57,11 @@ class DecodeResult:
 
 def decode(sentence: Sequence[str], tokens: Iterable[Transition],
            scheme: Scheme, fallback_label: str = "ROOT") -> DecodeResult:
-    """Rebuild a tree from tokens over the given words; always succeeds."""
+    """Rebuild a tree from tokens over the given words; always succeeds.
+
+    Each token's guard is checked once, by `apply`; only a token that
+    fails it is checked again, to clamp it (R4/R5) or name the guard (R1).
+    """
     sentence = tuple(sentence)
     if not sentence:
         raise ValueError("cannot decode over an empty sentence")
@@ -66,27 +70,29 @@ def decode(sentence: Sequence[str], tokens: Iterable[Transition],
     mismatches: list[LabelMismatch] = []
 
     for step, token in enumerate(tokens):
-        reason = tr.illegality(config, token, scheme)
-        if reason is None:
-            if token.kind == tr.REDUCE_L:
-                marker = config.stack[tr.topmost_marker(config.stack)]
-                if marker.label != token.label:
-                    mismatches.append(LabelMismatch(step, marker.label, token.label))
-            config = tr.apply(config, token, scheme)
+        try:
+            after = tr.apply(config, token, scheme)
+        except tr.IllegalTransition:
+            rule = {tr.SHIFT_K: "R4", tr.REDUCE_KL: "R5"}.get(token.kind)
+            largest = tr.legal(config, scheme).get(token.kind, -1) if rule else -1
+            if largest >= 0:
+                fixed = Transition(token.kind, largest, token.label)
+                repairs.append(Repair(rule, step, f"clamped {token} to {fixed}"))
+                config = tr.apply(config, fixed, scheme)
+            else:
+                reason = tr.illegality(config, token, scheme)
+                repairs.append(Repair("R1", step, f"skipped {token}: {reason}"))
             continue
-        rule = {tr.SHIFT_K: "R4", tr.REDUCE_KL: "R5"}.get(token.kind)
-        largest = tr.legal(config, scheme).get(token.kind, -1) if rule else -1
-        if largest >= 0:
-            fixed = Transition(token.kind, largest, token.label)
-            repairs.append(Repair(rule, step, f"clamped {token} to {fixed}"))
-            config = tr.apply(config, fixed, scheme)
-        else:
-            repairs.append(Repair("R1", step, f"skipped {token}: {reason}"))
+        if token.kind == tr.REDUCE_L:
+            marker = config.stack[tr.topmost_marker(config.stack)]
+            if marker.label != token.label:
+                mismatches.append(LabelMismatch(step, marker.label, token.label))
+        config = after
 
     if not tr.is_terminal(config, scheme):
         config, end_repairs = _force_terminal(config, scheme, fallback_label)
         repairs.extend(end_repairs)
-    tree = ConstituentTree(sentence, config.stack[0])
+    tree = tr.extract_tree(config, sentence, scheme)
     return DecodeResult(tree, tuple(repairs), tuple(mismatches))
 
 

@@ -1,9 +1,10 @@
 """Beam search over transition tokens with legality masking.
 
-Every hypothesis carries a mask state, the replayed parser
-configuration plus the masks read off it, so candidate tokens that
-are illegal in the current configuration are excluded outright rather
-than merely down-weighted.
+Every hypothesis holds its token ids and a mask state, the replayed
+parser configuration plus the masks read off it, so candidate tokens
+that are illegal in the current configuration are excluded outright
+rather than merely down-weighted.  Only the winner's ids are mapped
+back to tokens.
 Scores are summed log probabilities without length normalisation.
 
 All live hypotheses have the same length, so each beam step is one
@@ -41,7 +42,6 @@ class Prediction:
 class _Hypothesis:
     score: float
     token_ids: list[int]
-    tokens: list[Transition]
     state: MaskState
 
 
@@ -65,8 +65,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                         if i != config.bos_id)
     memory, _ = _encode(params, config, config.word_ids(words), None)
 
-    live = [_Hypothesis(score=0.0, token_ids=[], tokens=[],
-                        state=initial_state(n, scheme))]
+    live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
     past = None  # per decoder layer: self-attention (keys, values), a row per live hyp
     memory_kv = None  # per decoder layer: cross-attention (keys, values) of the memory
     finished: list[_Hypothesis] = []
@@ -100,9 +99,8 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
         parents = []
         for score, token_id, hyp_index, hyp, transition in candidates[:beam_size]:
             state = step(hyp.state, transition)
-            child = _Hypothesis(score=score,
-                                token_ids=hyp.token_ids + [token_id],
-                                tokens=hyp.tokens + [transition], state=state)
+            child = _Hypothesis(score=score, token_ids=hyp.token_ids + [token_id],
+                                state=state)
             if is_terminal(state.config, scheme):
                 finished.append(child)
             else:
@@ -117,5 +115,6 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     if not pool:
         raise RuntimeError("beam search produced no hypotheses")
     best = max(pool, key=lambda hyp: hyp.score)
-    return Prediction(tokens=tuple(best.tokens), score=best.score,
-                      terminal=bool(finished))
+    transition_of = dict(vocabulary)
+    return Prediction(tokens=tuple(transition_of[i] for i in best.token_ids),
+                      score=best.score, terminal=bool(finished))

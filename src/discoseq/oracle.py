@@ -11,12 +11,18 @@ the stack.  A needed word at buffer index j therefore costs
 
 which is also why the three flavors order the same on sequence length.
 Continuous trees never need reordering, so there j is always 0.
+
+The oracle only moves words, so its buffer is always the unconsumed word
+positions in sentence order, a plain list.  Its self-check is one
+`decode` replay of the result, which checks each token's guard once and
+must rebuild exactly the input tree without a repair.
 """
 
 from dataclasses import dataclass
 from typing import Iterable
 
 from . import transitions as tr
+from .decode import decode
 from .tree import Constituent, ConstituentTree, is_continuous, validate
 from .transitions import Scheme, Transition
 
@@ -32,30 +38,33 @@ class OracleInvariantError(AssertionError):
 def _fetch(buffer_index: int, scheme: Scheme) -> list[Transition]:
     """Tokens that bring the word at `buffer_index` to the stack top."""
     if scheme.disco == tr.DISCO_SHIFT_K:
-        return [tr.shift_k(buffer_index)]
-    shifts = [tr.shift()] * (buffer_index + 1)
+        return [Transition(tr.SHIFT_K, buffer_index)]
+    shifts = [Transition(tr.SHIFT)] * (buffer_index + 1)
     if buffer_index == 0:
         return shifts
     if scheme.disco == tr.DISCO_SWAP_K:
-        return shifts + [tr.swap_k(buffer_index)]
+        return shifts + [Transition(tr.SWAP_K, buffer_index)]
     if scheme.disco == tr.DISCO_SWAP:
-        return shifts + [tr.swap()] * buffer_index
+        return shifts + [Transition(tr.SWAP)] * buffer_index
     # unreachable for continuous trees, guarded in encode
     raise OracleInvariantError("reordering needed under a plain scheme")
 
 
 def _close(node: Constituent, scheme: Scheme) -> Transition:
     if scheme.base == tr.BOTTOM_UP:
-        return tr.reduce_kl(len(node.children), node.label)
-    return tr.reduce_l(node.label) if scheme.enriched else tr.reduce_()
+        return Transition(tr.REDUCE_KL, len(node.children), node.label)
+    if scheme.enriched:
+        return Transition(tr.REDUCE_L, label=node.label)
+    return Transition(tr.REDUCE)
 
 
 def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
     """Linearize a tree into transition tokens under the given scheme.
 
     Every prefix of the result is legal, and replaying the whole
-    sequence rebuilds exactly the input tree (verified before
-    returning).
+    sequence rebuilds exactly the input tree.  Both are verified before
+    returning by one `decode` of the result, which must need no repair
+    and find no label mismatch; otherwise OracleInvariantError.
     """
     violation = validate(tree)
     if violation is not None:
@@ -64,14 +73,8 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
         raise EncodeError(
             f"scheme {scheme} cannot express discontinuous constituents")
 
-    config = tr.initial(len(tree.sentence))
+    remaining = list(range(len(tree.sentence)))  # the oracle's buffer
     out: list[Transition] = []
-
-    def emit(t: Transition) -> None:
-        nonlocal config
-        config = tr.apply(config, t, scheme)
-        out.append(t)
-
     # one loop over (node, index of its next child); top-down opens a
     # node before its first child, in-order after it, bottom-up never
     open_at = {tr.TOP_DOWN: 0, tr.IN_ORDER: 1}.get(scheme.base)
@@ -79,25 +82,28 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
     while pending:
         node, index = pending.pop()
         if index == open_at:
-            emit(tr.nt(node.label))
+            out.append(Transition(tr.NT, label=node.label))
         if index == len(node.children):
-            emit(_close(node, scheme))
+            out.append(_close(node, scheme))
             continue
         pending.append((node, index + 1))
         child = node.children[index]  # children are in canonical order
         if isinstance(child, Constituent):
             pending.append((child, 0))
         else:
-            for t in _fetch(config.buffer.index(child), scheme):
-                emit(t)
+            j = remaining.index(child)
+            del remaining[j]
+            out.extend(_fetch(j, scheme))
 
     if tr.FINISH in scheme.kinds:
-        emit(tr.finish())
+        out.append(Transition(tr.FINISH))
 
-    if not tr.is_terminal(config, scheme):
-        raise OracleInvariantError("oracle did not reach a terminal configuration")
-    rebuilt = tr.extract_tree(config, tree.sentence, scheme)
-    if rebuilt != tree:
+    replay = decode(tree.sentence, out, scheme)
+    if replay.repairs:
+        first = replay.repairs[0]
+        raise OracleInvariantError(f"oracle replay needed repairs, first {first.rule} "
+                                   f"at step {first.step}: {first.detail}")
+    if replay.label_mismatches or replay.tree != tree:
         raise OracleInvariantError("oracle replay does not rebuild the input tree")
     return out
 

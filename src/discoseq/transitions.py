@@ -98,42 +98,6 @@ class Transition:
         return text
 
 
-def shift() -> Transition:
-    return Transition(SHIFT)
-
-
-def shift_k(k: int) -> Transition:
-    return Transition(SHIFT_K, k=k)
-
-
-def swap() -> Transition:
-    return Transition(SWAP)
-
-
-def swap_k(k: int) -> Transition:
-    return Transition(SWAP_K, k=k)
-
-
-def nt(label: str) -> Transition:
-    return Transition(NT, label=label)
-
-
-def reduce_() -> Transition:
-    return Transition(REDUCE)
-
-
-def reduce_l(label: str) -> Transition:
-    return Transition(REDUCE_L, label=label)
-
-
-def reduce_kl(k: int, label: str) -> Transition:
-    return Transition(REDUCE_KL, k=k, label=label)
-
-
-def finish() -> Transition:
-    return Transition(FINISH)
-
-
 def parse_transition(text: str) -> Transition:
     matched = _TOKEN_RE.fullmatch(text)
     if matched is not None:

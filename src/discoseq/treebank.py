@@ -16,6 +16,7 @@ parse(emit(tree)) is the identity on canonical trees.
 """
 
 import gzip
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -23,6 +24,7 @@ from .tree import Constituent, ConstituentTree, is_continuous, validate
 
 _WORD_ESCAPED = set("()=\\ \t\n")
 _LABEL_ESCAPED = set("()\\ \t\n")  # a leading atom is always the label, so = stays raw
+_SHOWN_GAPS = 10  # missing word positions listed in an error
 
 
 class TreebankError(Exception):
@@ -88,7 +90,8 @@ def _tokenize(line: str) -> list[tuple]:
 
 
 def _offset_error(message: str, line: str, char_index: int) -> TreebankError:
-    return TreebankError(message, offset=len(line[:char_index].encode("utf-8")))
+    return TreebankError(message,
+                         offset=len(line[:char_index].encode("utf-8", "surrogatepass")))
 
 
 def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
@@ -101,6 +104,9 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
     # the open constituents, innermost last: (offset of "(", label, children)
     open_nodes: list[tuple[int, str, list[Constituent | int]]] = []
     pos = 0  # cursor into tokens
+    # a line of L characters holds fewer than L leaves, so a position
+    # written with more digits than L is always a gap
+    most_digits = len(str(len(line)))
     while True:
         token = tokens[pos]
         if token[0] == "(":
@@ -126,7 +132,11 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
                 raise _offset_error(
                     "discbracket leaf must look like index=word", line, start)
             else:
-                index, word = int(parts[0]), parts[1]
+                digits = parts[0].lstrip("0") or "0"
+                if len(digits) > most_digits:
+                    raise _offset_error("word position too large for its line",
+                                        line, start)
+                index, word = int(digits), parts[1]
             if index in words:
                 raise _offset_error(f"position {index} appears twice", line, start)
             words[index] = word
@@ -137,9 +147,14 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
     if pos != len(tokens):
         raise _offset_error("trailing material after the tree", line, tokens[pos][1])
 
-    if words and sorted(words) != list(range(max(words) + 1)):
-        missing = sorted(set(range(max(words) + 1)) - set(words))
-        raise TreebankError(f"missing word positions {missing}", offset=0)
+    top = max(words)
+    if top >= len(words):  # the positions are distinct, so some below top are missing
+        count = top + 1 - len(words)
+        shown = islice((p for p in range(top) if p not in words), _SHOWN_GAPS)
+        missing = ", ".join(map(str, shown))
+        if count > _SHOWN_GAPS:
+            missing += f", ... ({count} in all)"
+        raise TreebankError(f"missing word positions [{missing}]", offset=0)
     sentence = tuple(words[i] for i in range(len(words)))
     tree = ConstituentTree(sentence, node)
     violation = validate(tree)

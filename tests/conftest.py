@@ -135,23 +135,24 @@ def candidate_pool(n_words: int, scheme: tr.Scheme) -> list[tr.Transition]:
     pool: list[tr.Transition] = []
     for kind in scheme.kinds:
         if kind == tr.SHIFT:
-            pool.append(tr.shift())
+            pool.append(tr.Transition(tr.SHIFT))
         elif kind == tr.SHIFT_K:
-            pool.extend(tr.shift_k(k) for k in range(n_words))
+            pool.extend(tr.Transition(tr.SHIFT_K, k) for k in range(n_words))
         elif kind == tr.SWAP:
-            pool.append(tr.swap())
+            pool.append(tr.Transition(tr.SWAP))
         elif kind == tr.SWAP_K:
-            pool.extend(tr.swap_k(k) for k in range(1, 4))
+            pool.extend(tr.Transition(tr.SWAP_K, k) for k in range(1, 4))
         elif kind == tr.NT:
-            pool.extend(tr.nt(label) for label in LABELS[:3])
+            pool.extend(tr.Transition(tr.NT, label=label) for label in LABELS[:3])
         elif kind == tr.REDUCE:
-            pool.append(tr.reduce_())
+            pool.append(tr.Transition(tr.REDUCE))
         elif kind == tr.REDUCE_L:
-            pool.extend(tr.reduce_l(label) for label in LABELS[:3])
+            pool.extend(tr.Transition(tr.REDUCE_L, label=label) for label in LABELS[:3])
         elif kind == tr.REDUCE_KL:
-            pool.extend(tr.reduce_kl(k, label) for k in range(1, 4) for label in LABELS[:3])
+            pool.extend(tr.Transition(tr.REDUCE_KL, k, label)
+                        for k in range(1, 4) for label in LABELS[:3])
         elif kind == tr.FINISH:
-            pool.append(tr.finish())
+            pool.append(tr.Transition(tr.FINISH))
     return pool
 
 

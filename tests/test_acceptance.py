@@ -106,21 +106,21 @@ def test_criterion_4_reordering_equivalence_laws():
             config = dq.apply(config, token, scheme)
         return config
 
+    shift, shift0, swap = dq.parse_transitions("SHIFT SHIFT#0 SWAP")
     shift0_checked = swap1_checked = swapk_checked = 0
     while min(shift0_checked, swap1_checked, swapk_checked) < 40:
         config = wander(rng.randint(2, 7), SHIFTK, rng.randint(0, 12))
-        if is_legal(config, tr.shift_k(0), SHIFTK):
-            assert dq.apply(config, tr.shift_k(0), SHIFTK) \
-                == dq.apply(config, tr.shift(), SWAP)
+        if is_legal(config, shift0, SHIFTK):
+            assert dq.apply(config, shift0, SHIFTK) == dq.apply(config, shift, SWAP)
             shift0_checked += 1
         config = wander(rng.randint(3, 7), SWAPK, rng.randint(2, 14))
         for k in (1, rng.randint(2, 3)):
-            if not is_legal(config, tr.swap_k(k), SWAPK):
+            if not is_legal(config, tr.Transition(tr.SWAP_K, k), SWAPK):
                 continue
             stepped = config
             for _ in range(k):
-                stepped = dq.apply(stepped, tr.swap(), SWAP)
-            assert dq.apply(config, tr.swap_k(k), SWAPK) == stepped
+                stepped = dq.apply(stepped, swap, SWAP)
+            assert dq.apply(config, tr.Transition(tr.SWAP_K, k), SWAPK) == stepped
             if k == 1:
                 swap1_checked += 1
             else:

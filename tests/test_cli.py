@@ -2,12 +2,13 @@ import gzip
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import discoseq as dq
-from discoseq import cli
+from discoseq import cli, oracle
 
 
 @pytest.fixture()
@@ -111,6 +112,36 @@ def test_leaf_index_takes_ascii_digits_only(tmp_path, capsys, leaf):
     assert (code, out) == (2, "")
     assert err == (f"discoseq: {path}: line 2: discbracket leaf must look like "
                    "index=word at byte 3\n")
+
+
+@pytest.mark.parametrize("leaf", [
+    "10000000=a", "1000000000000=a", "0=a " + "1" * 4000 + "=b", "0=a " + "1" * 5000 + "=b",
+], ids=["1e7", "1e12", "4000-digits", "5000-digits"])
+def test_a_leaf_index_far_beyond_the_line_is_a_bad_line(tmp_path, capsys, leaf):
+    path = tmp_path / "far.discbracket"
+    path.write_text(f"(S 0=a)\n(S {leaf})\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(["linearize", "--scheme", "inorder+swap", "--in", str(path)],
+                         capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"discoseq: {path}: line 2: ") and len(err) < 200
+
+
+@pytest.mark.parametrize("scheme", ["inorder+swap", "inorder+swapk", "inorder+shiftk"])
+def test_a_dropped_reordering_token_fails_the_oracle_replay(tmp_path, capsys,
+                                                           monkeypatch, fig_tree,
+                                                           scheme):
+    real = oracle._fetch
+    monkeypatch.setattr(oracle, "_fetch", lambda j, scheme: real(j, scheme)[:-1]
+                        if j else real(j, scheme))
+    with pytest.raises(oracle.OracleInvariantError):
+        dq.encode(fig_tree, dq.parse_scheme(scheme))
+    path = tmp_path / "fig.discbracket"
+    dq.save_treebank([fig_tree], path)
+    code, out, err = run(["linearize", "--scheme", scheme, "--in", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("discoseq: invariant breach: oracle replay")
 
 
 @pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "train"])

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
-from conftest import ALL_SCHEMES, candidate_pool, trees
+from discoseq import transitions as tr
+from conftest import ALL_SCHEMES, DISCO_SCHEMES, candidate_pool, trees
 
 TOPDOWN = dq.parse_scheme("topdown")
 INORDER = dq.parse_scheme("inorder")
@@ -19,7 +20,7 @@ def rules(result):
 def test_r1_skips_an_illegal_token():
     tree = dq.parse_discbracket("(S 0=a 1=b)")
     good = dq.encode(tree, TOPDOWN)
-    result = dq.decode(("a", "b"), [dq.reduce_()] + good, TOPDOWN)
+    result = dq.decode(("a", "b"), dq.parse_transitions("REDUCE") + good, TOPDOWN)
     assert result.tree == tree
     assert rules(result) == ["R1"]
     assert result.repairs[0].step == 0
@@ -51,6 +52,27 @@ def test_r5_clamps_reduce_arity():
     assert dq.emit_discbracket(result.tree) == "(S 0=a 1=b)"
     assert rules(result) == ["R5"]
     assert result.repairs[0].detail == "clamped REDUCE#9(S) to REDUCE#2(S)"
+
+
+def test_each_guard_is_checked_once_per_legal_token(toy20, monkeypatch):
+    """`decode` lets `apply` check a token's guard and reads `illegality`
+    again only for a token that fails it."""
+    sequences = [(tree, scheme, dq.encode(tree, scheme))
+                 for scheme in DISCO_SCHEMES for tree in toy20]
+    calls = 0
+    real = tr.illegality
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(tr, "illegality", counted)
+    for tree, scheme, tokens in sequences:
+        calls = 0
+        result = dq.decode(tree.sentence, tokens, scheme)
+        assert (result.tree, result.repairs) == (tree, ())
+        assert calls == len(tokens), (str(scheme), dq.emit_discbracket(tree))
 
 
 def test_missing_finish_is_forced_without_logging():

@@ -9,6 +9,7 @@ from discoseq import transitions as tr
 from conftest import ALL_SCHEMES, random_walk, replay_pairs, trees
 
 SWAP = dq.parse_scheme("inorder+swap")
+SHIFT_TOKEN = dq.parse_transition("SHIFT")
 
 FIG_PREFIX = (
     "SHIFT NT(VP) SHIFT SHIFT SWAP NT(PP) SHIFT SHIFT SWAP"
@@ -35,17 +36,18 @@ def test_fig_prefix_trace():
 
 def test_shift_moves_one_representative():
     before = dq.initial_state(3, SWAP)
-    after = dq.step(before, tr.shift())
+    after = dq.step(before, SHIFT_TOKEN)
     assert after.pair.stack_positions == frozenset({0})
     assert after.pair.buffer_positions == frozenset({1, 2})
 
 
 def test_nt_and_finish_leave_masks_alone():
-    state = dq.step(dq.initial_state(2, SWAP), tr.shift())
-    after_nt = dq.step(state, tr.nt("S"))
+    shift, nt, reduce_, finish = dq.parse_transitions("SHIFT NT(S) REDUCE FINISH")
+    state = dq.step(dq.initial_state(2, SWAP), shift)
+    after_nt = dq.step(state, nt)
     assert sets(after_nt.pair) == sets(state.pair)
-    closed = dq.step(dq.step(after_nt, tr.shift()), tr.reduce_())
-    done = dq.step(closed, tr.finish())
+    closed = dq.step(dq.step(after_nt, shift), reduce_)
+    done = dq.step(closed, finish)
     assert sets(done.pair) == sets(closed.pair)
     assert done.config.finished
 
@@ -73,26 +75,26 @@ def test_step_after_finish_raises():
     for token in dq.parse_transitions("SHIFT NT(S) REDUCE FINISH"):
         state = dq.step(state, token)
     with pytest.raises(dq.IllegalTransition):
-        dq.step(state, tr.shift())
+        dq.step(state, SHIFT_TOKEN)
 
 
 def test_inconsistent_shift_raises():
     state = dq.initial_state(1, SWAP)
-    state = dq.step(state, tr.shift())
+    state = dq.step(state, SHIFT_TOKEN)
     with pytest.raises(dq.IllegalTransition):
-        dq.step(state, tr.shift())
+        dq.step(state, SHIFT_TOKEN)
 
 
 def test_inconsistent_swap_raises():
-    state = dq.step(dq.initial_state(2, SWAP), tr.shift())
+    state = dq.step(dq.initial_state(2, SWAP), SHIFT_TOKEN)
     with pytest.raises(dq.IllegalTransition):
-        dq.step(state, tr.swap())
+        dq.step(state, dq.parse_transition("SWAP"))
 
 
 def test_inconsistent_reduce_raises():
-    state = dq.step(dq.initial_state(2, SWAP), tr.shift())
+    state = dq.step(dq.initial_state(2, SWAP), SHIFT_TOKEN)
     with pytest.raises(dq.IllegalTransition):
-        dq.step(state, tr.reduce_())
+        dq.step(state, dq.parse_transition("REDUCE"))
 
 
 @given(trees(), st.data())

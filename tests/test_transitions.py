@@ -21,16 +21,16 @@ BOTTOMUP = dq.parse_scheme("bottomup")
 # --- token surface forms ----------------------------------------------------
 
 @pytest.mark.parametrize("token,text", [
-    (tr.shift(), "SHIFT"),
-    (tr.shift_k(0), "SHIFT#0"),
-    (tr.shift_k(12), "SHIFT#12"),
-    (tr.swap(), "SWAP"),
-    (tr.swap_k(3), "SWAP#3"),
-    (tr.nt("VP"), "NT(VP)"),
-    (tr.reduce_(), "REDUCE"),
-    (tr.reduce_l("NP"), "REDUCE(NP)"),
-    (tr.reduce_kl(2, "PP"), "REDUCE#2(PP)"),
-    (tr.finish(), "FINISH"),
+    (tr.Transition(tr.SHIFT), "SHIFT"),
+    (tr.Transition(tr.SHIFT_K, 0), "SHIFT#0"),
+    (tr.Transition(tr.SHIFT_K, 12), "SHIFT#12"),
+    (tr.Transition(tr.SWAP), "SWAP"),
+    (tr.Transition(tr.SWAP_K, 3), "SWAP#3"),
+    (tr.Transition(tr.NT, label="VP"), "NT(VP)"),
+    (tr.Transition(tr.REDUCE), "REDUCE"),
+    (tr.Transition(tr.REDUCE_L, label="NP"), "REDUCE(NP)"),
+    (tr.Transition(tr.REDUCE_KL, 2, "PP"), "REDUCE#2(PP)"),
+    (tr.Transition(tr.FINISH), "FINISH"),
 ])
 def test_surface_forms(token, text):
     assert str(token) == text
@@ -38,8 +38,8 @@ def test_surface_forms(token, text):
 
 
 def test_shift0_and_shift_are_distinct_tokens():
-    assert tr.shift_k(0) != tr.shift()
-    assert tr.swap_k(1) != tr.swap()
+    assert tr.Transition(tr.SHIFT_K, 0) != tr.Transition(tr.SHIFT)
+    assert tr.Transition(tr.SWAP_K, 1) != tr.Transition(tr.SWAP)
 
 
 @pytest.mark.parametrize("junk", [
@@ -53,12 +53,12 @@ def test_parse_transition_rejects_junk(junk):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: tr.shift_k(-1),
-    lambda: tr.swap_k(0),
-    lambda: tr.reduce_kl(0, "X"),
-    lambda: tr.nt(""),
-    lambda: tr.nt("a b"),
-    lambda: tr.nt("a(b"),
+    lambda: tr.Transition(tr.SHIFT_K, -1),
+    lambda: tr.Transition(tr.SWAP_K, 0),
+    lambda: tr.Transition(tr.REDUCE_KL, 0, "X"),
+    lambda: tr.Transition(tr.NT, label=""),
+    lambda: tr.Transition(tr.NT, label="a b"),
+    lambda: tr.Transition(tr.NT, label="a(b"),
     lambda: tr.Transition("BOGUS"),
     lambda: tr.Transition(tr.SHIFT, k=1),
     lambda: tr.Transition(tr.SHIFT_K),
@@ -70,9 +70,10 @@ def test_constructor_validation(make):
 
 
 @given(st.sampled_from([
-    tr.shift(), tr.shift_k(0), tr.shift_k(7), tr.swap(), tr.swap_k(2),
-    tr.nt("S"), tr.reduce_(), tr.reduce_l("VP"), tr.reduce_kl(3, "NP"),
-    tr.finish(),
+    tr.Transition(tr.SHIFT), tr.Transition(tr.SHIFT_K, 0), tr.Transition(tr.SHIFT_K, 7),
+    tr.Transition(tr.SWAP), tr.Transition(tr.SWAP_K, 2), tr.Transition(tr.NT, label="S"),
+    tr.Transition(tr.REDUCE), tr.Transition(tr.REDUCE_L, label="VP"),
+    tr.Transition(tr.REDUCE_KL, 3, "NP"), tr.Transition(tr.FINISH),
 ]))
 def test_parse_is_left_inverse_of_str(token):
     assert dq.parse_transition(str(token)) == token
@@ -173,20 +174,20 @@ def test_initial_requires_a_word():
 
 
 def test_shift_moves_buffer_front():
-    config = dq.apply(dq.initial(3), tr.shift(), INORDER)
+    config = dq.apply(dq.initial(3), dq.parse_transition("SHIFT"), INORDER)
     assert list(config.stack) == [0]
     assert list(config.buffer) == [1, 2]
 
 
 def test_shift_k_picks_by_index():
-    config = dq.apply(dq.initial(4), tr.shift_k(2), SHIFTK)
+    config = dq.apply(dq.initial(4), dq.parse_transition("SHIFT#2"), SHIFTK)
     assert list(config.stack) == [2]
     assert list(config.buffer) == [0, 1, 3]
 
 
 def test_swap_returns_second_item_to_buffer_front():
     config = dq.initial(3)
-    for token in (tr.shift(), tr.shift(), tr.swap()):
+    for token in dq.parse_transitions("SHIFT SHIFT SWAP"):
         config = dq.apply(config, token, SWAP)
     assert list(config.stack) == [1]
     assert list(config.buffer) == [0, 2]
@@ -194,7 +195,7 @@ def test_swap_returns_second_item_to_buffer_front():
 
 def test_swap_k_preserves_depth_order():
     config = dq.initial(4)
-    for token in (tr.shift(), tr.shift(), tr.shift(), tr.swap_k(2)):
+    for token in dq.parse_transitions("SHIFT SHIFT SHIFT SWAP#2"):
         config = dq.apply(config, token, SWAPK)
     # the two moved items reach the buffer deepest first
     assert list(config.stack) == [2]
@@ -204,27 +205,29 @@ def test_swap_k_preserves_depth_order():
 def test_swap_undo_guard():
     """Swapping an item back ahead of material it already passed is illegal."""
     config = dq.initial(2)
-    for token in (tr.shift(), tr.shift(), tr.swap()):
+    shift, swap = dq.parse_transitions("SHIFT SWAP")
+    for token in (shift, shift, swap):
         config = dq.apply(config, token, SWAP)
     # stack [1], buffer [0 2..]; shifting 0 back then swapping 1 out again
-    config = dq.apply(config, tr.shift(), SWAP)
-    assert dq.illegality(config, tr.swap(), SWAP) is not None
+    config = dq.apply(config, shift, SWAP)
+    assert dq.illegality(config, swap, SWAP) is not None
 
 
 def test_apply_rejects_illegal():
     with pytest.raises(dq.IllegalTransition):
-        dq.apply(dq.initial(2), tr.reduce_(), INORDER)
+        dq.apply(dq.initial(2), dq.parse_transition("REDUCE"), INORDER)
 
 
 def test_apply_rejects_foreign_kind():
-    assert dq.illegality(dq.initial(2), tr.swap(), INORDER) is not None
+    swap = dq.parse_transition("SWAP")
+    assert dq.illegality(dq.initial(2), swap, INORDER) is not None
     with pytest.raises(dq.IllegalTransition):
-        dq.apply(dq.initial(2), tr.swap(), INORDER)
+        dq.apply(dq.initial(2), swap, INORDER)
 
 
 def test_nothing_is_legal_after_finish():
     config = dq.initial(1)
-    for token in (tr.shift(), tr.nt("S"), tr.reduce_(), tr.finish()):
+    for token in dq.parse_transitions("SHIFT NT(S) REDUCE FINISH"):
         config = dq.apply(config, token, INORDER)
     assert config.finished
     for token in candidate_pool(1, INORDER):
@@ -246,8 +249,9 @@ def test_inorder_requires_finish_to_terminate():
     for token in dq.parse_transitions("SHIFT NT(S) REDUCE"):
         config = dq.apply(config, token, INORDER)
     assert not dq.is_terminal(config, INORDER)
-    assert dq.illegality(config, tr.finish(), INORDER) is None
-    config = dq.apply(config, tr.finish(), INORDER)
+    finish = dq.parse_transition("FINISH")
+    assert dq.illegality(config, finish, INORDER) is None
+    config = dq.apply(config, finish, INORDER)
     assert dq.is_terminal(config, INORDER)
 
 
@@ -261,9 +265,9 @@ def test_bottomup_reduce_k_takes_top_k():
 
 
 def test_reduce_kl_needs_k_material_items():
-    config = dq.apply(dq.initial(2), tr.shift(), BOTTOMUP)
-    assert dq.illegality(config, tr.reduce_kl(2, "S"), BOTTOMUP) is not None
-    assert dq.illegality(config, tr.reduce_kl(1, "S"), BOTTOMUP) is None
+    config = dq.apply(dq.initial(2), dq.parse_transition("SHIFT"), BOTTOMUP)
+    assert dq.illegality(config, dq.parse_transition("REDUCE#2(S)"), BOTTOMUP) is not None
+    assert dq.illegality(config, dq.parse_transition("REDUCE#1(S)"), BOTTOMUP) is None
 
 
 def _oracle_prefixes(trees, scheme):
@@ -284,10 +288,10 @@ def _oracle_prefixes(trees, scheme):
 def _probes(n, scheme):
     """The candidate pool, every kind at k up to n + 1, and foreign kinds."""
     return (candidate_pool(n, scheme)
-            + [tr.shift(), tr.swap(), tr.nt("ZZ"), tr.reduce_(), tr.reduce_l("ZZ"),
-               tr.finish(), tr.shift_k(0)]
+            + dq.parse_transitions("SHIFT SWAP NT(ZZ) REDUCE REDUCE(ZZ) FINISH SHIFT#0")
             + [t for k in range(1, n + 2)
-               for t in (tr.shift_k(k), tr.swap_k(k), tr.reduce_kl(k, "ZZ"))])
+               for t in (tr.Transition(tr.SHIFT_K, k), tr.Transition(tr.SWAP_K, k),
+                         tr.Transition(tr.REDUCE_KL, k, "ZZ"))])
 
 
 @pytest.fixture(scope="module")
@@ -327,30 +331,32 @@ def _walk_to(rng, n, scheme, steps):
 
 def test_shift0_equals_shift():
     rng = random.Random(23)
+    shift, shift0 = dq.parse_transitions("SHIFT SHIFT#0")
     checked = 0
     while checked < 50:
         config = _walk_to(rng, rng.randint(1, 6), SHIFTK, rng.randint(0, 10))
-        if not is_legal(config, tr.shift_k(0), SHIFTK):
+        if not is_legal(config, shift0, SHIFTK):
             continue
-        via_k = dq.apply(config, tr.shift_k(0), SHIFTK)
-        via_plain = dq.apply(config, tr.shift(), SWAP)
+        via_k = dq.apply(config, shift0, SHIFTK)
+        via_plain = dq.apply(config, shift, SWAP)
         assert via_k == via_plain
         checked += 1
 
 
 def test_swap_k_equals_k_swaps():
     rng = random.Random(29)
+    swap = dq.parse_transition("SWAP")
     checked = 0
     while checked < 50:
         n = rng.randint(3, 7)
         config = _walk_to(rng, n, SWAPK, rng.randint(2, 14))
         k = rng.randint(1, 3)
-        if not is_legal(config, tr.swap_k(k), SWAPK):
+        if not is_legal(config, tr.Transition(tr.SWAP_K, k), SWAPK):
             continue
-        via_k = dq.apply(config, tr.swap_k(k), SWAPK)
+        via_k = dq.apply(config, tr.Transition(tr.SWAP_K, k), SWAPK)
         via_steps = config
         for _ in range(k):
-            via_steps = dq.apply(via_steps, tr.swap(), SWAP)
+            via_steps = dq.apply(via_steps, swap, SWAP)
         assert via_k == via_steps
         checked += 1
 

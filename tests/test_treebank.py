@@ -70,11 +70,40 @@ def test_emit_parse_roundtrip(tree, fmt):
     ("(S \u0660=a 1=b)", "discbracket leaf must look like index=word"),
     ("(S \u00b2=a 0=b)", "discbracket leaf must look like index=word"),
     ("0=a", "a tree must start with '('"),
-])
+    ("(S 10000000=a)", "word position too large for its line"),
+    ("(S 1000000000000=a)", "word position too large for its line"),
+    ("(S 0=a " + "1" * 4000 + "=b)", "word position too large for its line"),
+    ("(S 0=a " + "1" * 5000 + "=b)", "word position too large for its line"),
+    ("(S 0=a 99=b)", "missing word positions [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ... (98 in all)]"),
+], ids=lambda value: value if len(value) < 100 else f"{value[:20]}...({len(value)})")
 def test_parse_errors(line, message):
     with pytest.raises(dq.TreebankError) as exc:
         dq.parse_discbracket(line)
     assert exc.value.message == message
+
+
+# pieces of reader input: every character the grammar treats specially,
+# letters, ASCII and non-ASCII digits, a lone surrogate (as a library
+# caller's string may hold) and digit runs of thousands of characters,
+# plus fragments that make well-formed trees likely
+_LINE_PIECES = st.one_of(
+    st.sampled_from(list("() \t=\\aZé0129") + ["\u0663", "\u00b2", "\u0660", "\udc80"]),
+    st.sampled_from(["(S ", "(NP ", "0=a ", "1=b ", "2=c", ") ", "=x"]),
+    st.builds(str.__mul__, st.sampled_from("019"), st.integers(1000, 6000)),
+)
+
+
+@given(st.lists(_LINE_PIECES, max_size=24).map("".join),
+       st.sampled_from([(dq.parse_discbracket, dq.emit_discbracket),
+                        (dq.parse_bracketed, dq.emit_bracketed)]))
+@settings(deadline=None, max_examples=300)
+def test_readers_return_a_tree_or_a_treebank_error(line, reader):
+    parse, emit = reader
+    try:
+        tree = parse(line)
+    except dq.TreebankError:
+        return
+    assert parse(emit(tree)) == tree
 
 
 def test_error_offsets_count_bytes():
