@@ -6,7 +6,9 @@ positions it covers; a node is discontinuous when that set has gaps.
 Children are stored sorted by the smallest position they cover, so
 structural equality is canonical: two trees over the same sentence are
 equal exactly when they contain the same labeled yields arranged the
-same way.  Values are immutable.
+same way.  Values are immutable.  Every walk is a loop over an explicit
+stack, so no recursion limit bounds a tree's depth: equality compares
+node pairs from the roots down, and a hash reads only label and yield.
 """
 
 from dataclasses import dataclass, field
@@ -19,18 +21,16 @@ _EMPTY_SORT_KEY = float("inf")  # empty children sort last; validate() flags the
 
 def min_position(child: Child) -> float:
     """The lowest position a child covers; children are sorted by it."""
-    if isinstance(child, int):
-        return child
-    return min(child.positions) if child.positions else _EMPTY_SORT_KEY
+    return child if isinstance(child, int) else min(child.positions, default=_EMPTY_SORT_KEY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constituent:
     """A labeled node; children are word positions or nested constituents."""
 
     label: str
     children: tuple[Child, ...]
-    positions: frozenset[int] = field(init=False, compare=False, repr=False)
+    positions: frozenset[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         kids = tuple(sorted(self.children, key=min_position))
@@ -43,20 +43,34 @@ class Constituent:
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "positions", frozenset(covered))
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pending = [(self, other)]  # node pairs still to compare
+        while pending:
+            a, b = pending.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if isinstance(x, Constituent) and isinstance(y, Constituent):
+                    pending.append((x, y))
+                elif x != y:  # two positions, or a position and a node
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # equal trees have equal labels and yields; a frozenset caches its hash
+        return hash((self.label, self.positions))
+
     def constituents(self) -> Iterator["Constituent"]:
         """Pre-order iteration over this node and all nested constituents."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Constituent):
-                yield from child.constituents()
-
-    def leaves(self) -> Iterator[int]:
-        """Word positions in depth-first order (not sorted)."""
-        for child in self.children:
-            if isinstance(child, int):
-                yield child
-            else:
-                yield from child.leaves()
+        pending = [self]  # next on top
+        while pending:
+            node = pending.pop()
+            yield node
+            for child in reversed(node.children):
+                if isinstance(child, Constituent):
+                    pending.append(child)
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,15 @@ def canonical_leaf_order(tree: ConstituentTree) -> tuple[int, ...]:
     tree, because a depth-first traversal emits every subtree's leaves
     as one consecutive run.
     """
-    return tuple(tree.root.leaves())
+    order: list[int] = []
+    pending: list[Child] = [tree.root]  # next on top
+    while pending:
+        item = pending.pop()
+        if isinstance(item, int):
+            order.append(item)
+        else:
+            pending.extend(reversed(item.children))
+    return tuple(order)
 
 
 def permute_leaves(tree: ConstituentTree, permutation: Sequence[int]) -> ConstituentTree:
@@ -114,19 +136,16 @@ def permute_leaves(tree: ConstituentTree, permutation: Sequence[int]) -> Constit
     if sorted(permutation) != list(range(n)):
         raise ValueError("permutation must rearrange exactly the positions 0..n-1")
 
-    def rebuild(node: Constituent) -> Constituent:
-        kids: list[Child] = []
-        for child in node.children:
-            if isinstance(child, int):
-                kids.append(permutation[child])
-            else:
-                kids.append(rebuild(child))
-        return Constituent(node.label, tuple(kids))
+    built: dict[int, Constituent] = {}  # id of a node -> its copy, children first
+    for node in reversed(list(tree.root.constituents())):
+        built[id(node)] = Constituent(node.label, tuple(
+            permutation[child] if isinstance(child, int) else built[id(child)]
+            for child in node.children))
 
     sentence = [""] * n
     for old, new in enumerate(permutation):
         sentence[new] = tree.sentence[old]
-    return ConstituentTree(tuple(sentence), rebuild(tree.root))
+    return ConstituentTree(tuple(sentence), built[id(tree.root)])
 
 
 def reorder_canonical(tree: ConstituentTree) -> ConstituentTree:

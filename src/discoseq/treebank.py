@@ -12,7 +12,9 @@ makes discontinuous yields expressible:
 
 A backslash escapes the next character; words containing parentheses,
 whitespace, `=`, or backslashes are escaped on output so that
-parse(emit(tree)) is the identity on canonical trees.
+parse(emit(tree)) is the identity on canonical trees.  The reader makes
+one pass over a line and keeps the open constituents on a stack, so it
+reads trees of any depth.
 """
 
 import gzip
@@ -20,7 +22,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from .tree import Constituent, ConstituentTree, is_continuous, validate
+# validate is bound only so that a tracer can wrap discoseq.treebank.validate
+from .tree import Constituent, ConstituentTree, is_continuous, validate  # noqa: F401
 
 _WORD_ESCAPED = set("()=\\ \t\n")
 _LABEL_ESCAPED = set("()\\ \t\n")  # a leading atom is always the label, so = stays raw
@@ -53,99 +56,82 @@ class TreebankError(Exception):
         return text
 
 
-# A token is ("(", offset), (")", offset), or ("atom", offset, parts) where
-# parts is the atom text split on unescaped "=" with escapes resolved.
-def _tokenize(line: str) -> list[tuple]:
-    tokens: list[tuple] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        start = i
-        parts: list[str] = []
-        current: list[str] = []
-        while i < n and line[i] not in "() \t":
-            if line[i] == "\\":
-                if i + 1 >= n:
-                    raise _offset_error("dangling backslash escape", line, i)
-                current.append(line[i + 1])
-                i += 2
-            elif line[i] == "=":
-                parts.append("".join(current))
-                current = []
-                i += 1
-            else:
-                current.append(line[i])
-                i += 1
-        parts.append("".join(current))
-        tokens.append(("atom", start, parts))
-    return tokens
-
-
 def _offset_error(message: str, line: str, char_index: int) -> TreebankError:
     return TreebankError(message,
                          offset=len(line[:char_index].encode("utf-8", "surrogatepass")))
 
 
 def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
-    tokens = _tokenize(line)
-    if not tokens:
-        raise TreebankError("empty line where a tree was expected", offset=0)
-    if tokens[0][0] != "(":
-        raise _offset_error("a tree must start with '('", line, tokens[0][1])
+    n = len(line)
+    # any other backslash escapes the next character, so only an odd run
+    # at the end can dangle; that fault is reported before any other
+    if (n - len(line.rstrip("\\"))) % 2:
+        raise _offset_error("dangling backslash escape", line, n - 1)
     words: dict[int, str] = {}  # position -> word
     # the open constituents, innermost last: (offset of "(", label, children)
     open_nodes: list[tuple[int, str, list[Constituent | int]]] = []
-    pos = 0  # cursor into tokens
+    label_at = -1  # offset of the "(" whose label is the next atom
     # a line of L characters holds fewer than L leaves, so a position
     # written with more digits than L is always a gap
-    most_digits = len(str(len(line)))
+    most_digits = len(str(n))
+    i = 0
     while True:
-        token = tokens[pos]
-        if token[0] == "(":
-            pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "atom":
-                raise _offset_error("expected a label after '('", line, token[1])
-            open_nodes.append((token[1], "=".join(tokens[pos][2]), []))
-        elif token[0] == ")":
+        if i == n or (label_at >= 0 and line[i] in "()"):
+            if label_at >= 0:
+                raise _offset_error("expected a label after '('", line, label_at)
+            if open_nodes:
+                raise _offset_error("unbalanced '(': missing ')'", line, open_nodes[-1][0])
+            raise TreebankError("empty line where a tree was expected", offset=0)
+        if line[i] in " \t":
+            i += 1
+        elif line[i] == "(":
+            label_at = i
+            i += 1
+        elif not open_nodes and label_at < 0:
+            raise _offset_error("a tree must start with '('", line, i)
+        elif line[i] == ")":
             start, label, children = open_nodes.pop()
             if not children:
-                raise _offset_error(f"constituent {label!r} has no children",
-                                    line, start)
+                raise _offset_error(f"constituent {label!r} has no children", line, start)
             node = Constituent(label, tuple(children))
+            i += 1
             if not open_nodes:
-                pos += 1
                 break
             open_nodes[-1][2].append(node)
-        else:
-            _, start, parts = token
+        else:  # an atom: its text split on unescaped "=", escapes resolved
+            start = i
+            parts: list[str] = []
+            current: list[str] = []
+            while i < n and line[i] not in "() \t":
+                if line[i] == "=":
+                    parts.append("".join(current))
+                    current = []
+                else:
+                    if line[i] == "\\":  # take the next character as it is
+                        i += 1
+                    current.append(line[i])
+                i += 1
+            parts.append("".join(current))
+            if label_at >= 0:
+                open_nodes.append((label_at, "=".join(parts), []))
+                label_at = -1
+                continue
             if not discontinuous:
                 index, word = len(words), "=".join(parts)
             elif len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
-                raise _offset_error(
-                    "discbracket leaf must look like index=word", line, start)
+                raise _offset_error("discbracket leaf must look like index=word", line, start)
             else:
                 digits = parts[0].lstrip("0") or "0"
                 if len(digits) > most_digits:
-                    raise _offset_error("word position too large for its line",
-                                        line, start)
+                    raise _offset_error("word position too large for its line", line, start)
                 index, word = int(digits), parts[1]
             if index in words:
                 raise _offset_error(f"position {index} appears twice", line, start)
             words[index] = word
             open_nodes[-1][2].append(index)
-        pos += 1
-        if pos >= len(tokens):
-            raise _offset_error("unbalanced '(': missing ')'", line, open_nodes[-1][0])
-    if pos != len(tokens):
-        raise _offset_error("trailing material after the tree", line, tokens[pos][1])
+    rest = line[i:].lstrip(" \t")
+    if rest:
+        raise _offset_error("trailing material after the tree", line, n - len(rest))
 
     top = max(words)
     if top >= len(words):  # the positions are distinct, so some below top are missing
@@ -155,13 +141,8 @@ def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
         if count > _SHOWN_GAPS:
             missing += f", ... ({count} in all)"
         raise TreebankError(f"missing word positions [{missing}]", offset=0)
-    sentence = tuple(words[i] for i in range(len(words)))
-    tree = ConstituentTree(sentence, node)
-    violation = validate(tree)
-    if violation is not None:
-        raise TreebankError(f"invalid tree: {violation.rule}: {violation.detail}",
-                            offset=0)
-    return tree
+    # no constituent is empty and each position is read once: validate() would pass
+    return ConstituentTree(tuple(words[p] for p in range(len(words))), node)
 
 
 def parse_bracketed(line: str) -> ConstituentTree:

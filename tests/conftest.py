@@ -9,6 +9,10 @@ checked against something that shares no code with them:
 * ``random_tree`` / ``trees`` build arbitrary valid constituency trees, first
   over contiguous spans and then through a leaf permutation, so discontinuity
   comes in through the same door real treebanks use.
+* ``structurally_equal`` is tree equality written as the plain recursion
+  over labels and children that ``Constituent.__eq__`` replaces.
+
+``deep_line`` writes the nested lines that the depth tests read.
 """
 
 from __future__ import annotations
@@ -97,6 +101,35 @@ def trees(draw, max_leaves: int = 10, *, discontinuous: bool = True) -> dq.Const
     if discontinuous and n > 1:
         tree = dq.permute_leaves(tree, draw(st.permutations(range(n))))
     return tree
+
+
+def structurally_equal(a: dq.Constituent, b: dq.Constituent) -> bool:
+    """Same label and pairwise equal children, the nested ones compared alike."""
+    if a.label != b.label or len(a.children) != len(b.children):
+        return False
+    for x, y in zip(a.children, b.children):
+        if isinstance(x, dq.Constituent) != isinstance(y, dq.Constituent):
+            return False
+        if not (structurally_equal(x, y) if isinstance(x, dq.Constituent) else x == y):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# deep trees
+
+SHAPES = ("chain", "nest")
+
+
+def deep_line(shape: str, depth: int) -> str:
+    """A discbracket line nested `depth` constituents deep.
+
+    A chain is unary down to its one word.  A nest is right-branching:
+    every level holds the next word and the next level.
+    """
+    if shape == "chain":
+        return "(X " * depth + "0=a" + ")" * depth
+    return "".join(f"(X {i}=w{i} " for i in range(depth)) + ")" * depth
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 import gzip
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discoseq as dq
+from conftest import SHAPES, deep_line
 from discoseq import cli, oracle
 
 
@@ -530,3 +535,102 @@ def test_predict_rejects_missing_checkpoint(tmp_path, capsys):
     code, _, err = run(["predict", "--checkpoint", str(tmp_path / "no.ckpt")],
                        capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_line_nested_1200_deep_passes_every_command(tmp_path, shape):
+    trees = tmp_path / "deep.discbracket"
+    trees.write_text(deep_line(shape, 1200) + "\n", encoding="utf-8")
+    tokens, rebuilt = tmp_path / "tokens.jsonl", tmp_path / "rebuilt.discbracket"
+    scheme = ["--scheme", "inorder+swap"]
+    for argv in (
+        ["linearize", *scheme, "--jsonl", "--in", str(trees), "--out", str(tokens)],
+        ["roundtrip", *scheme, "--in", str(trees)],
+        ["stats", *scheme, "--in", str(trees)],
+        ["delinearize", *scheme, "--tokens", str(tokens), "--out", str(rebuilt)],
+        ["eval", "--json", "--gold", str(trees), "--pred", str(rebuilt)],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "discoseq.cli", *argv],
+                              capture_output=True, text=True)
+        assert (argv[0], proc.returncode) == (argv[0], 0), proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["exact_match"] == 1.0
+
+
+# --- every command ends in an exit code on any input ------------------------
+
+_TOY_LINES = [dq.emit_discbracket(tree) for tree in dq.bundled("toy20.discbracket")]
+_SCHEMES = [str(scheme) for scheme in dq.SHIPPED_SCHEMES]
+_TOKEN_TEXTS = ["SHIFT", "SHIFT#1", "SWAP", "SWAP#2", "SWAP#99", "NT(S)", "NT(NP)",
+                "REDUCE", "REDUCE(S)", "REDUCE#2(S)", "REDUCE#0(VP)", "FINISH", "NT()",
+                "BOGUS"]
+_WORDS = st.lists(st.sampled_from(["a", "b", "the", "(", "=", "\\"]), max_size=4)
+_TOKENS = st.lists(st.sampled_from(_TOKEN_TEXTS), max_size=8)
+
+
+@st.composite
+def _tree_lines(draw):
+    """A toy20 line after up to three edits, or a chain over 1,000 deep."""
+    if draw(st.integers(0, 9)) == 0:
+        return deep_line("chain", draw(st.integers(1001, 1100)))
+    line = draw(st.sampled_from(_TOY_LINES))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(line)))
+        end = draw(st.integers(start, min(len(line), start + 8)))
+        piece = draw(st.sampled_from(["", line[start:end] * 2, *"()= \t\\09", "\u0663",
+                                      "\r"]))
+        line = line[:start] + piece + line[end:]
+    return line
+
+
+# JSONL records with any field missing, of the wrong type or naming another
+# scheme, and lines that are not JSON at all
+_RECORDS = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "sentence": _WORDS | _TOKENS | st.text(max_size=3) | st.integers() | st.none(),
+        "tokens": _TOKENS | _WORDS | st.text(max_size=3) | st.integers() | st.none(),
+        "scheme": st.sampled_from(_SCHEMES) | st.integers(),
+    }).map(json.dumps),
+    st.sampled_from(["{", '{"sentence": ["a"]', "[]"]),
+)
+
+
+@st.composite
+def _runs(draw):
+    """A command line and the files it reads, by name."""
+    command = draw(st.sampled_from(["linearize", "roundtrip", "stats", "eval",
+                                    "mask-trace", "delinearize"]))
+    scheme = ["--scheme", draw(st.sampled_from(_SCHEMES))]
+    tree_files = st.lists(_tree_lines(), min_size=1, max_size=3).map("\n".join)
+    if command == "mask-trace":
+        return [command, *scheme, "--tree=" + draw(_tree_lines())], {}
+    if command == "eval":
+        files = {"gold": draw(tree_files), "pred": draw(tree_files)}
+        return [command, "--gold", "gold", "--pred", "pred", "--json"], files
+    if command != "delinearize":
+        extra = ["--jsonl"] if command == "linearize" and draw(st.booleans()) else []
+        return [command, *scheme, "--in", "trees", *extra], {"trees": draw(tree_files)}
+    if draw(st.booleans()):
+        records = draw(st.lists(_RECORDS, min_size=1, max_size=3))
+        return [command, *scheme, "--tokens", "tokens"], {"tokens": "\n".join(records)}
+    lines = draw(st.lists(_TOKENS.map(" ".join), min_size=1, max_size=3))
+    sentences = draw(st.lists(_WORDS.map(" ".join), min_size=1, max_size=3))
+    files = {"tokens": "\n".join(lines), "sentences": "\n".join(sentences)}
+    return [command, *scheme, "--tokens", "tokens", "--sentences", "sentences"], files
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(_runs())
+@settings(deadline=None, max_examples=150)
+def test_every_command_exits_with_a_documented_code(fuzz_dir, run_and_files):
+    argv, files = run_and_files
+    for name, text in files.items():
+        (fuzz_dir / name).write_text(text + "\n", encoding="utf-8")
+    argv = [str(fuzz_dir / arg) if arg in files else arg for arg in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()

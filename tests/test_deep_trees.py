@@ -1,0 +1,88 @@
+"""Trees of any depth are read, encoded, decoded, traced and scored.
+
+Every tree walk is a loop, so none of these stages depends on the
+interpreter's recursion limit, which stays at its default here.  A
+chain goes 5,000 levels deep.  Every level of a right-branching nest
+holds a word, so the yields it stores grow with the square of its
+depth, and so do its mask traces: it goes 1,200 levels deep.
+
+The last test guards the loops: no function in the package calls its
+own name.  It cannot see the methods that `dataclass` generates; the
+depth tests cover those.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import discoseq as dq
+from conftest import SHAPES, deep_line
+
+DEPTHS = {"chain": 5000, "nest": 1200}
+BASES = ("inorder+swap", "topdown+swap", "bottomup+swap")
+
+
+@pytest.fixture(scope="module", params=SHAPES)
+def deep(request):
+    assert sys.getrecursionlimit() < min(DEPTHS.values())
+    line = deep_line(request.param, DEPTHS[request.param])
+    return line, dq.parse_discbracket(line)
+
+
+def test_a_deep_line_reads_back_what_it_writes(deep):
+    line, tree = deep
+    again = dq.parse_discbracket(line)
+    assert again is not tree and again == tree and hash(again) == hash(tree)
+    assert dq.parse_discbracket(dq.emit_discbracket(tree)) == tree
+    assert dq.parse_bracketed(dq.emit_bracketed(tree)) == tree
+
+
+@pytest.mark.parametrize("scheme", BASES)
+def test_a_deep_tree_encodes_decodes_and_traces(deep, scheme):
+    _, tree = deep
+    scheme = dq.parse_scheme(scheme)
+    tokens = dq.encode(tree, scheme)
+    result = dq.decode(tree.sentence, tokens, scheme)
+    assert result.clean and result.tree == tree
+    assert len(dq.trace(len(tree.sentence), tokens, scheme)) == len(tokens) + 1
+
+
+def test_a_deep_tree_is_scored_reordered_and_validated(deep):
+    _, tree = deep
+    assert dq.evaluate([tree], [tree]).exact_match == 1.0
+    assert dq.validate(tree) is None
+    flat = dq.reorder_canonical(tree)
+    assert flat == tree and dq.validate(flat) is None
+    assert {tree: 1}[dq.parse_discbracket(dq.emit_discbracket(tree))] == 1
+
+
+def _self_calls(path: Path) -> list[str]:
+    """`name(...)` or `x.name(...)` inside a function named `name`, but not
+    `super().name(...)`."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(function):
+            if not isinstance(call, ast.Call):
+                continue
+            target = call.func
+            if isinstance(target, ast.Name):
+                recursive = target.id == function.name
+            elif isinstance(target, ast.Attribute):
+                base = target.value
+                recursive = target.attr == function.name and not (
+                    isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                    and base.func.id == "super")
+            else:
+                recursive = False
+            if recursive:
+                found.append(f"{path.name}:{call.lineno}: {function.name}")
+    return found
+
+
+def test_no_function_calls_itself():
+    package = Path(dq.__file__).parent
+    assert [hit for path in sorted(package.rglob("*.py")) for hit in _self_calls(path)] == []

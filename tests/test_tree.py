@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discoseq as dq
-from conftest import FIG_LINE, trees
+from conftest import FIG_LINE, structurally_equal, trees
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +112,40 @@ def test_validate_empty_constituent():
     root = dq.Constituent("S", (dq.Constituent("NP", ()), 0))
     v = dq.validate(dq.ConstituentTree(("a",), root))
     assert v is not None and v.rule == "empty-constituent"
+
+
+# hand-built nodes over few labels and positions, so equal pairs are common;
+# empty, repeated and overlapping children make many of them invalid trees
+_NODES = st.recursive(
+    st.builds(dq.Constituent, st.sampled_from("AB"),
+              st.lists(st.integers(0, 2), max_size=2).map(tuple)),
+    lambda inner: st.builds(dq.Constituent, st.sampled_from("AB"),
+                            st.lists(st.integers(0, 2) | inner, max_size=3).map(tuple)),
+    max_leaves=8)
+
+
+def _copy(node):
+    return dq.Constituent(node.label, tuple(
+        _copy(child) if isinstance(child, dq.Constituent) else child
+        for child in node.children))
+
+
+@given(_NODES, _NODES, st.booleans())
+@settings(deadline=None, max_examples=500)
+def test_equality_is_structural_and_equal_nodes_hash_equal(a, b, same):
+    if same:
+        b = _copy(a)
+    assert (a == b) == structurally_equal(a, b)
+    assert (a != b) == (not structurally_equal(a, b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("a,b", [
+    (dq.Constituent("S", (0, 0)), dq.Constituent("S", (0,))),
+    (dq.Constituent("S", (0, dq.Constituent("NP", (0,)))),
+     dq.Constituent("S", (dq.Constituent("NP", (0,)), 0))),
+], ids=["repeated-position", "leaf-or-node-first"])
+def test_equality_tells_apart_nodes_with_the_same_yield(a, b):
+    assert (a.label, a.positions) == (b.label, b.positions)
+    assert a != b and not structurally_equal(a, b)

@@ -64,6 +64,7 @@ def test_emit_parse_roundtrip(tree, fmt):
     ("(S 0=a", "unbalanced '(': missing ')'"),
     ("(S 0=a) junk", "trailing material after the tree"),
     ("(S 0=a\\", "dangling backslash escape"),
+    (") a\\", "dangling backslash escape"),  # before the fault at byte 0
     ("", "empty line where a tree was expected"),
     ("(S)", "constituent 'S' has no children"),
     ("(S x=a)", "discbracket leaf must look like index=word"),
