@@ -3,18 +3,22 @@
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON
 header (format version, model config, tensor manifest), then the raw
 tensor payloads concatenated in manifest order as little-endian
-float64.  Round-trips are bitwise.  Loading checks the tensors' names
-and shapes against the ones `init_parameters` makes for the config.
+float64.  Round-trips are bitwise.  Loading compares the header length
+and the manifest's total size with the file, and the tensors' names and
+shapes with the model layout of the config, before it reads a payload.
 """
 
 import json
+import os
+import stat
 import struct
 from dataclasses import asdict
+from itertools import islice
 from math import prod
 
 import numpy as np
 
-from .model import ModelConfig, Parameters, init_parameters
+from .model import ModelConfig, Parameters, _layout
 
 MAGIC = b"DSEQCKP1"
 
@@ -50,12 +54,19 @@ def _is_tensor_entry(entry) -> bool:
 
 def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
     with open(path, "rb") as handle:
+        status = os.fstat(handle.fileno())
+        if not stat.S_ISREG(status.st_mode):  # its size is checked before a read
+            raise CheckpointError(f"{path}: not a regular file")
+        size = status.st_size
         if handle.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         length_bytes = handle.read(8)
         if len(length_bytes) != 8:
             raise CheckpointError(f"{path}: truncated header length")
         (header_length,) = struct.unpack("<Q", length_bytes)
+        if header_length > size - handle.tell():
+            raise CheckpointError(f"{path}: header of {header_length} bytes runs past "
+                                  f"the end of the file")
         try:
             header = json.loads(handle.read(header_length))
         except ValueError as err:
@@ -71,26 +82,34 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
         tensors = header.get("tensors")
         if not isinstance(tensors, list):
             raise CheckpointError(f"{path}: header has no tensor list")
-        params: Parameters = {}
         for index, entry in enumerate(tensors):
             if not _is_tensor_entry(entry):
                 raise CheckpointError(f"{path}: malformed tensor entry {index}")
-            shape = tuple(entry["shape"])
             if entry["dtype"] != "<f8":
                 raise CheckpointError(f"{path}: unsupported dtype {entry['dtype']!r}")
+        payload_bytes = sum(prod(entry["shape"]) * 8 for entry in tensors)
+        if payload_bytes != size - handle.tell():
+            raise CheckpointError(f"{path}: the tensors take {payload_bytes} bytes but "
+                                  f"{size - handle.tell()} follow the header")
+        # one more than the manifest holds is enough to name a missing
+        # tensor, however many layers the config claims
+        expected = {name: shape for name, shape, _ in
+                    islice(_layout(config), len(tensors) + 1)}
+        shapes = {entry["name"]: tuple(entry["shape"]) for entry in tensors}
+        if len(expected) > len(tensors):
+            missing = min(expected.keys() - shapes.keys())
+            raise CheckpointError(f"{path}: missing tensor {missing!r}")
+        for name in sorted(expected.keys() | shapes.keys()):
+            if name not in shapes:
+                raise CheckpointError(f"{path}: missing tensor {name!r}")
+            if name not in expected:
+                raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+            if shapes[name] != expected[name]:
+                raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                      f"{shapes[name]}, expected {expected[name]}")
+        params: Parameters = {}
+        for entry in tensors:
+            shape = tuple(entry["shape"])
             payload = handle.read(prod(shape) * 8)
-            if len(payload) != prod(shape) * 8:
-                raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
             params[entry["name"]] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        if handle.read(1):
-            raise CheckpointError(f"{path}: trailing data after tensors")
-    expected = init_parameters(config, np.random.default_rng(0))
-    for name in sorted(expected.keys() | params.keys()):
-        if name not in params:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        if params[name].shape != expected[name].shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape "
-                                  f"{params[name].shape}, expected {expected[name].shape}")
     return params, config

@@ -10,8 +10,10 @@ when the stack or buffer is empty; masked positions get exactly zero
 attention weight either way.
 
 Both stacks are post-norm residual layers, and `_SUBLAYERS` is the one
-statement of their layout: `init_parameters`, the forward loop
-`_layers` and the backward loop `_layers_bwd` all read it.
+statement of their layout: `_layout` (each parameter's name, shape and
+initializer, which `init_parameters` draws and checkpoint loading
+checks), the forward loop `_layers` and the backward loop `_layers_bwd`
+all read it.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
@@ -95,38 +97,43 @@ Parameters = dict[str, np.ndarray]
 _SUBLAYERS = {"enc": ("self", "ff"), "dec": ("self", "cross", "ff")}
 
 
-def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
+def _layout(config: ModelConfig):
+    """Each parameter's name, shape and initializer, in draw order."""
     d, ff = config.d_model, config.d_ff
-    params: Parameters = {}
-
-    def glorot(name: str, fan_in: int, fan_out: int) -> None:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        params[name] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    def attention(prefix: str) -> None:
-        for proj in ("wq", "wk", "wv", "wo"):
-            glorot(f"{prefix}.{proj}", d, d)
-        for proj in ("bq", "bk", "bv", "bo"):
-            params[f"{prefix}.{proj}"] = np.zeros(d)
-
-    def feed_forward(prefix: str) -> None:
-        glorot(f"{prefix}.w1", d, ff)
-        params[f"{prefix}.b1"] = np.zeros(ff)
-        glorot(f"{prefix}.w2", ff, d)
-        params[f"{prefix}.b2"] = np.zeros(d)
-
-    scale = 1.0 / math.sqrt(d)
-    params["word_emb"] = rng.standard_normal((len(config.word_to_id), d)) * scale
-    params["tok_emb"] = rng.standard_normal((len(config.token_to_id), d)) * scale
-    params["sentinel"] = rng.standard_normal(d) * scale
+    yield "word_emb", (len(config.word_to_id), d), "normal"
+    yield "tok_emb", (len(config.token_to_id), d), "normal"
+    yield "sentinel", (d,), "normal"
     for side, kinds in _SUBLAYERS.items():
         for i in range(config.n_layers):
             for j, kind in enumerate(kinds, 1):
-                (feed_forward if kind == "ff" else attention)(f"{side}{i}.{kind}")
-                params[f"{side}{i}.ln{j}.g"] = np.ones(d)
-                params[f"{side}{i}.ln{j}.b"] = np.zeros(d)
-    glorot("out.w", d, len(config.token_to_id))
-    params["out.b"] = np.zeros(len(config.token_to_id))
+                prefix = f"{side}{i}.{kind}"
+                if kind == "ff":
+                    yield f"{prefix}.w1", (d, ff), "glorot"
+                    yield f"{prefix}.b1", (ff,), "zeros"
+                    yield f"{prefix}.w2", (ff, d), "glorot"
+                    yield f"{prefix}.b2", (d,), "zeros"
+                else:
+                    for proj in ("wq", "wk", "wv", "wo"):
+                        yield f"{prefix}.{proj}", (d, d), "glorot"
+                    for proj in ("bq", "bk", "bv", "bo"):
+                        yield f"{prefix}.{proj}", (d,), "zeros"
+                yield f"{side}{i}.ln{j}.g", (d,), "ones"
+                yield f"{side}{i}.ln{j}.b", (d,), "zeros"
+    yield "out.w", (d, len(config.token_to_id)), "glorot"
+    yield "out.b", (len(config.token_to_id),), "zeros"
+
+
+def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
+    scale = 1.0 / math.sqrt(config.d_model)
+    params: Parameters = {}
+    for name, shape, init in _layout(config):
+        if init == "normal":
+            params[name] = rng.standard_normal(shape) * scale
+        elif init == "glorot":  # shape is (fan_in, fan_out)
+            limit = math.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
     return params
 
 

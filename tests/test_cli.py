@@ -144,9 +144,10 @@ def test_a_dropped_reordering_token_fails_the_oracle_replay(tmp_path, capsys,
         dq.encode(fig_tree, dq.parse_scheme(scheme))
     path = tmp_path / "fig.discbracket"
     dq.save_treebank([fig_tree], path)
-    code, out, err = run(["linearize", "--scheme", scheme, "--in", str(path)], capsys)
-    assert (code, out) == (3, "")
-    assert err.startswith("discoseq: invariant breach: oracle replay")
+    for command in ("linearize", "roundtrip"):
+        code, out, err = run([command, "--scheme", scheme, "--in", str(path)], capsys)
+        assert (command, code, out) == (command, 3, "")
+        assert err.startswith("discoseq: invariant breach: oracle replay")
 
 
 @pytest.mark.parametrize("command", ["linearize", "roundtrip", "stats", "train"])
@@ -323,27 +324,9 @@ def test_roundtrip_clean(toy_path, capsys):
     assert "roundtrip: 20/20 trees reproduced" in err
 
 
-def test_roundtrip_reports_mismatches(toy_path, capsys, monkeypatch):
-    real = cli.decode
-
-    def sabotage(sentence, tokens, scheme, fallback_label="ROOT"):
-        return real(sentence, [], scheme, fallback_label)
-
-    monkeypatch.setattr(cli, "decode", sabotage)
-    code, out, err = run(["roundtrip", "--scheme", "inorder+swap",
-                          "--in", str(toy_path)], capsys)
-    assert code == 3
-    assert "MISMATCH" in out and "repair:" in out
-    assert "roundtrip: 0/20 trees reproduced" in err
-
-
-def test_roundtrip_reports_a_bad_line_before_any_mismatch(tmp_path, capsys,
-                                                         monkeypatch):
+def test_roundtrip_reports_a_bad_line_before_any_mismatch(tmp_path, capsys):
     path = tmp_path / "bad.discbracket"
     path.write_text("(S 0=a 1=b)\n(S 0=a 0=b)\n", encoding="utf-8")
-    real = cli.decode
-    monkeypatch.setattr(cli, "decode", lambda sentence, tokens, scheme, *rest:
-                        real(sentence, [], scheme, *rest))
     code, out, err = run(["roundtrip", "--scheme", "inorder+swap",
                           "--in", str(path)], capsys)
     assert (code, out) == (2, "")
@@ -383,6 +366,11 @@ def test_mask_trace_autodetects_bracketed(capsys):
                         "--tree", "(S (NP a) (VP b))"], capsys)
     assert code == 0
     assert out.splitlines()[1].endswith("{0,1}")
+    # a raw "=" in a label does not make a discbracket line; only a leaf's does
+    argv = ["mask-trace", "--scheme", "topdown", "--tree", "(S (NP=1 a) (VP b))"]
+    code, labelled, _ = run(argv, capsys)
+    assert (code, labelled) == run([*argv, "--format", "bracketed"], capsys)[:2]
+    assert code == 0 and "NT(NP=1)" in labelled
 
 
 def test_eval_text_output(tmp_path, capsys):
@@ -496,14 +484,16 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
         "import json, sys\n"
         "import discoseq, discoseq.cli\n"
         "codes = [discoseq.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if 'numpy' in m)]))\n"
+        "forbidden = ('numpy', 'multiprocessing')\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if any(name in m for name in forbidden))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, numpy_modules = json.loads(proc.stdout.splitlines()[-1])
+    codes, forbidden_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
-    assert numpy_modules == []
+    assert forbidden_modules == []
 
 
 def test_max_len_beyond_the_checkpoint_is_a_usage_error(tmp_path, toy20, capsys):

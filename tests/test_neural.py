@@ -488,44 +488,82 @@ def test_checkpoint_rejects_extra_and_misshaped_tensors(tmp_path, setup):
         load_checkpoint(path)
 
 
+def _header_edit(edit):
+    """A checkpoint edit that rewrites the JSON header and its length."""
+    def rewrite(blob):
+        (length,) = struct.unpack("<Q", blob[8:16])
+        header = json.dumps(edit(json.loads(blob[16:16 + length]))).encode("utf-8")
+        return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + length:]
+    return rewrite
+
+
+@_header_edit
 def _without_dtype(header):
     del header["tensors"][0]["dtype"]
     return header
 
 
+@_header_edit
 def _string_shape(header):
     header["tensors"][0]["shape"] = "ab"
     return header
 
 
+@_header_edit
 def _list_vocabulary(header):
     header["config"]["word_to_id"] = []
     return header
 
 
+@_header_edit
 def _zero_width(header):
     header["config"]["d_model"] = 0
     return header
 
 
+def _shape(*sizes):
+    def edit(header):
+        header["tensors"][0]["shape"] = list(sizes)
+        return header
+    return _header_edit(edit)
+
+
+@_header_edit
+def _wide_config(header):  # over tensors of width 8; one 10**6-square matrix is 7.28 TiB
+    header["config"]["d_model"] = 10 ** 6
+    return header
+
+
+@_header_edit
+def _many_layers(header):  # a layout of 10**13 tensors is never drawn up
+    header["config"]["n_layers"] = 10 ** 12
+    return header
+
+
+def _huge_header_length(blob):
+    return blob[:8] + struct.pack("<Q", 2 ** 62) + blob[16:]
+
+
 @pytest.mark.parametrize("edit", [
-    lambda header: header["tensors"],
-    lambda header: {k: v for k, v in header.items() if k != "tensors"},
+    _header_edit(lambda header: header["tensors"]),
+    _header_edit(lambda header: {k: v for k, v in header.items() if k != "tensors"}),
     _without_dtype,
     _string_shape,
     _list_vocabulary,
     _zero_width,
+    _shape(2 ** 40),
+    _shape(2 ** 62, 2 ** 62),
+    _wide_config,
+    _many_layers,
+    _huge_header_length,
 ], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
-        "zero-width"])
+        "zero-width", "huge-shape", "overflowing-shape", "wide-config", "many-layers",
+        "huge-header-length"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config)
-    blob = path.read_bytes()
-    (length,) = struct.unpack("<Q", blob[8:16])
-    header = json.dumps(edit(json.loads(blob[16:16 + length]))).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header
-                     + blob[16 + length:])
+    path.write_bytes(edit(path.read_bytes()))
     sentences = tmp_path / "sentences.txt"
     sentences.write_text("wake the dog up\n", encoding="utf-8")
     proc = subprocess.run(
