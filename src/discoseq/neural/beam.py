@@ -63,7 +63,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     vocabulary = sorted((i, parse_transition(text))
                         for text, i in config.token_to_id.items()
                         if i != config.bos_id)
-    memory, _ = _encode(params, config, config.word_ids(words), None)
+    memory, _ = _encode(params, config, [config.word_ids(words)], None)
 
     live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
     past = None  # per decoder layer: self-attention (keys, values), a row per live hyp
@@ -81,7 +81,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
         logits, cache = _decode(params, config, memory, in_ids, stack_rows[:, None],
-                                buffer_rows[:, None], None, past, memory_kv)
+                                buffer_rows[:, None], past, memory_kv)
         past, memory_kv = cache["past"], cache["memory_kv"]
         del cache  # free this step's activations before the next step allocates
         log_probs = _log_softmax(logits[:, -1])

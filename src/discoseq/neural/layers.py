@@ -1,15 +1,17 @@
 """Building blocks with hand-written backward passes.
 
 Everything is float64.  The forward functions work along the last
-axis and take any leading axes: training passes one sequence as
-(T, d) rows, beam search one new row per hypothesis as (B, 1, d), and
-attention adds an axis per head.  `linear` flattens the leading axes
-into rows, so a beam step's stacked rows are one matrix product rather
-than one vector product per hypothesis.  The backward functions serve
-training, so they take (T, d) rows; only the attention backward also
-takes leading axes.  A forward whose backward needs more than the
-inputs and output also returns that cache.  Backwards return gradients
-in the same order as the forward inputs.
+axis and take any leading axes: training passes a whole batch's
+sentences packed as (rows, d), beam search one new row per hypothesis
+as (B, 1, d), and attention adds an axis per head.  `linear` flattens
+the leading axes into rows, so a batch or a beam step is one matrix
+product.  The backward functions serve training, so they take packed
+(rows, d) rows and sum parameter gradients over every row of the
+batch; attention, forward and backward, is called once per sentence on
+that sentence's rows, with a leading head axis.  A forward whose
+backward needs more than the inputs and output also returns that
+cache.  Backwards return gradients in the same order as the forward
+inputs.
 """
 
 import numpy as np
@@ -68,7 +70,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear_bwd(d_out: np.ndarray, x: np.ndarray, w: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return d_out @ w.T, x.T @ d_out, d_out.sum(axis=0)
+    return d_out @ w.T, x.T @ d_out, np.add.reduce(d_out, axis=0)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
@@ -87,11 +89,13 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 def layer_norm_bwd(d_out: np.ndarray, cache: tuple,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     normalized, inv_std, gain = cache
-    d_gain = (d_out * normalized).sum(axis=0)
-    d_bias = d_out.sum(axis=0)
+    width = d_out.shape[-1]
+    d_gain = np.add.reduce(d_out * normalized, axis=0)
+    d_bias = np.add.reduce(d_out, axis=0)
     d_norm = d_out * gain
-    d_x = inv_std * (d_norm - d_norm.mean(axis=-1, keepdims=True)
-                     - normalized * (d_norm * normalized).mean(axis=-1, keepdims=True))
+    d_x = inv_std * (d_norm - np.add.reduce(d_norm, axis=-1, keepdims=True) / width
+                     - normalized * (np.add.reduce(d_norm * normalized, axis=-1,
+                                                   keepdims=True) / width))
     return d_x, d_gain, d_bias
 
 

@@ -13,7 +13,19 @@ Both stacks are post-norm residual layers, and `_SUBLAYERS` is the one
 statement of their layout: `_layout` (each parameter's name, shape and
 initializer, which `init_parameters` draws and checkpoint loading
 checks), the forward loop `_layers` and the backward loop `_layers_bwd`
-all read it.
+all read it.  `init_parameters` draws into one float64 vector in
+`_layout` order and hands out reshaped views of it, and `loss_and_grad`
+sums gradients into views of a second, zeroed vector, so training's
+Adam update runs over whole vectors.
+
+Training packs a batch: `_pass` stacks every sentence's word rows, its
+memory rows (a sentinel row, then its words) and its decoder token
+rows, with positions restarting per sentence.  Each projection, norm,
+ReLU, dropout and embedding then runs once per batch, forward and
+backward; only attention runs per sentence, over that sentence's rows
+(its `Segments`), so nothing is padded.  `forward` is the same pass
+over one sentence.  Beam search steps every live hypothesis of one
+sentence at once through `_decode`, with cached keys and values.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
@@ -23,9 +35,9 @@ smoothing 0.01, batches of 3584 tokens and 80 epochs.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from dataclasses import dataclass, fields
+from itertools import accumulate, chain
+from typing import Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -37,6 +49,13 @@ from .layers import (NEG_INF, causal_mask, dropout, dropout_bwd, embed,
 
 BOS = "<bos>"
 UNK = "<unk>"
+
+
+def _is_a(value: object, kind: type) -> bool:
+    """Whether `value` is a `kind`; a bool is no int, and an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -63,6 +82,18 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if get_origin(field.type) is dict:
+                key_type, value_type = get_args(field.type)
+                fits = isinstance(value, dict) and all(
+                    _is_a(key, key_type) and _is_a(item, value_type)
+                    for key, item in value.items())
+            else:
+                fits = _is_a(value, field.type)
+            if not fits:
+                raise ValueError(f"{field.name}: expected {field.type.__name__}, "
+                                 f"got {value!r}")
         if self.d_model < 1:
             raise ValueError("d_model must be positive")
         if self.n_heads < 2:
@@ -123,25 +154,32 @@ def _layout(config: ModelConfig):
     yield "out.b", (len(config.token_to_id),), "zeros"
 
 
+def _flat(config: ModelConfig) -> Parameters:
+    """Zeroed `_layout` tensors, each a reshaped view of one vector."""
+    shapes = [(name, shape) for name, shape, _ in _layout(config)]
+    ends = list(accumulate(math.prod(shape) for _, shape in shapes))
+    parts = np.split(np.zeros(ends[-1]), ends[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes, parts)}
+
+
+def _vector(tensors: Parameters) -> np.ndarray:
+    """The one vector behind tensors that `_flat` made."""
+    return tensors["sentinel"].base
+
+
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
+    """Drawn tensors in `_layout` order, each a view of one float64 vector."""
     scale = 1.0 / math.sqrt(config.d_model)
-    params: Parameters = {}
+    params = _flat(config)
     for name, shape, init in _layout(config):
         if init == "normal":
-            params[name] = rng.standard_normal(shape) * scale
+            params[name][...] = rng.standard_normal(shape) * scale
         elif init == "glorot":  # shape is (fan_in, fan_out)
             limit = math.sqrt(6.0 / sum(shape))
-            params[name] = rng.uniform(-limit, limit, size=shape)
-        else:
-            params[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
+            params[name][...] = rng.uniform(-limit, limit, size=shape)
+        elif init == "ones":
+            params[name][...] = 1.0
     return params
-
-
-def _accumulate(grads: Parameters, name: str, value: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -155,18 +193,27 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1)
 
 
+# A packed batch's attention, one (query rows, key rows, additive mask or
+# None) triple per sentence: each sentence attends only its own rows, so no
+# score is computed across sentences.  Segments tile the key rows.
+Segments = list[tuple[slice, slice, np.ndarray | None]]
+_ALL = slice(None)
+
+
 def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
-         head_masks: np.ndarray | None, n_heads: int,
+         segments: Segments, n_heads: int,
          past: tuple[np.ndarray, np.ndarray] | None = None,
          kv: tuple[np.ndarray, np.ndarray] | None = None,
          ) -> tuple[np.ndarray, tuple]:
     """Multi-head attention; `past` keys and values precede the new ones.
 
-    The cache's `k` and `v` (entries 3 and 4) hold past plus new rows,
-    so they are the next call's `past`.  Given `kv`, the keys and values
-    that an earlier call projected from the same `x_kv`, they are used
-    as they are and `x_kv` is not projected again; training never
-    passes them.
+    Every projection runs once over all rows; only the attention itself
+    runs per segment.  A beam step is one segment over all rows, whose
+    mask broadcasts over the leading hypothesis axis.  The cache's `k`
+    and `v` (entries 3 and 4) hold past plus new rows, so they are the
+    next call's `past`.  Given `kv`, the keys and values that an earlier
+    call projected from the same `x_kv`, they are used as they are and
+    `x_kv` is not projected again; training never passes them.
     """
     q = _split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), n_heads)
     if kv is not None:
@@ -177,26 +224,34 @@ def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
     if past is not None:
         k = np.concatenate((past[0], k), axis=-2)
         v = np.concatenate((past[1], v), axis=-2)
-    heads, weights = masked_attention(q, k, v, head_masks)
+    # written in the rows' own layout, so merging the heads copies nothing
+    heads = np.empty_like(q)
+    weights = []
+    for rows, columns, mask in segments:
+        heads[..., rows, :], segment_weights = masked_attention(
+            q[..., rows, :], k[..., columns, :], v[..., columns, :], mask)
+        weights.append(segment_weights)
     concat = _merge_heads(heads)
     out = linear(concat, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    return out, (x_q, x_kv, q, k, v, concat, weights)
+    return out, (x_q, x_kv, q, k, v, concat, weights, segments)
 
 
 def _mha_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple,
              n_heads: int, grads: Parameters) -> tuple[np.ndarray, np.ndarray]:
-    x_q, x_kv, q, k, v, concat, weights = cache
+    x_q, x_kv, q, k, v, concat, weights, segments = cache
     d_concat, d_wo, d_bo = linear_bwd(d_out, concat, p[f"{prefix}.wo"])
-    _accumulate(grads, f"{prefix}.wo", d_wo)
-    _accumulate(grads, f"{prefix}.bo", d_bo)
-    d_q, d_k, d_v = masked_attention_bwd(_split_heads(d_concat, n_heads),
-                                         q, k, v, weights)
+    d_heads = _split_heads(d_concat, n_heads)
+    d_q, d_k, d_v = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    for (rows, columns, _), segment_weights in zip(segments, weights):
+        d_q[..., rows, :], d_k[..., columns, :], d_v[..., columns, :] = (
+            masked_attention_bwd(d_heads[..., rows, :], q[..., rows, :],
+                                 k[..., columns, :], v[..., columns, :], segment_weights))
     d_xq, d_wq, d_bq = linear_bwd(_merge_heads(d_q), x_q, p[f"{prefix}.wq"])
     d_xkv_k, d_wk, d_bk = linear_bwd(_merge_heads(d_k), x_kv, p[f"{prefix}.wk"])
     d_xkv_v, d_wv, d_bv = linear_bwd(_merge_heads(d_v), x_kv, p[f"{prefix}.wv"])
-    for name, grad in (("wq", d_wq), ("bq", d_bq), ("wk", d_wk), ("bk", d_bk),
-                       ("wv", d_wv), ("bv", d_bv)):
-        _accumulate(grads, f"{prefix}.{name}", grad)
+    for name, grad in (("wo", d_wo), ("bo", d_bo), ("wq", d_wq), ("bq", d_bq),
+                       ("wk", d_wk), ("bk", d_bk), ("wv", d_wv), ("bv", d_bv)):
+        grads[f"{prefix}.{name}"] += grad
     return d_xq, d_xkv_k + d_xkv_v
 
 
@@ -214,22 +269,22 @@ def _sublayer_ff_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple
     d_pre = relu_bwd(d_act, pre)
     d_x, d_w1, d_b1 = linear_bwd(d_pre, x, p[f"{prefix}.w1"])
     for name, grad in (("w1", d_w1), ("b1", d_b1), ("w2", d_w2), ("b2", d_b2)):
-        _accumulate(grads, f"{prefix}.{name}", grad)
+        grads[f"{prefix}.{name}"] += grad
     return d_x
 
 
 def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
-            rng: np.random.Generator | None, self_mask: np.ndarray | None = None,
+            rng: np.random.Generator | None, self_segments: Segments,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
-            memory: np.ndarray | None = None, cross_masks: np.ndarray | None = None,
+            memory: np.ndarray | None = None, cross_segments: Segments | None = None,
             memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, list[tuple]]:
     """The `side` layer stack: x = ln_j(x + dropout(sublayer_j(x))).
 
-    Self-attention reads `self_mask` and layer i's `past` keys and
-    values; cross-attention reads `memory` under `cross_masks`, through
-    layer i's `memory_kv` keys and values when given.  Returns the
-    output and one (kind, name, norm name, sublayer cache, dropout
+    Self-attention reads `self_segments` and layer i's `past` keys and
+    values; cross-attention reads `memory` under `cross_segments`,
+    through layer i's `memory_kv` keys and values when given.  Returns
+    the output and one (kind, name, norm name, sublayer cache, dropout
     mask, norm cache) step per sublayer, in run order.
     """
     steps = []
@@ -239,10 +294,10 @@ def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
             if kind == "ff":
                 out, cache = _sublayer_ff(p, name, x)
             elif kind == "self":
-                out, cache = _mha(p, name, x, x, self_mask, config.n_heads,
+                out, cache = _mha(p, name, x, x, self_segments, config.n_heads,
                                   None if past is None else past[i])
             else:
-                out, cache = _mha(p, name, x, memory, cross_masks, config.n_heads,
+                out, cache = _mha(p, name, x, memory, cross_segments, config.n_heads,
                                   kv=None if memory_kv is None else memory_kv[i])
             out, drop = dropout(out, config.dropout, rng)
             x, norm = layer_norm(x + out, p[f"{ln}.g"], p[f"{ln}.b"])
@@ -257,8 +312,8 @@ def _layers_bwd(p: Parameters, config: ModelConfig, d_x: np.ndarray, steps: list
     d_memory = None
     for kind, name, ln, cache, drop, norm in reversed(steps):
         d_sum, d_g, d_b = layer_norm_bwd(d_x, norm)
-        _accumulate(grads, f"{ln}.g", d_g)
-        _accumulate(grads, f"{ln}.b", d_b)
+        grads[f"{ln}.g"] += d_g
+        grads[f"{ln}.b"] += d_b
         d_out = dropout_bwd(d_sum, drop)
         if kind == "ff":
             d_x = d_sum + _sublayer_ff_bwd(p, name, d_out, cache, grads)
@@ -272,37 +327,55 @@ def _layers_bwd(p: Parameters, config: ModelConfig, d_x: np.ndarray, steps: list
     return d_x, d_memory
 
 
-def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray, start: int,
-           rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Scaled `table` rows of `ids` plus positions from `start`, with dropout."""
+def _spans(lengths: Sequence[int]) -> list[slice]:
+    """Consecutive row slices of the given lengths, from row 0."""
+    return [slice(end - n, end) for n, end in zip(lengths, accumulate(lengths))]
+
+
+def _positions(lengths: Sequence[int]) -> np.ndarray:
+    """Packed positions that restart at 0 for each length."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(sum(lengths)) - np.repeat(starts, lengths)
+
+
+def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray,
+           positions: np.ndarray, rng: np.random.Generator | None,
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Scaled `table` rows of `ids` plus the rows of `positions`, with dropout."""
     x = (embed(p[table], ids, math.sqrt(config.d_model))
-         + sinusoidal_positions(np.arange(start, start + ids.shape[-1]), config.d_model))
+         + sinusoidal_positions(positions, config.d_model))
     return dropout(x, config.dropout, rng)
 
 
 def _embed_bwd(p: Parameters, config: ModelConfig, table: str, d_x: np.ndarray,
                cache: dict, grads: Parameters) -> None:
     d_x = dropout_bwd(d_x, cache["drop_emb"])
-    _accumulate(grads, table, embed_bwd(d_x, p[table].shape, cache["ids"],
-                                        math.sqrt(config.d_model)))
+    grads[table] += embed_bwd(d_x, p[table].shape, cache["ids"], math.sqrt(config.d_model))
 
 
-def _encode(p: Parameters, config: ModelConfig, word_ids: np.ndarray,
+def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
             rng: np.random.Generator | None) -> tuple[np.ndarray, dict]:
-    n = len(word_ids)
-    if n > config.max_positions:
-        raise ValueError(f"sentence length {n} exceeds max_positions")
-    x, drop_emb = _embed(p, config, "word_emb", word_ids, 0, rng)
-    x, layers = _layers(p, config, "enc", x, rng)
-    memory = np.vstack([p["sentinel"][None, :], x])
-    return memory, {"ids": word_ids, "drop_emb": drop_emb, "layers": layers}
+    """The packed encoder memory of `sentences`: each one's sentinel row,
+    then its words' rows.
 
-
-def _encode_bwd(p: Parameters, config: ModelConfig, d_memory: np.ndarray,
-                cache: dict, grads: Parameters) -> None:
-    _accumulate(grads, "sentinel", d_memory[0])
-    d_x, _ = _layers_bwd(p, config, d_memory[1:], cache["layers"], grads)
-    _embed_bwd(p, config, "word_emb", d_x, cache, grads)
+    `cache["memory_rows"]` holds each sentence's memory rows, and
+    `cache["words"]` marks the rows that are not sentinels.
+    """
+    lengths = [len(ids) for ids in sentences]
+    if max(lengths) > config.max_positions:
+        raise ValueError(f"sentence length {max(lengths)} exceeds max_positions")
+    ids = np.concatenate(sentences)
+    x, drop_emb = _embed(p, config, "word_emb", ids, _positions(lengths), rng)
+    x, layers = _layers(p, config, "enc", x, rng,
+                        [(rows, rows, None) for rows in _spans(lengths)])
+    memory_rows = _spans([n + 1 for n in lengths])
+    words = np.ones(len(ids) + len(lengths), dtype=bool)
+    words[[rows.start for rows in memory_rows]] = False
+    memory = np.empty((len(words), config.d_model))
+    memory[~words] = p["sentinel"]
+    memory[words] = x
+    return memory, {"ids": ids, "drop_emb": drop_emb, "layers": layers,
+                    "memory_rows": memory_rows, "words": words}
 
 
 def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,20 +408,21 @@ def _cross_head_masks(config: ModelConfig, stack_rows: np.ndarray,
 
 def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
             in_ids: np.ndarray, stack_rows: np.ndarray, buffer_rows: np.ndarray,
-            rng: np.random.Generator | None,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, dict]:
-    """Decoder logits for the input tokens `in_ids` (..., T).
+    """Decoder logits for the input tokens `in_ids` (..., T) of one
+    sentence, in evaluation mode.
 
-    Training passes whole sequences as (T,) ids with (T, n_words + 1)
-    mask rows.  Beam search passes one new token per hypothesis as
-    (B, 1) ids with (B, 1, n_words + 1) rows, plus `past`, the
-    per-layer self-attention keys and values of the earlier positions
-    that the previous call returned as `cache["past"]`.  Positions and
-    the causal mask then start at the past length, and the
-    `max_positions` check counts past and new rows together.  A
-    one-token step sees every earlier position, so it gets no self mask.
+    Beam search passes one new token per hypothesis as (B, 1) ids with
+    (B, 1, n_words + 1) mask rows, plus `past`, the per-layer
+    self-attention keys and values of the earlier positions that the
+    previous call returned as `cache["past"]`.  Positions and the causal
+    mask then start at the past length, and the `max_positions` check
+    counts past and new rows together.  A one-token step sees every
+    earlier position, so it gets no self mask.  A whole (T,) sequence
+    with (T, n_words + 1) rows is the same computation as `_pass` on one
+    sentence.
 
     `cache["memory_kv"]` holds each layer's cross-attention keys and
     values of `memory`, shared by every row.  Passing them back as
@@ -358,27 +432,62 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     start = 0 if past is None else past[0][0].shape[-2]
     if start + t > config.max_positions:
         raise ValueError(f"sequence length {start + t} exceeds max_positions")
-    y, drop_emb = _embed(p, config, "tok_emb", in_ids, start, rng)
+    y, _ = _embed(p, config, "tok_emb", in_ids, np.arange(start, start + t), None)
     self_mask = (None if t == 1
                  else np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1))
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
-    y, layers = _layers(p, config, "dec", y, rng, self_mask, past, memory, cross_masks,
-                        memory_kv)
+    y, layers = _layers(p, config, "dec", y, None, [(_ALL, _ALL, self_mask)], past, memory,
+                        [(_ALL, _ALL, cross_masks)], memory_kv)
     logits = linear(y, p["out.w"], p["out.b"])
-    return logits, {"ids": in_ids, "drop_emb": drop_emb, "layers": layers, "final": y,
-                    "past": [step[3][3:5] for step in layers if step[0] == "self"],
+    return logits, {"past": [step[3][3:5] for step in layers if step[0] == "self"],
                     "memory_kv": [step[3][3:5] for step in layers if step[0] == "cross"]}
 
 
-def _decode_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray,
-                cache: dict, grads: Parameters) -> np.ndarray:
-    """Returns the gradient w.r.t. the encoder memory."""
+def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
+          in_ids: Sequence[np.ndarray], stack_rows: Sequence[np.ndarray],
+          buffer_rows: Sequence[np.ndarray], rng: np.random.Generator | None,
+          ) -> tuple[np.ndarray, dict]:
+    """Logits of a packed batch and the cache that `_pass_bwd` reads.
+
+    Sentence i's decoder reads its tokens `in_ids[i]` under its mask
+    rows `stack_rows[i]` and `buffer_rows[i]`, (T_i, n_i + 1) each.  The
+    sentences' rows are stacked, so every projection, norm, dropout and
+    embedding runs once per batch; only attention runs per sentence,
+    over that sentence's rows.  Logit rows follow the sentences in order.
+    """
+    memory, encoder = _encode(p, config, sentences, rng)
+    lengths = [len(ids) for ids in in_ids]
+    if max(lengths) > config.max_positions:
+        raise ValueError(f"sequence length {max(lengths)} exceeds max_positions")
+    causal = causal_mask(max(lengths))
+    self_segments, cross_segments = [], []
+    for rows, columns, stack, buffer in zip(_spans(lengths), encoder["memory_rows"],
+                                            stack_rows, buffer_rows):
+        t = rows.stop - rows.start
+        self_segments.append((rows, rows, causal[:t, :t]))
+        cross_segments.append((rows, columns, _cross_head_masks(config, stack, buffer)))
+    ids = np.concatenate(in_ids)
+    y, drop_emb = _embed(p, config, "tok_emb", ids, _positions(lengths), rng)
+    y, layers = _layers(p, config, "dec", y, rng, self_segments, None, memory,
+                        cross_segments)
+    logits = linear(y, p["out.w"], p["out.b"])
+    return logits, {"encoder": encoder, "ids": ids, "drop_emb": drop_emb,
+                    "layers": layers, "final": y}
+
+
+def _pass_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray, cache: dict,
+              grads: Parameters) -> None:
+    """Adds the gradients of `_pass`'s parameters to `grads`."""
     d_y, d_out_w, d_out_b = linear_bwd(d_logits, cache["final"], p["out.w"])
-    _accumulate(grads, "out.w", d_out_w)
-    _accumulate(grads, "out.b", d_out_b)
+    grads["out.w"] += d_out_w
+    grads["out.b"] += d_out_b
     d_y, d_memory = _layers_bwd(p, config, d_y, cache["layers"], grads)
     _embed_bwd(p, config, "tok_emb", d_y, cache, grads)
-    return d_memory
+    encoder = cache["encoder"]
+    words = encoder["words"]
+    grads["sentinel"] += d_memory[~words].sum(axis=0)
+    d_x, _ = _layers_bwd(p, config, d_memory[words], encoder["layers"], grads)
+    _embed_bwd(p, config, "word_emb", d_x, encoder, grads)
 
 
 @dataclass(frozen=True)
@@ -406,8 +515,8 @@ def forward(word_ids: np.ndarray, prefix_ids: Sequence[int],
         raise ValueError("mask trace must have one pair per step plus the start")
     in_ids = np.concatenate(([config.bos_id], prefix))
     stack_rows, buffer_rows = mask_rows(mask_trace, len(word_ids))
-    memory, _ = _encode(params, config, np.asarray(word_ids, dtype=np.int64), None)
-    logits, _ = _decode(params, config, memory, in_ids, stack_rows, buffer_rows, None)
+    logits, _ = _pass(params, config, [np.asarray(word_ids, dtype=np.int64)], [in_ids],
+                      [stack_rows], [buffer_rows], None)
     return softmax_rows(logits)
 
 
@@ -439,24 +548,18 @@ def _smoothed_ce(logits: np.ndarray, targets: np.ndarray,
 def _batch_pass(params: Parameters, config: ModelConfig, batch: Sequence[Example],
                 rng: np.random.Generator | None, grads: Parameters | None,
                 ) -> tuple[float, int, int]:
-    """Summed loss, target and correct counts; sums gradients into `grads`."""
-    total = 0.0
-    count = 0
-    correct = 0
-    for example in batch:
-        targets = example.target_ids
-        in_ids = np.concatenate(([config.bos_id], targets[:-1]))
-        memory, enc_cache = _encode(params, config, example.word_ids, rng)
-        logits, dec_cache = _decode(params, config, memory, in_ids,
-                                    example.stack_rows, example.buffer_rows, rng)
-        example_total, d_logits = _smoothed_ce(logits, targets, config.label_smoothing)
-        total += example_total
-        count += len(targets)
-        correct += int((logits.argmax(axis=-1) == targets).sum())
-        if grads is not None:
-            d_memory = _decode_bwd(params, config, d_logits, dec_cache, grads)
-            _encode_bwd(params, config, d_memory, enc_cache, grads)
-    return total, count, correct
+    """Summed loss, target and correct counts of one packed pass; adds
+    the gradients to `grads`."""
+    logits, cache = _pass(
+        params, config, [example.word_ids for example in batch],
+        [np.concatenate(([config.bos_id], example.target_ids[:-1])) for example in batch],
+        [example.stack_rows for example in batch],
+        [example.buffer_rows for example in batch], rng)
+    targets = np.concatenate([example.target_ids for example in batch])
+    total, d_logits = _smoothed_ce(logits, targets, config.label_smoothing)
+    if grads is not None:
+        _pass_bwd(params, config, d_logits, cache, grads)
+    return total, len(targets), int((logits.argmax(axis=-1) == targets).sum())
 
 
 def batch_loss(params: Parameters, config: ModelConfig,
@@ -469,11 +572,14 @@ def batch_loss(params: Parameters, config: ModelConfig,
 def loss_and_grad(params: Parameters, config: ModelConfig, batch: Sequence[Example],
                   rng: np.random.Generator | None = None,
                   ) -> tuple[float, Parameters, int, int]:
-    """Token-mean loss, gradients, and (correct, total) token counts."""
-    grads: Parameters = {}
+    """Token-mean loss, gradients, and (correct, total) token counts.
+
+    The gradients are views of one fresh vector in `_layout` order.
+    """
+    grads = _flat(config)
     total, count, correct = _batch_pass(params, config, batch, rng, grads)
-    for name in grads:
-        grads[name] /= count
+    vector = _vector(grads)
+    vector /= count
     return total / count, grads, correct, count
 
 

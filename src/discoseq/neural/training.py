@@ -1,8 +1,13 @@
 """Teacher-forced training on oracle token sequences.
 
 Examples pair each sentence with its oracle transition tokens and the
-per-step stack/buffer mask rows replayed from those tokens.  Updates
-are Adam with a linear warm-up into an inverse square-root decay.
+per-step stack/buffer mask rows replayed from those tokens; `train`
+encodes each tree once, for both the vocabularies and the examples.
+Each batch is one packed forward and backward pass (see `model`).
+Updates are Adam with a linear warm-up into an inverse square-root
+decay, applied in place to the one parameter vector, with the two
+moments as one (2, size) array, one scratch vector, and the spent
+gradient vector as the second scratch.
 """
 
 import math
@@ -13,10 +18,10 @@ import numpy as np
 
 from ..masks import trace
 from ..oracle import encode
-from ..transitions import Scheme, parse_scheme
+from ..transitions import Scheme, Transition, parse_scheme
 from ..tree import ConstituentTree
-from .model import (BOS, UNK, Example, ModelConfig, Parameters, init_parameters,
-                    loss_and_grad, mask_rows)
+from .model import (BOS, UNK, Example, ModelConfig, Parameters, _vector,
+                    init_parameters, loss_and_grad, mask_rows)
 
 
 class TrainingDiverged(ValueError):
@@ -38,6 +43,10 @@ class TrainResult:
     history: list[EpochStats]
 
 
+# each tree with its oracle tokens, encoded once
+_Encoded = Sequence[tuple[ConstituentTree, Sequence[Transition]]]
+
+
 def _as_scheme(scheme: str | Scheme) -> Scheme:
     return parse_scheme(scheme) if isinstance(scheme, str) else scheme
 
@@ -46,11 +55,15 @@ def build_vocabularies(trees: Iterable[ConstituentTree],
                        scheme: str | Scheme) -> tuple[dict[str, int], dict[str, int]]:
     """Word and transition-token vocabularies, deterministic order."""
     scheme = _as_scheme(scheme)
+    return _vocabularies([(tree, encode(tree, scheme)) for tree in trees])
+
+
+def _vocabularies(encoded: _Encoded) -> tuple[dict[str, int], dict[str, int]]:
     words: set[str] = set()
     tokens: set[str] = set()
-    for tree in trees:
+    for tree, sequence in encoded:
         words.update(tree.sentence)
-        tokens.update(str(t) for t in encode(tree, scheme))
+        tokens.update(str(t) for t in sequence)
     word_to_id = {UNK: 0}
     for word in sorted(words):
         word_to_id[word] = len(word_to_id)
@@ -63,9 +76,12 @@ def build_vocabularies(trees: Iterable[ConstituentTree],
 def build_examples(trees: Iterable[ConstituentTree], scheme: str | Scheme,
                    config: ModelConfig) -> list[Example]:
     scheme = _as_scheme(scheme)
+    return _examples([(tree, encode(tree, scheme)) for tree in trees], scheme, config)
+
+
+def _examples(encoded: _Encoded, scheme: Scheme, config: ModelConfig) -> list[Example]:
     examples = []
-    for tree in trees:
-        tokens = encode(tree, scheme)
+    for tree, tokens in encoded:
         pairs = trace(len(tree.sentence), tokens, scheme)
         # pairs[t] is the structure before emitting token t; the final
         # pair describes the terminal state and is never conditioned on.
@@ -90,18 +106,33 @@ def lr_at(update: int, config: ModelConfig) -> float:
     return max(rate, config.min_lr)
 
 
-def _adam_update(params: Parameters, grads: Parameters,
-                 state: dict[str, tuple[np.ndarray, np.ndarray]],
-                 update: int, rate: float, config: ModelConfig) -> None:
+def _adam_update(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
+                 scratch: np.ndarray, update: int, rate: float,
+                 config: ModelConfig) -> None:
+    """One Adam step on flat vectors, in place; `grads` is used up.
+
+    `moments` holds the first and second moment as its two rows.  The
+    elementwise operations and their order are those of
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+    params -= rate (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+    """
     b1, b2 = config.adam_beta1, config.adam_beta2
-    for name, grad in grads.items():
-        first, second = state[name]
-        first = b1 * first + (1.0 - b1) * grad
-        second = b2 * second + (1.0 - b2) * grad * grad
-        state[name] = (first, second)
-        first_hat = first / (1.0 - b1 ** update)
-        second_hat = second / (1.0 - b2 ** update)
-        params[name] -= rate * first_hat / (np.sqrt(second_hat) + config.adam_eps)
+    first, second = moments
+    first *= b1
+    np.multiply(grads, 1.0 - b1, out=scratch)
+    first += scratch
+    second *= b2
+    np.multiply(grads, 1.0 - b2, out=scratch)
+    scratch *= grads
+    second += scratch
+    # both moments have read the gradient, so it is the second scratch buffer
+    np.divide(first, 1.0 - b1 ** update, out=scratch)
+    scratch *= rate
+    np.divide(second, 1.0 - b2 ** update, out=grads)
+    np.sqrt(grads, out=grads)
+    grads += config.adam_eps
+    scratch /= grads
+    params -= scratch
 
 
 def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
@@ -125,18 +156,20 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
     trees = list(trees)
     if not trees:
         raise ValueError("no trees to train on")
+    encoded = [(tree, encode(tree, scheme)) for tree in trees]
     if config is None:
-        word_to_id, token_to_id = build_vocabularies(trees, scheme)
+        word_to_id, token_to_id = _vocabularies(encoded)
         config = ModelConfig(scheme=str(scheme), word_to_id=word_to_id,
                              token_to_id=token_to_id, **overrides)  # type: ignore[arg-type]
     elif overrides:
         config = replace(config, **overrides)  # type: ignore[arg-type]
-    examples = build_examples(trees, scheme, config)
+    examples = _examples(encoded, scheme, config)
 
     rng = np.random.default_rng(config.seed)
     params = init_parameters(config, rng)
-    adam_state = {name: (np.zeros_like(value), np.zeros_like(value))
-                  for name, value in params.items()}
+    vector = _vector(params)
+    moments = np.zeros((2, vector.size))
+    scratch = np.empty(vector.size)
     dropout_rng = rng if config.dropout > 0.0 else None
 
     history: list[EpochStats] = []
@@ -156,7 +189,7 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
                     f"loss {batch_loss} at epoch {epoch}, update {update + 1}")
             update += 1
             rate = lr_at(update, config)
-            _adam_update(params, grads, adam_state, update, rate, config)
+            _adam_update(vector, _vector(grads), moments, scratch, update, rate, config)
             loss_sum += batch_loss * count
             token_total += count
             token_correct += correct

@@ -62,6 +62,25 @@ class Constituent:
         # equal trees have equal labels and yields; a frozenset caches its hash
         return hash((self.label, self.positions))
 
+    def __repr__(self) -> str:
+        """The form `dataclass` would generate, written by a loop."""
+        parts = []
+        pending: list[tuple[bool, object]] = [(False, self)]  # (is text, item)
+        while pending:
+            is_text, item = pending.pop()
+            if is_text:
+                parts.append(item)
+            elif isinstance(item, Constituent):
+                parts.append(f"{type(item).__qualname__}(label={item.label!r}, children=(")
+                pending.append((True, ",))" if len(item.children) == 1 else "))"))
+                for i in reversed(range(len(item.children))):
+                    pending.append((False, item.children[i]))
+                    if i:
+                        pending.append((True, ", "))
+            else:
+                parts.append(repr(item))
+        return "".join(parts)
+
     def constituents(self) -> Iterator["Constituent"]:
         """Pre-order iteration over this node and all nested constituents."""
         pending = [self]  # next on top

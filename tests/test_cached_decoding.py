@@ -47,8 +47,7 @@ def _step(params, config, memory, in_ids, pairs, past, memory_kv):
     stack_rows, buffer_rows = nm.mask_rows(pairs, memory.shape[0] - 1)
     logits, cache = nm._decode(params, config, memory,
                                np.array(in_ids, dtype=np.int64)[:, None],
-                               stack_rows[:, None], buffer_rows[:, None], None, past,
-                               memory_kv)
+                               stack_rows[:, None], buffer_rows[:, None], past, memory_kv)
     last = logits[:, -1]
     exp = np.exp(last - last.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True), cache["past"], cache["memory_kv"]
@@ -69,7 +68,7 @@ def test_cached_steps_match_forward(toy20, scheme):
         ids, pairs = _gold(tree, scheme, config)
         word_ids = config.word_ids(tree.sentence)
         expected = forward(word_ids, ids, pairs, params, config)
-        memory, _ = nm._encode(params, config, word_ids, None)
+        memory, _ = nm._encode(params, config, [word_ids], None)
         past = memory_kv = None
         for t, in_id in enumerate([config.bos_id] + ids):
             probs, past, memory_kv = _step(params, config, memory, [in_id], [pairs[t]],
@@ -87,7 +86,7 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
     # check legality, so permuted inputs and mask rows serve as well
     hyps = [(inputs, pairs), (inputs[::-1], pairs[::-1]),
             (inputs[1:] + inputs[:1], pairs[1:] + pairs[:1])]
-    memory, _ = nm._encode(params, config, config.word_ids(tree.sentence), None)
+    memory, _ = nm._encode(params, config, [config.word_ids(tree.sentence)], None)
 
     alone = []
     for hyp_ids, hyp_pairs in hyps:

@@ -1,24 +1,27 @@
 """Trees of any depth are read, encoded, decoded, traced and scored.
 
-Every tree walk is a loop, so none of these stages depends on the
-interpreter's recursion limit, which stays at its default here.  A
-chain goes 5,000 levels deep.  Every level of a right-branching nest
-holds a word, so the yields it stores grow with the square of its
-depth, and so do its mask traces: it goes 1,200 levels deep.
+Every tree walk is a loop, so none of these stages, nor a tree's
+`repr`, depends on the interpreter's recursion limit, which stays at
+its default here.  A chain goes 5,000 levels deep.  Every level of a
+right-branching nest holds a word, so the yields it stores grow with
+the square of its depth, and so do its mask traces: it goes 1,200
+levels deep.
 
 The last test guards the loops: no function in the package calls its
 own name.  It cannot see the methods that `dataclass` generates; the
-depth tests cover those.
+depth tests cover those.  `Constituent` writes its own `repr`, which
+must print what `dataclass` would.
 """
 
 import ast
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import discoseq as dq
-from conftest import SHAPES, deep_line
+from conftest import SHAPES, deep_line, random_tree
 
 DEPTHS = {"chain": 5000, "nest": 1200}
 BASES = ("inorder+swap", "topdown+swap", "bottomup+swap")
@@ -56,6 +59,32 @@ def test_a_deep_tree_is_scored_reordered_and_validated(deep):
     flat = dq.reorder_canonical(tree)
     assert flat == tree and dq.validate(flat) is None
     assert {tree: 1}[dq.parse_discbracket(dq.emit_discbracket(tree))] == 1
+
+
+def _reference_repr(node) -> str:
+    """The repr that `dataclass` generates for a constituent, by recursion."""
+    if not isinstance(node, dq.Constituent):
+        return repr(node)
+    children = ", ".join(_reference_repr(child) for child in node.children)
+    if len(node.children) == 1:
+        children += ","
+    return f"Constituent(label={node.label!r}, children=({children}))"
+
+
+def test_a_deep_tree_has_a_repr(deep):
+    _, tree = deep
+    text = repr(tree)
+    assert text.startswith(f"ConstituentTree(sentence={tree.sentence!r}, root=Constituent(")
+    assert text.count("Constituent(label=") == sum(1 for _ in tree.root.constituents())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_repr_is_the_dataclass_form(seed):
+    root = random_tree(random.Random(seed)).root
+    assert repr(root) == _reference_repr(root)
+    # a childless node is invalid, but prints all the same
+    odd = dq.Constituent("X'", (dq.Constituent("E", ()), 3))
+    assert repr(odd) == _reference_repr(odd)
 
 
 def _self_calls(path: Path) -> list[str]:

@@ -3,6 +3,7 @@ import math
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from discoseq.neural import (
     grad_check,
     init_parameters,
     load_checkpoint,
+    loss_and_grad,
     masked_attention,
     predict,
     save_checkpoint,
 )
 from discoseq.neural import model as nm
+from discoseq.neural import training
 from discoseq.neural.checkpoint import CheckpointError
 from discoseq.neural.training import build_examples, build_vocabularies
+
+from conftest import DISCO_SCHEMES
 
 SCHEME = "inorder+swap"
 
@@ -129,6 +134,20 @@ def test_config_requires_contiguous_ids(toy4):
         ModelConfig(scheme=SCHEME, word_to_id=words, token_to_id=tokens)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("d_model", 8.0), ("epochs", True), ("dropout", "x"), ("lr", None),
+    ("scheme", 1), ("word_to_id", {"<unk>": 0.0}), ("token_to_id", {0: 0}),
+    ("token_to_id", [("<bos>", 0)]),
+])
+def test_config_checks_field_types(toy4, field, value):
+    with pytest.raises(ValueError, match=f"^{field}: expected "):
+        tiny_config(toy4, **{field: value})
+
+
+def test_config_float_fields_take_ints(toy4):
+    assert tiny_config(toy4, dropout=0, lr=1).lr == 1
+
+
 def test_unknown_words_fall_back_to_unk(setup):
     config, _, _ = setup
     ids = config.word_ids(["dog", "zzzz"])
@@ -145,6 +164,34 @@ def test_init_parameters_deterministic(setup):
     assert params["word_emb"].shape == (len(config.word_to_id), config.d_model)
     assert params["tok_emb"].shape == (len(config.token_to_id), config.d_model)
     assert params["out.w"].shape == (config.d_model, len(config.token_to_id))
+
+
+def _reference_init(config, rng):
+    """One array per tensor, drawn as `init_parameters` draws them."""
+    scale = 1.0 / math.sqrt(config.d_model)
+    params = {}
+    for name, shape, init in nm._layout(config):
+        if init == "normal":
+            params[name] = rng.standard_normal(shape) * scale
+        elif init == "glorot":
+            limit = math.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
+    return params
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_init_parameters_draws_every_tensor_into_one_vector(toy4, seed):
+    config = tiny_config(toy4, n_layers=2)
+    params = init_parameters(config, np.random.default_rng(seed))
+    reference = _reference_init(config, np.random.default_rng(seed))
+    assert list(params) == [name for name, _, _ in nm._layout(config)] == list(reference)
+    for name in params:
+        assert np.array_equal(params[name], reference[name])
+    vector = nm._vector(params)
+    assert all(tensor.base is vector for tensor in params.values())
+    assert np.array_equal(np.concatenate([t.ravel() for t in params.values()]), vector)
 
 
 # --- forward pass ---------------------------------------------------------
@@ -193,7 +240,7 @@ def test_sentence_length_capped(setup):
     config, params, _ = setup
     words = np.zeros(config.max_positions + 1, dtype=int)
     with pytest.raises(ValueError):
-        nm._encode(params, config, words, None)
+        nm._encode(params, config, [words], None)
 
 
 def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4, toy20):
@@ -250,10 +297,9 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     step cannot influence that step's distribution at all."""
     config, params, examples = setup
     ex = examples[0]
-    memory, _ = nm._encode(params, config, ex.word_ids, None)
+    memory, _ = nm._encode(params, config, [ex.word_ids], None)
     in_ids = np.concatenate(([config.bos_id], ex.target_ids[:-1]))
-    logits, _ = nm._decode(params, config, memory, in_ids,
-                           ex.stack_rows, ex.buffer_rows, None)
+    logits, _ = nm._decode(params, config, memory, in_ids, ex.stack_rows, ex.buffer_rows)
     hidden_both = [
         (t, pos) for t in range(len(ex.target_ids))
         for pos in range(len(ex.word_ids))
@@ -264,7 +310,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     bumped = memory.copy()
     bumped[pos + 1] += 17.0
     new_logits, _ = nm._decode(params, config, bumped, in_ids,
-                               ex.stack_rows, ex.buffer_rows, None)
+                               ex.stack_rows, ex.buffer_rows)
     assert np.array_equal(logits[t], new_logits[t])
     # sanity: the perturbation is visible at steps that can see the word
     visible = [s for s in range(len(ex.target_ids))
@@ -382,7 +428,6 @@ def test_grad_check_refuses_big_models(toy4):
 def test_dropout_gradients_match_central_differences(toy20):
     """`grad_check` runs in evaluation mode, so this checks the dropout
     backward: every evaluation draws the same masks from a fresh rng."""
-    from discoseq.neural import loss_and_grad
     trees = sorted(toy20, key=len)[:2]
     config = tiny_config(trees, n_layers=2, dropout=0.3)
     params = init_parameters(config, np.random.default_rng(0))
@@ -409,11 +454,78 @@ def test_dropout_gradients_match_central_differences(toy20):
 
 
 def test_batch_loss_agrees_with_loss_and_grad(setup):
-    from discoseq.neural import loss_and_grad
     config, params, examples = setup
     direct = batch_loss(params, config, examples[:2])
     via_grad, _, _, _ = loss_and_grad(params, config, examples[:2])
     assert math.isclose(direct, via_grad, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", DISCO_SCHEMES, ids=str)
+def test_a_packed_batch_sums_its_sentences_gradients(toy20, scheme):
+    """One pass over four sentences of uneven lengths gives the gradients
+    of the four one-sentence batches, weighted by their target counts."""
+    by_length = {len(tree): tree for tree in toy20}
+    trees = [by_length[n] for n in sorted(by_length)[-4:]]
+    words, tokens = build_vocabularies(trees, scheme)
+    config = ModelConfig(scheme=str(scheme), word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=2, d_ff=16)
+    params = init_parameters(config, np.random.default_rng(0))
+    examples = build_examples(trees, scheme, config)
+    assert len({len(ex.word_ids) for ex in examples}) == 4
+    loss, packed, _, count = loss_and_grad(params, config, examples)
+    summed_loss = 0.0
+    summed = {name: np.zeros_like(value) for name, value in params.items()}
+    for example in examples:
+        one_loss, grads, _, one_count = loss_and_grad(params, config, [example])
+        summed_loss += one_loss * one_count
+        for name in summed:
+            summed[name] += grads[name] * one_count
+    assert count == sum(len(ex.target_ids) for ex in examples)
+    assert math.isclose(loss, summed_loss / count, rel_tol=1e-12)
+    for name, grad in summed.items():
+        grad /= count
+        error = np.abs(packed[name] - grad).max()
+        if name.endswith(".bk"):  # shifts every score of a query row alike
+            assert error <= 1e-15, name
+        else:
+            assert error <= 1e-12 * np.abs(grad).max(), name
+
+
+def _reference_adam(params, grads, state, update, rate, config):
+    """Adam one tensor at a time, as separate array expressions."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for name, grad in grads.items():
+        first, second = state[name]
+        first = b1 * first + (1.0 - b1) * grad
+        second = b2 * second + (1.0 - b2) * grad * grad
+        state[name] = (first, second)
+        first_hat = first / (1.0 - b1 ** update)
+        second_hat = second / (1.0 - b2 ** update)
+        params[name] -= rate * first_hat / (np.sqrt(second_hat) + config.adam_eps)
+
+
+def test_flat_adam_is_the_per_tensor_adam_bit_for_bit(setup):
+    config, _, examples = setup
+    config = replace(config, warmup_updates=3)
+    params = init_parameters(config, np.random.default_rng(0))
+    reference = {name: value.copy() for name, value in params.items()}
+    state = {name: (np.zeros_like(value), np.zeros_like(value))
+             for name, value in params.items()}
+    weights = nm._vector(params)
+    moments = np.zeros((2, weights.size))
+    scratch = np.empty(weights.size)
+    for update in range(1, 7):
+        batch = examples[update % 2::2]
+        _, grads, _, _ = loss_and_grad(params, config, batch)
+        rate = training.lr_at(update, config)
+        _reference_adam(reference, {name: g.copy() for name, g in grads.items()}, state,
+                        update, rate, config)
+        training._adam_update(weights, nm._vector(grads), moments, scratch, update, rate,
+                              config)
+        for name in params:
+            assert np.array_equal(params[name], reference[name]), (update, name)
+    for row, moment in zip(moments, zip(*state.values())):
+        assert np.array_equal(row, np.concatenate([m.ravel() for m in moment]))
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -529,6 +641,18 @@ def _shape(*sizes):
 
 
 @_header_edit
+def _float_width(header):  # equal to the int 8, so the tensor shapes still match
+    header["config"]["d_model"] = 8.0
+    return header
+
+
+@_header_edit
+def _string_dropout(header):
+    header["config"]["dropout"] = "x"
+    return header
+
+
+@_header_edit
 def _wide_config(header):  # over tensors of width 8; one 10**6-square matrix is 7.28 TiB
     header["config"]["d_model"] = 10 ** 6
     return header
@@ -556,9 +680,11 @@ def _huge_header_length(blob):
     _wide_config,
     _many_layers,
     _huge_header_length,
+    _float_width,
+    _string_dropout,
 ], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
         "zero-width", "huge-shape", "overflowing-shape", "wide-config", "many-layers",
-        "huge-header-length"])
+        "huge-header-length", "float-width", "string-dropout"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"

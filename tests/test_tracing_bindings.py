@@ -4,8 +4,9 @@
 wrappers, so renaming or dropping one of those bindings silently loses
 a per-layer figure, and so does a binding the code no longer calls
 through.  The first test reads the list without installing anything;
-the others install the tracer around one toy `predict` and around the
-CLI's linearize -> delinearize -> eval round trip.
+the others install the tracer around one toy `predict`, around toy
+`train` runs and around the CLI's linearize -> delinearize -> eval
+round trip.
 """
 
 import importlib
@@ -16,13 +17,15 @@ import numpy as np
 
 import discoseq as dq
 from discoseq import cli
-from discoseq.neural import ModelConfig, beam, init_parameters
+from discoseq.neural import ModelConfig, beam, init_parameters, training
 from discoseq.neural.training import build_vocabularies
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PREDICT_SPANS = ("beam.predict", "model.encode", "model.decode", "model.mask_rows",
                  "masks.step", "transitions.legal", "layers.masked_attention")
+TRAIN_SPANS = ("training.train", "model.loss_and_grad", "layers.linear",
+               "layers.linear_bwd", "layers.layer_norm_bwd", "layers.masked_attention_bwd")
 CONVERT_SPANS = ("cli.main", "treebank.parse_treebank", "tree.validate",
                  "oracle.encode", "transitions.apply", "transitions.parse_transitions",
                  "decode.decode", "treebank.emit_discbracket", "metrics.pair_counts")
@@ -68,6 +71,26 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     assert table["layers.linear"]["calls"] <= (per_layer + 1) * steps + per_layer
     # a one-token step sees its whole past, so it needs no causal mask
     assert "layers.causal_mask" not in table
+
+
+def test_train_runs_through_the_traced_bindings(toy20):
+    trees = list(toy20)[:8]
+    linear_per_update = {}
+    for batch_size in (1, 4):
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            training.train(trees, "inorder+swap", epochs=1, batch_size=batch_size,
+                           d_model=8, n_heads=2, n_layers=1, d_ff=16)
+        finally:
+            tracer.uninstall()
+        table = tracer.by_name()
+        assert [name for name in TRAIN_SPANS if name not in table] == []
+        updates = table["model.loss_and_grad"]["calls"]
+        assert updates == len(trees) // batch_size
+        linear_per_update[batch_size] = table["layers.linear"]["calls"] / updates
+    # a batch is one packed pass, whatever number of sentences it holds
+    assert linear_per_update[4] == linear_per_update[1]
 
 
 def test_convert_runs_through_the_traced_bindings(toy20, tmp_path, capsys):
