@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .tree import ConstituentTree
+from .tree import ConstituentTree, _bit_positions
 
 # Surface forms treated as punctuation, independent of part of speech.
 DEFAULT_PUNCTUATION = frozenset(
@@ -59,34 +59,42 @@ class Report:
 
 def bracket_items(tree: ConstituentTree, remove_punctuation: bool = False,
                   ignore_root: bool = False) -> Counter:
-    """Multiset of (label, yield) pairs for scoring.
+    """Multiset of (label, yield) pairs for scoring, yields as frozensets.
 
     ignore_root drops the topmost node itself, not every node sharing
     its label.
     """
-    removed = _removed_positions(tree, remove_punctuation)
+    return Counter({(label, frozenset(_bit_positions(covered))): count
+                    for (label, covered), count in
+                    _items(tree, remove_punctuation, ignore_root).items()})
+
+
+def _items(tree: ConstituentTree, remove_punctuation: bool,
+           ignore_root: bool) -> Counter:
+    """`bracket_items` with each yield as an int, bit p for position p."""
+    kept = ~_removed_bits(tree, remove_punctuation)
     items: Counter = Counter()
     for node in tree.root.constituents():
         if ignore_root and node is tree.root:
             continue
-        covered = frozenset(node.positions - removed)
+        covered = node._bits & kept
         if covered:
             items[(node.label, covered)] += 1
     return items
 
 
-def _removed_positions(tree: ConstituentTree,
-                       remove_punctuation: bool) -> frozenset[int]:
+def _removed_bits(tree: ConstituentTree, remove_punctuation: bool) -> int:
     if not remove_punctuation:
-        return frozenset()
-    return frozenset(i for i, word in enumerate(tree.sentence)
-                     if word in DEFAULT_PUNCTUATION)
+        return 0
+    return sum(1 << i for i, word in enumerate(tree.sentence)
+               if word in DEFAULT_PUNCTUATION)
 
 
-def _has_gap(positions: frozenset[int], removed: frozenset[int]) -> bool:
-    low, high = min(positions), max(positions)
-    return any(p not in positions and p not in removed
-               for p in range(low + 1, high))
+def _has_gap(covered: int, removed: int) -> bool:
+    """True when a position between covered's lowest and highest is neither
+    covered nor removed."""
+    span = (1 << covered.bit_length()) - (covered & -covered)
+    return (covered | removed) & span != span
 
 
 def pair_counts(gold: ConstituentTree, predicted: ConstituentTree,
@@ -94,10 +102,10 @@ def pair_counts(gold: ConstituentTree, predicted: ConstituentTree,
                 ignore_root: bool = False) -> PairCounts:
     if list(gold.sentence) != list(predicted.sentence):
         raise MetricsError("sentence mismatch")
-    gold_items = bracket_items(gold, remove_punctuation, ignore_root)
-    predicted_items = bracket_items(predicted, remove_punctuation, ignore_root)
+    gold_items = _items(gold, remove_punctuation, ignore_root)
+    predicted_items = _items(predicted, remove_punctuation, ignore_root)
     matched = gold_items & predicted_items
-    removed = _removed_positions(gold, remove_punctuation)
+    removed = _removed_bits(gold, remove_punctuation)
 
     def disc_total(items: Counter) -> int:
         return sum(count for (_, covered), count in items.items()

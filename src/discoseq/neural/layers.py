@@ -111,11 +111,10 @@ def embed(table: np.ndarray, ids: np.ndarray, scale: float) -> np.ndarray:
     return table[ids] * scale
 
 
-def embed_bwd(d_out: np.ndarray, table_shape: tuple, ids: np.ndarray,
-              scale: float) -> np.ndarray:
-    d_table = np.zeros(table_shape)
+def embed_bwd(d_out: np.ndarray, d_table: np.ndarray, ids: np.ndarray,
+              scale: float) -> None:
+    """Adds the gradient of `embed` into `d_table`, touching only rows of `ids`."""
     np.add.at(d_table, ids, d_out * scale)
-    return d_table
 
 
 def sinusoidal_positions(positions: np.ndarray, d_model: int) -> np.ndarray:

@@ -350,7 +350,7 @@ def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray,
 def _embed_bwd(p: Parameters, config: ModelConfig, table: str, d_x: np.ndarray,
                cache: dict, grads: Parameters) -> None:
     d_x = dropout_bwd(d_x, cache["drop_emb"])
-    grads[table] += embed_bwd(d_x, p[table].shape, cache["ids"], math.sqrt(config.d_model))
+    embed_bwd(d_x, grads[table], cache["ids"], math.sqrt(config.d_model))
 
 
 def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],

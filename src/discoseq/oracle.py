@@ -19,6 +19,7 @@ must rebuild exactly the input tree without a repair.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from . import transitions as tr
@@ -35,27 +36,32 @@ class OracleInvariantError(AssertionError):
     """The oracle's own replay check failed; this is a bug, not bad input."""
 
 
+# tokens are immutable, so encodings share them: one per (kind, k, label)
+_token = lru_cache(maxsize=4096)(Transition)
+_SHIFT, _SWAP, _REDUCE, _FINISH = map(_token, (tr.SHIFT, tr.SWAP, tr.REDUCE, tr.FINISH))
+
+
 def _fetch(buffer_index: int, scheme: Scheme) -> list[Transition]:
     """Tokens that bring the word at `buffer_index` to the stack top."""
     if scheme.disco == tr.DISCO_SHIFT_K:
-        return [Transition(tr.SHIFT_K, buffer_index)]
-    shifts = [Transition(tr.SHIFT)] * (buffer_index + 1)
+        return [_token(tr.SHIFT_K, buffer_index)]
+    shifts = [_SHIFT] * (buffer_index + 1)
     if buffer_index == 0:
         return shifts
     if scheme.disco == tr.DISCO_SWAP_K:
-        return shifts + [Transition(tr.SWAP_K, buffer_index)]
+        return shifts + [_token(tr.SWAP_K, buffer_index)]
     if scheme.disco == tr.DISCO_SWAP:
-        return shifts + [Transition(tr.SWAP)] * buffer_index
+        return shifts + [_SWAP] * buffer_index
     # unreachable for continuous trees, guarded in encode
     raise OracleInvariantError("reordering needed under a plain scheme")
 
 
 def _close(node: Constituent, scheme: Scheme) -> Transition:
     if scheme.base == tr.BOTTOM_UP:
-        return Transition(tr.REDUCE_KL, len(node.children), node.label)
+        return _token(tr.REDUCE_KL, len(node.children), node.label)
     if scheme.enriched:
-        return Transition(tr.REDUCE_L, label=node.label)
-    return Transition(tr.REDUCE)
+        return _token(tr.REDUCE_L, None, node.label)
+    return _REDUCE
 
 
 def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
@@ -82,7 +88,7 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
     while pending:
         node, index = pending.pop()
         if index == open_at:
-            out.append(Transition(tr.NT, label=node.label))
+            out.append(_token(tr.NT, None, node.label))
         if index == len(node.children):
             out.append(_close(node, scheme))
             continue
@@ -96,7 +102,7 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
             out.extend(_fetch(j, scheme))
 
     if tr.FINISH in scheme.kinds:
-        out.append(Transition(tr.FINISH))
+        out.append(_FINISH)
 
     replay = decode(tree.sentence, out, scheme)
     if replay.repairs:

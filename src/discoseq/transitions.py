@@ -32,7 +32,7 @@ legal.  So `t` is legal exactly when `(t.k or 0) <= table.get(t.kind, -1)`.
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from .tree import Child, Constituent, ConstituentTree, min_position
@@ -98,7 +98,10 @@ class Transition:
         return text
 
 
+@lru_cache(maxsize=4096)
 def parse_transition(text: str) -> Transition:
+    """The token `text` spells; a spelling's token is shared, as tokens are
+    immutable."""
     matched = _TOKEN_RE.fullmatch(text)
     if matched is not None:
         word, k, label = matched.groups()

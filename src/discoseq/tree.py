@@ -2,46 +2,81 @@
 
 A constituent is a labeled node whose children are word positions (plain
 ints) or other constituents.  The yield of a node is the set of sentence
-positions it covers; a node is discontinuous when that set has gaps.
-Children are stored sorted by the smallest position they cover, so
-structural equality is canonical: two trees over the same sentence are
-equal exactly when they contain the same labeled yields arranged the
-same way.  Values are immutable.  Every walk is a loop over an explicit
-stack, so no recursion limit bounds a tree's depth: equality compares
-node pairs from the roots down, and a hash reads only label and yield.
+positions it covers, stored as one int with bit p set for position p;
+a node is discontinuous when those bits have gaps.  Children are stored
+sorted by the smallest position they cover, so structural equality is
+canonical: two trees over the same sentence are equal exactly when they
+contain the same labeled yields arranged the same way.  Values are
+immutable.  Every walk is a loop over an explicit stack, so no recursion
+limit bounds a tree's depth: equality compares node pairs from the roots
+down, and a hash reads only label and yield.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence, Union
 
 Child = Union["Constituent", int]
 
 _EMPTY_SORT_KEY = float("inf")  # empty children sort last; validate() flags them
+_set = object.__setattr__  # how a frozen value sets its own fields
 
 
 def min_position(child: Child) -> float:
     """The lowest position a child covers; children are sorted by it."""
-    return child if isinstance(child, int) else min(child.positions, default=_EMPTY_SORT_KEY)
+    return child if isinstance(child, int) else child._low
 
 
-@dataclass(frozen=True, eq=False)
+def _lowest(bits: int) -> int:
+    """The lowest set bit's position; bits must be non-zero."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _bit_positions(bits: int) -> list[int]:
+    """The positions of the set bits, in ascending order."""
+    return [p for p, digit in enumerate(reversed(bin(bits))) if digit == "1"]
+
+
+def _gapless(bits: int) -> bool:
+    """True when the set bits form one run; adding the lowest bit clears it."""
+    return (bits + (bits & -bits)) & bits == 0
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Constituent:
     """A labeled node; children are word positions or nested constituents."""
 
     label: str
     children: tuple[Child, ...]
-    positions: frozenset[int] = field(init=False, repr=False)
+    _bits: int  # the yield, bit p set for position p
+    _low: float  # its lowest position
 
-    def __post_init__(self) -> None:
-        kids = tuple(sorted(self.children, key=min_position))
-        covered: set[int] = set()
-        for child in kids:
+    def __init__(self, label: str, children: Sequence[Child]) -> None:
+        if children.__class__ is not tuple:
+            children = tuple(children)
+        bits, last, ordered = 0, -1, True
+        for child in children:
             if isinstance(child, int):
-                covered.add(child)
+                if child < 0:
+                    raise ValueError(f"word position {child} is negative")
+                low = child
+                bits |= 1 << child
             else:
-                covered |= child.positions
-        object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "positions", frozenset(covered))
+                low = child._low
+                bits |= child._bits
+            if low < last:
+                ordered = False
+            last = low
+        if not ordered:
+            children = tuple(sorted(children, key=min_position))
+        _set(self, "label", label)
+        _set(self, "children", children)
+        _set(self, "_bits", bits)
+        _set(self, "_low", (bits & -bits).bit_length() - 1 if bits else _EMPTY_SORT_KEY)
+
+    @property
+    def positions(self) -> frozenset[int]:
+        """The sentence positions this node covers."""
+        return frozenset(_bit_positions(self._bits))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -59,8 +94,8 @@ class Constituent:
         return True
 
     def __hash__(self) -> int:
-        # equal trees have equal labels and yields; a frozenset caches its hash
-        return hash((self.label, self.positions))
+        # equal trees have equal labels and yields
+        return hash((self.label, self._bits))
 
     def __repr__(self) -> str:
         """The form `dataclass` would generate, written by a loop."""
@@ -114,20 +149,22 @@ class Violation:
     detail: str
 
 
-def yield_is_consecutive(positions: frozenset[int]) -> bool:
-    if not positions:
-        return True
-    return max(positions) - min(positions) + 1 == len(positions)
+def yield_is_consecutive(positions: Iterable[int]) -> bool:
+    """True when the positions form one block without gaps."""
+    bits = 0
+    for p in positions:
+        bits |= 1 << p
+    return _gapless(bits)
 
 
 def is_continuous(tree: ConstituentTree) -> bool:
     """True when every constituent covers a consecutive block of positions."""
-    return all(yield_is_consecutive(c.positions) for c in tree.root.constituents())
+    return all(_gapless(c._bits) for c in tree.root.constituents())
 
 
 def discontinuous_constituents(tree: ConstituentTree) -> list[Constituent]:
     """All constituents with a gapped yield, in pre-order."""
-    return [c for c in tree.root.constituents() if not yield_is_consecutive(c.positions)]
+    return [c for c in tree.root.constituents() if not _gapless(c._bits)]
 
 
 def canonical_leaf_order(tree: ConstituentTree) -> tuple[int, ...]:
@@ -186,28 +223,26 @@ def validate(tree: ConstituentTree) -> Violation | None:
     for node in tree.root.constituents():
         if not node.children:
             return Violation("empty-constituent", f"constituent {node.label!r} has no children")
-        seen: set[int] = set()
+        seen = 0
         for child in node.children:
-            child_positions = {child} if isinstance(child, int) else child.positions
-            overlap = seen & child_positions
-            if overlap:
+            bits = 1 << child if isinstance(child, int) else child._bits
+            if seen & bits:
                 return Violation(
                     "overlapping-children",
                     f"children of {node.label!r} both claim position "
-                    f"{min(overlap)}",
+                    f"{_lowest(seen & bits)}",
                 )
-            seen |= child_positions
-        for p in node.positions:
-            if not 0 <= p < n:
-                return Violation(
-                    "leaf-out-of-range",
-                    f"constituent {node.label!r} covers position {p}, "
-                    f"but the sentence has {n} words",
-                )
-    if tree.root.positions != frozenset(range(n)):
-        missing = sorted(frozenset(range(n)) - tree.root.positions)
+            seen |= bits
+        if node._bits >> n:
+            return Violation(
+                "leaf-out-of-range",
+                f"constituent {node.label!r} covers position "
+                f"{n + _lowest(node._bits >> n)}, but the sentence has {n} words",
+            )
+    missing = ((1 << n) - 1) & ~tree.root._bits
+    if missing:
         return Violation(
             "incomplete-root",
-            f"root {tree.root.label!r} does not cover positions {missing}",
+            f"root {tree.root.label!r} does not cover positions {_bit_positions(missing)}",
         )
     return None

@@ -12,12 +12,13 @@ makes discontinuous yields expressible:
 
 A backslash escapes the next character; words containing parentheses,
 whitespace, `=`, or backslashes are escaped on output so that
-parse(emit(tree)) is the identity on canonical trees.  The reader makes
-one pass over a line and keeps the open constituents on a stack, so it
-reads trees of any depth.
+parse(emit(tree)) is the identity on canonical trees.  The reader takes
+a line's tokens from one compiled pattern and keeps the open
+constituents on a stack, so it reads trees of any depth.
 """
 
 import gzip
+import re
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
@@ -25,8 +26,12 @@ from typing import Iterable
 # validate is bound only so that a tracer can wrap discoseq.treebank.validate
 from .tree import Constituent, ConstituentTree, is_continuous, validate  # noqa: F401
 
-_WORD_ESCAPED = set("()=\\ \t\n")
-_LABEL_ESCAPED = set("()\\ \t\n")  # a leading atom is always the label, so = stays raw
+_WORD_ESCAPED = re.compile(r"[()=\\ \t\n]")
+_LABEL_ESCAPED = re.compile(r"[()\\ \t\n]")  # a leading atom is always the label, so = stays raw
+# a reader's token: "(" and its label, ")", an atom, or "(" without a label
+_ATOM = r"(?:[^()\\ \t]|\\.)+"
+_TOKEN = re.compile(rf"\([ \t]*({_ATOM})|(\))|({_ATOM})|(\()", re.DOTALL)
+_ESCAPE_OR_EQUALS = re.compile(r"\\(.)|=", re.DOTALL)
 _SHOWN_GAPS = 10  # missing word positions listed in an error
 
 
@@ -57,81 +62,76 @@ class TreebankError(Exception):
 
 
 def _offset_error(message: str, line: str, char_index: int) -> TreebankError:
-    return TreebankError(message,
-                         offset=len(line[:char_index].encode("utf-8", "surrogatepass")))
+    return TreebankError(message, offset=len(line[:char_index].encode("utf-8", "surrogatepass")))
+
+
+def _split_atom(text: str) -> list[str]:
+    """An atom's text split on unescaped "=", escapes resolved."""
+    pieces = _ESCAPE_OR_EQUALS.split(text)  # text, then pairs (escaped char or None, text)
+    parts = [pieces[0]]
+    for escaped, plain in zip(pieces[1::2], pieces[2::2]):
+        if escaped is None:
+            parts.append(plain)
+        else:
+            parts[-1] += escaped + plain
+    return parts
 
 
 def _parse_line(line: str, discontinuous: bool) -> ConstituentTree:
     n = len(line)
-    # any other backslash escapes the next character, so only an odd run
-    # at the end can dangle; that fault is reported before any other
+    # only an odd backslash run at the end can dangle; that is reported first
     if (n - len(line.rstrip("\\"))) % 2:
         raise _offset_error("dangling backslash escape", line, n - 1)
     words: dict[int, str] = {}  # position -> word
-    # the open constituents, innermost last: (offset of "(", label, children)
-    open_nodes: list[tuple[int, str, list[Constituent | int]]] = []
-    label_at = -1  # offset of the "(" whose label is the next atom
-    # a line of L characters holds fewer than L leaves, so a position
-    # written with more digits than L is always a gap
-    most_digits = len(str(n))
-    i = 0
-    while True:
-        if i == n or (label_at >= 0 and line[i] in "()"):
-            if label_at >= 0:
-                raise _offset_error("expected a label after '('", line, label_at)
-            if open_nodes:
-                raise _offset_error("unbalanced '(': missing ')'", line, open_nodes[-1][0])
-            raise TreebankError("empty line where a tree was expected", offset=0)
-        if line[i] in " \t":
-            i += 1
-        elif line[i] == "(":
-            label_at = i
-            i += 1
-        elif not open_nodes and label_at < 0:
-            raise _offset_error("a tree must start with '('", line, i)
-        elif line[i] == ")":
-            start, label, children = open_nodes.pop()
-            if not children:
-                raise _offset_error(f"constituent {label!r} has no children", line, start)
-            node = Constituent(label, tuple(children))
-            i += 1
-            if not open_nodes:
-                break
-            open_nodes[-1][2].append(node)
-        else:  # an atom: its text split on unescaped "=", escapes resolved
-            start = i
-            parts: list[str] = []
-            current: list[str] = []
-            while i < n and line[i] not in "() \t":
-                if line[i] == "=":
-                    parts.append("".join(current))
-                    current = []
-                else:
-                    if line[i] == "\\":  # take the next character as it is
-                        i += 1
-                    current.append(line[i])
-                i += 1
-            parts.append("".join(current))
-            if label_at >= 0:
-                open_nodes.append((label_at, "=".join(parts), []))
-                label_at = -1
-                continue
+    # the open constituents, innermost last: (match of "(", label, children)
+    open_nodes: list[tuple[re.Match, str, list[Constituent | int]]] = []
+    children: list[Constituent | int] = []  # the innermost open node's
+    most_digits = len(str(n))  # n characters hold fewer than n leaves
+    tokens = _TOKEN.finditer(line)  # only spaces and tabs fall between tokens
+    for match in tokens:
+        kind = match.lastindex
+        if kind == 3 and open_nodes:  # a leaf
+            text = match[3]
+            parts = _split_atom(text) if "\\" in text else text.split("=")
             if not discontinuous:
                 index, word = len(words), "=".join(parts)
             elif len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
-                raise _offset_error("discbracket leaf must look like index=word", line, start)
+                raise _offset_error("discbracket leaf must look like index=word",
+                                    line, match.start())
             else:
                 digits = parts[0].lstrip("0") or "0"
                 if len(digits) > most_digits:
-                    raise _offset_error("word position too large for its line", line, start)
+                    raise _offset_error("word position too large for its line",
+                                        line, match.start())
                 index, word = int(digits), parts[1]
             if index in words:
-                raise _offset_error(f"position {index} appears twice", line, start)
+                raise _offset_error(f"position {index} appears twice", line, match.start())
             words[index] = word
-            open_nodes[-1][2].append(index)
-    rest = line[i:].lstrip(" \t")
-    if rest:
-        raise _offset_error("trailing material after the tree", line, n - len(rest))
+            children.append(index)
+        elif kind == 2 and open_nodes:
+            opened, label, kids = open_nodes.pop()
+            if not kids:
+                raise _offset_error(f"constituent {label!r} has no children",
+                                    line, opened.start())
+            node = Constituent(label, tuple(kids))
+            if not open_nodes:
+                break
+            children = open_nodes[-1][2]
+            children.append(node)
+        elif kind == 1:
+            label, children = match[1], []
+            if "\\" in label:
+                label = "=".join(_split_atom(label))
+            open_nodes.append((match, label, children))
+        else:
+            raise _offset_error("expected a label after '('" if kind == 4
+                                else "a tree must start with '('", line, match.start())
+    else:  # the line ended inside a tree, or before one
+        if open_nodes:
+            raise _offset_error("unbalanced '(': missing ')'", line, open_nodes[-1][0].start())
+        raise TreebankError("empty line where a tree was expected", offset=0)
+    if (rest := next(tokens, None)) is not None:
+        raise _offset_error("trailing material after the tree", line, rest.start())
 
     top = max(words)
     if top >= len(words):  # the positions are distinct, so some below top are missing
@@ -155,8 +155,8 @@ def parse_discbracket(line: str) -> ConstituentTree:
     return _parse_line(line, discontinuous=True)
 
 
-def _escape(text: str, escaped: set[str]) -> str:
-    return "".join("\\" + ch if ch in escaped else ch for ch in text)
+def _escape(text: str, escaped: re.Pattern) -> str:
+    return escaped.sub(lambda match: "\\" + match[0], text)
 
 
 def _render(tree: ConstituentTree, numbered: bool) -> str:

@@ -1,6 +1,8 @@
 import gzip
 import io
 import json
+import re
+import struct
 import subprocess
 import sys
 import time
@@ -624,3 +626,74 @@ def test_every_command_exits_with_a_documented_code(fuzz_dir, run_and_files):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
     assert code in (0, 2, 3), err.getvalue()
+
+
+
+# --- predict ends in an exit code on any checkpoint bytes -------------------
+
+@pytest.fixture(scope="module")
+def checkpoint_parts(toy20, tmp_path_factory):
+    """A tiny checkpoint's header text and payload, and a sentence file."""
+    import numpy as np
+    from discoseq.neural import ModelConfig, init_parameters, save_checkpoint
+    from discoseq.neural.checkpoint import MAGIC
+    from discoseq.neural.training import build_vocabularies
+    words, tokens = build_vocabularies(list(toy20)[:2], "inorder+swap")
+    config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=16)
+    directory = tmp_path_factory.mktemp("checkpoint-fuzz")
+    saved = directory / "model.ckpt"
+    save_checkpoint(str(saved), init_parameters(config, np.random.default_rng(0)), config)
+    data = saved.read_bytes()
+    (length,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
+    header_end = len(MAGIC) + 8 + length
+    (directory / "sentences").write_text("the dog ran\n", encoding="utf-8")
+    return directory, MAGIC, data[len(MAGIC) + 8:header_end], data[header_end:]
+
+
+# a JSON value in the header: a number, a string, true, false or null
+_JSON_VALUE = re.compile(rb'-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|"[^"]*"|true|false|null')
+# what a value may become; no number past 64, since a greedy search on an
+# untrained model runs to max_positions
+_NEW_VALUES = st.sampled_from([b"0", b"1", b"-1", b"2", b"3", b"64", b"1.5", b"1e308",
+                               b'"x"', b'""', b'"inorder"', b"true", b"null", b"[]", b"{}",
+                               b"[8, 8]", b'{"a": 1}'])
+_HEADER_BYTES = st.sampled_from(list(b'0129-.,:"{}[] eE') + [0x80, 0xFF])
+
+
+@st.composite
+def _checkpoint_edits(draw, header: bytes):
+    """A checkpoint's header with values and bytes replaced, a length field
+    (None for the true length, small ints as offsets from it) and a change
+    of the payload size in bytes."""
+    values = list(_JSON_VALUE.finditer(header))
+    for _ in range(draw(st.integers(0, 2))):
+        match = values[draw(st.integers(0, len(values) - 1))]
+        header = header[:match.start()] + draw(_NEW_VALUES) + header[match.end():]
+        values = list(_JSON_VALUE.finditer(header))
+    header = bytearray(header)
+    for _ in range(draw(st.integers(0, 1))):
+        header[draw(st.integers(0, len(header) - 1))] = draw(_HEADER_BYTES)
+    length = draw(st.one_of(st.none(), st.integers(-16, 16),
+                            st.sampled_from([2**40, 2**62, 2**64 - 1])))
+    payload = draw(st.one_of(st.just(0), st.integers(-64, 64)))
+    return bytes(header), length, payload
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_predict_exits_with_a_documented_code_on_mutated_checkpoints(checkpoint_parts,
+                                                                   data):
+    directory, magic, header, payload = checkpoint_parts
+    header, length, change = data.draw(_checkpoint_edits(header))
+    if length is None or length < 2**32:
+        length = max(0, len(header) + (length or 0))
+    payload = payload[:len(payload) + change] if change < 0 else payload + bytes(change)
+    path = directory / "mutated.ckpt"
+    path.write_bytes(magic + struct.pack("<Q", length) + header + payload)
+    argv = ["predict", "--checkpoint", str(path), "--beam", "1",
+            "--in", str(directory / "sentences")]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -3,9 +3,11 @@
 Every tree walk is a loop, so none of these stages, nor a tree's
 `repr`, depends on the interpreter's recursion limit, which stays at
 its default here.  A chain goes 5,000 levels deep.  Every level of a
-right-branching nest holds a word, so the yields it stores grow with
-the square of its depth, and so do its mask traces: it goes 1,200
-levels deep.
+right-branching nest holds a word.  A yield is stored as one integer,
+so a nest's yields take little memory, but its mask traces hold a
+position set per step and grow with the square of its depth: the nest
+goes 1,200 levels deep here, and a separate process reads, encodes,
+decodes and scores a 5,000-level nest under a memory bound.
 
 The last test guards the loops: no function in the package calls its
 own name.  It cannot see the methods that `dataclass` generates; the
@@ -14,7 +16,9 @@ must print what `dataclass` would.
 """
 
 import ast
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +63,28 @@ def test_a_deep_tree_is_scored_reordered_and_validated(deep):
     flat = dq.reorder_canonical(tree)
     assert flat == tree and dq.validate(flat) is None
     assert {tree: 1}[dq.parse_discbracket(dq.emit_discbracket(tree))] == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+def test_a_5000_level_nest_stays_small():
+    # ru_maxrss carries the forking process's peak across exec, so the
+    # child reads the peak of its own process image, VmHWM
+    script = (
+        "import sys\n"
+        "import discoseq as dq\n"
+        "tree = dq.parse_discbracket(sys.argv[1])\n"
+        "scheme = dq.parse_scheme('inorder+swap')\n"
+        "result = dq.decode(tree.sentence, dq.encode(tree, scheme), scheme)\n"
+        "assert result.clean and result.tree == tree\n"
+        "assert dq.evaluate([tree], [result.tree]).exact_match == 1.0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, deep_line("nest", 5000)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024  # KiB; frozenset yields took 586 MiB
 
 
 def _reference_repr(node) -> str:

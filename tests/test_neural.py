@@ -491,6 +491,27 @@ def test_a_packed_batch_sums_its_sentences_gradients(toy20, scheme):
             assert error <= 1e-12 * np.abs(grad).max(), name
 
 
+def test_embedding_gradients_add_into_the_gradient_in_place(toy20, monkeypatch):
+    """`embed_bwd` adds into the gradient's view; the gradients are bit-equal
+    to those of a whole zero table added into that view afterwards."""
+    trees = sorted(toy20, key=len)[-3:]
+    config = tiny_config(trees, n_layers=2, dropout=0.2)
+    params = init_parameters(config, np.random.default_rng(0))
+    examples = build_examples(trees, SCHEME, config)
+    _, direct, _, _ = loss_and_grad(params, config, examples, np.random.default_rng(3))
+
+    def zero_table(d_out, d_table, ids, scale):
+        table = np.zeros(d_table.shape)
+        np.add.at(table, ids, d_out * scale)
+        d_table += table
+
+    monkeypatch.setattr(nm, "embed_bwd", zero_table)
+    _, reference, _, _ = loss_and_grad(params, config, examples, np.random.default_rng(3))
+    for name in ("word_emb", "tok_emb"):
+        assert np.any(direct[name])
+    assert all(direct[name].tobytes() == reference[name].tobytes() for name in params)
+
+
 def _reference_adam(params, grads, state, update, rate, config):
     """Adam one tensor at a time, as separate array expressions."""
     b1, b2 = config.adam_beta1, config.adam_beta2

@@ -58,29 +58,53 @@ def test_emit_parse_roundtrip(tree, fmt):
         assert dq.parse_discbracket(line) == tree
 
 
-@pytest.mark.parametrize("line,message", [
-    ("(S 0=a 0=b)", "position 0 appears twice"),
-    ("(S 0=a 2=b)", "missing word positions [1]"),
-    ("(S 0=a", "unbalanced '(': missing ')'"),
-    ("(S 0=a) junk", "trailing material after the tree"),
-    ("(S 0=a\\", "dangling backslash escape"),
-    (") a\\", "dangling backslash escape"),  # before the fault at byte 0
-    ("", "empty line where a tree was expected"),
-    ("(S)", "constituent 'S' has no children"),
-    ("(S x=a)", "discbracket leaf must look like index=word"),
-    ("(S \u0660=a 1=b)", "discbracket leaf must look like index=word"),
-    ("(S \u00b2=a 0=b)", "discbracket leaf must look like index=word"),
-    ("0=a", "a tree must start with '('"),
-    ("(S 10000000=a)", "word position too large for its line"),
-    ("(S 1000000000000=a)", "word position too large for its line"),
-    ("(S 0=a " + "1" * 4000 + "=b)", "word position too large for its line"),
-    ("(S 0=a " + "1" * 5000 + "=b)", "word position too large for its line"),
-    ("(S 0=a 99=b)", "missing word positions [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ... (98 in all)]"),
-], ids=lambda value: value if len(value) < 100 else f"{value[:20]}...({len(value)})")
-def test_parse_errors(line, message):
+_PARSE_ERRORS = [  # (line, message, byte offset)
+    ("(S 0=a 0=b)", "position 0 appears twice", 7),
+    ("(S 0=a 2=b)", "missing word positions [1]", 0),
+    ("(S 0=a", "unbalanced '(': missing ')'", 0),
+    ("(S 0=a) junk", "trailing material after the tree", 8),
+    ("(S 0=a\\", "dangling backslash escape", 6),
+    (") a\\", "dangling backslash escape", 3),  # before the fault at byte 0
+    ("", "empty line where a tree was expected", 0),
+    ("(S)", "constituent 'S' has no children", 0),
+    ("(S x=a)", "discbracket leaf must look like index=word", 3),
+    ("(S \u0660=a 1=b)", "discbracket leaf must look like index=word", 3),
+    ("(S \u00b2=a 0=b)", "discbracket leaf must look like index=word", 3),
+    ("0=a", "a tree must start with '('", 0),
+    ("(S 10000000=a)", "word position too large for its line", 3),
+    ("(S 1000000000000=a)", "word position too large for its line", 3),
+    ("(S 0=a " + "1" * 4000 + "=b)", "word position too large for its line", 7),
+    ("(S 0=a " + "1" * 5000 + "=b)", "word position too large for its line", 7),
+    ("(S 0=a 99=b)",
+     "missing word positions [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ... (98 in all)]", 0),
+    # escaped labels
+    ("(S\\ X 0=\u00e4 0=b)", "position 0 appears twice", 11),
+    ("(N\\(P)", "constituent 'N(P' has no children", 0),
+    ("(S (\\) ) 0=a)", "constituent ')' has no children", 3),
+    ("(S\\=X 0=a", "unbalanced '(': missing ')'", 0),
+    ("( (S 0=a))", "expected a label after '('", 0),
+    # escaped "=" and other escapes in leaves
+    ("(S 0=a\\=b 0=c)", "position 0 appears twice", 10),
+    ("(S 0=a\\=b 2=c)", "missing word positions [1]", 0),
+    ("(S 0\\=1=a)", "discbracket leaf must look like index=word", 3),
+    ("(S 0=a=b)", "discbracket leaf must look like index=word", 3),
+    ("(S \\1=a 1=b)", "position 1 appears twice", 8),
+    ("(S 0=a\\ b (", "expected a label after '('", 10),
+    ("(S 0=\\(a) (T 1=b)", "trailing material after the tree", 10),
+]
+
+
+def _case_id(value: str) -> str:
+    return value if len(value) < 100 else f"{value[:20]}...({len(value)})"
+
+
+@pytest.mark.parametrize("line,message,offset", _PARSE_ERRORS,
+                         ids=[f"{_case_id(line)}-{_case_id(message)}"
+                              for line, message, _ in _PARSE_ERRORS])
+def test_parse_errors(line, message, offset):
     with pytest.raises(dq.TreebankError) as exc:
         dq.parse_discbracket(line)
-    assert exc.value.message == message
+    assert (exc.value.message, exc.value.offset) == (message, offset)
 
 
 # pieces of reader input: every character the grammar treats specially,
