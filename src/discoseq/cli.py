@@ -75,7 +75,7 @@ def _d_model(text: str) -> int:
     from .neural.model import BOS, UNK, ModelConfig  # only train takes it
     d_model = _positive_int(text)
     try:
-        ModelConfig(scheme="", word_to_id={UNK: 0}, token_to_id={BOS: 0},
+        ModelConfig(scheme="topdown", word_to_id={UNK: 0}, token_to_id={BOS: 0},
                     d_model=d_model)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None

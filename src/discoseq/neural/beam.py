@@ -3,18 +3,22 @@
 Every hypothesis holds its token ids and a mask state, the replayed
 parser configuration plus the masks read off it, so candidate tokens
 that are illegal in the current configuration are excluded outright
-rather than merely down-weighted.  Only the winner's ids are mapped
-back to tokens.
-Scores are summed log probabilities without length normalisation.
+rather than merely down-weighted.  Scores are summed log probabilities
+without length normalisation.
+
+Only the best finished hypothesis is kept, and every candidate and live
+hypothesis whose score does not beat it is dropped; the search ends when
+none is left (the optimal stop of Huang, Zhao & Ma 2017).  This is
+exact: log-softmax rows are <= 0, so no child outscores its parent.
 
 All live hypotheses have the same length, so each beam step is one
 batched decoder call that feeds every hypothesis only its newest token
 and mask row.  Earlier positions come from the per-layer self-attention
-keys and values that the previous call returned; once the children are
-chosen, those rows are gathered by parent, so each child continues its
-parent's cache.  The encoder memory is fixed for the sentence, so its
-cross-attention keys and values are projected once, by the first step,
-and every later step and hypothesis shares them.
+keys and values that the previous call returned, gathered by parent
+unless every child has its parent's row.  Each hypothesis's `legal`
+table becomes a row of a (B, V) mask through per-token kind and k
+arrays, and one stable sort of the legal scores, token-major, orders
+the candidates by (-score, token id, hypothesis).
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from ..masks import MaskState, initial_state, step
 # `apply` is unused here; the benchmark tracer binds it in this module
 from ..transitions import (Transition, apply, is_terminal, legal,  # noqa: F401
                            parse_scheme, parse_transition)
-from .model import (ModelConfig, Parameters, _decode, _encode, _log_softmax,
+from .model import (BOS, ModelConfig, Parameters, _decode, _encode, _log_softmax,
                     mask_rows)
 
 
@@ -47,36 +51,34 @@ class _Hypothesis:
 
 def predict(params: Parameters, config: ModelConfig, words: list[str],
             beam_size: int = 10, max_len: int | None = None) -> Prediction:
-    """Decode one sentence; ties break toward the lower token id.
+    """Decode one sentence in at most `max_len` steps, from 1 to
+    `config.max_positions` (default one less); ties break toward the
+    lower token id.
 
-    A hypothesis whose configuration is terminal joins the finished
-    pool and stops expanding.  If the step cap runs out before any
-    hypothesis finishes, the best unfinished one is returned and the
-    sequence decoder's repair rules take it from there.
+    A terminal hypothesis stops expanding.  The search ends once no live
+    hypothesis scores above the best finished one, as no child outscores
+    its parent.  If the cap comes first, the best unfinished hypothesis
+    is returned, and the sequence decoder's repair rules take over.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
-    scheme = parse_scheme(config.scheme)
-    n = len(words)
-    if max_len is None:
-        max_len = config.max_positions - 1
-    vocabulary = sorted((i, parse_transition(text))
-                        for text, i in config.token_to_id.items()
-                        if i != config.bos_id)
+    max_len = config.max_positions - 1 if max_len is None else max_len
+    if not 1 <= max_len <= config.max_positions:
+        raise ValueError(f"max_len {max_len} is under 1 or exceeds max_positions "
+                         f"{config.max_positions}")
+    scheme, n = parse_scheme(config.scheme), len(words)
+    vocabulary = [None if text == BOS else parse_transition(text)
+                  for text in sorted(config.token_to_id, key=config.token_to_id.get)]
+    column = {kind: j for j, kind in enumerate(sorted(scheme.kinds))}
+    # per token id: its kind's legality column (<bos>: the last, always -1) and its k
+    token_kind, token_k = np.array([(len(column), 0) if t is None else
+                                    (column[t.kind], t.k or 0) for t in vocabulary]).T
     memory, _ = _encode(params, config, [config.word_ids(words)], None)
 
     live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
-    past = None  # per decoder layer: self-attention (keys, values), a row per live hyp
-    memory_kv = None  # per decoder layer: cross-attention (keys, values) of the memory
-    finished: list[_Hypothesis] = []
+    best: _Hypothesis | None = None  # the best finished hypothesis
+    past = memory_kv = None  # per decoder layer: self- and cross-attention (keys, values)
     for _ in range(max_len):
-        if not live:
-            break
-        if len(finished) >= beam_size:
-            best_live = max(hyp.score for hyp in live)
-            worst_kept = min(hyp.score for hyp in finished)
-            if best_live <= worst_kept:
-                break
         in_ids = np.array([[hyp.token_ids[-1] if hyp.token_ids else config.bos_id]
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
@@ -84,37 +86,35 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
                                 buffer_rows[:, None], past, memory_kv)
         past, memory_kv = cache["past"], cache["memory_kv"]
         del cache  # free this step's activations before the next step allocates
-        log_probs = _log_softmax(logits[:, -1])
-        candidates: list[tuple[float, int, int, _Hypothesis, Transition]] = []
-        for hyp_index, hyp in enumerate(live):
-            largest = legal(hyp.state.config, scheme)
-            for token_id, transition in vocabulary:
-                if (transition.k or 0) <= largest.get(transition.kind, -1):
-                    candidates.append((hyp.score + log_probs[hyp_index, token_id],
-                                       token_id, hyp_index, hyp, transition))
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-        next_live = []
-        parents = []
-        for score, token_id, hyp_index, hyp, transition in candidates[:beam_size]:
-            state = step(hyp.state, transition)
+        scores = _log_softmax(logits[:, -1]) + np.array([[hyp.score] for hyp in live])
+        largest = np.array([[table[kind] for kind in column] + [-1] for table in
+                            (legal(hyp.state.config, scheme) for hyp in live)])
+        allowed = token_k <= largest[:, token_kind]
+        if best is not None:
+            allowed &= scores > best.score
+        token_ids, hyp_indices = np.nonzero(allowed.T)
+        candidate_scores = scores[hyp_indices, token_ids]
+        chosen = np.argsort(-candidate_scores, kind="stable")[:beam_size]
+        picked = (a[chosen].tolist() for a in (candidate_scores, token_ids, hyp_indices))
+        children = []  # (child, parent index) of every live child
+        for score, token_id, hyp_index in zip(*picked):
+            if best is not None and score <= best.score:
+                break  # found this step; the later candidates score no higher
+            hyp = live[hyp_index]
             child = _Hypothesis(score=score, token_ids=hyp.token_ids + [token_id],
-                                state=state)
-            if is_terminal(state.config, scheme):
-                finished.append(child)
+                                state=step(hyp.state, vocabulary[token_id]))
+            if is_terminal(child.state.config, scheme):
+                best = child
             else:
-                next_live.append(child)
-                parents.append(hyp_index)
-        finished.sort(key=lambda hyp: -hyp.score)
-        del finished[beam_size:]
-        live = next_live
-        past = [(keys[parents], values[parents]) for keys, values in past]
+                children.append((child, hyp_index))
+        children = [pair for pair in children if best is None or pair[0].score > best.score]
+        if not children:
+            break
+        parents = [hyp_index for _, hyp_index in children]
+        if parents != list(range(len(live))):
+            past = [(keys[parents], values[parents]) for keys, values in past]
+        live = [child for child, _ in children]
 
-    pool = finished if finished else live
-    if not pool:
-        raise RuntimeError("beam search produced no hypotheses")
-    best = max(pool, key=lambda hyp: hyp.score)
-    transition_of = dict(vocabulary)
-    return Prediction(tokens=tuple(transition_of[i] for i in best.token_ids),
-                      score=best.score, terminal=bool(finished))
+    winner = best if best is not None else max(live, key=lambda hyp: hyp.score)
+    return Prediction(tokens=tuple(vocabulary[i] for i in winner.token_ids),
+                      score=winner.score, terminal=best is not None)

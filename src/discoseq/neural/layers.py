@@ -25,8 +25,8 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     Only an all--inf row is rejected; non-finite garbage from an upstream
     overflow flows through as NaN so the caller's loss check can see it.
     """
-    peak = np.max(scores, axis=-1, keepdims=True)
-    if np.isneginf(peak).any():
+    peak = scores.max(axis=-1, keepdims=True)
+    if (peak == NEG_INF).any():
         raise ValueError("softmax over a fully masked row")
     exp = np.exp(scores - peak)
     return exp / exp.sum(axis=-1, keepdims=True)
@@ -44,7 +44,7 @@ def masked_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     weights would be undefined.
     """
     scale = 1.0 / np.sqrt(queries.shape[-1])
-    scores = (queries @ np.swapaxes(keys, -1, -2)) * scale
+    scores = (queries @ keys.swapaxes(-1, -2)) * scale
     if mask is not None:
         scores = scores + mask
     weights = softmax_rows(scores)
@@ -55,12 +55,12 @@ def masked_attention_bwd(d_out: np.ndarray, queries: np.ndarray, keys: np.ndarra
                          values: np.ndarray, weights: np.ndarray,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scale = 1.0 / np.sqrt(queries.shape[-1])
-    d_values = np.swapaxes(weights, -1, -2) @ d_out
-    d_weights = d_out @ np.swapaxes(values, -1, -2)
+    d_values = weights.swapaxes(-1, -2) @ d_out
+    d_weights = d_out @ values.swapaxes(-1, -2)
     # softmax backward; zero weights keep zero gradient, so -inf entries stay inert
     d_scores = weights * (d_weights - (d_weights * weights).sum(-1, keepdims=True))
     d_queries = (d_scores @ keys) * scale
-    d_keys = (np.swapaxes(d_scores, -1, -2) @ queries) * scale
+    d_keys = (d_scores.swapaxes(-1, -2) @ queries) * scale
     return d_queries, d_keys, d_values
 
 

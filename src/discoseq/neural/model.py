@@ -42,6 +42,7 @@ from typing import Sequence, get_args, get_origin
 import numpy as np
 
 from ..masks import MaskPair
+from ..transitions import parse_scheme, parse_transition
 from .layers import (NEG_INF, causal_mask, dropout, dropout_bwd, embed,
                      embed_bwd, layer_norm, layer_norm_bwd, linear, linear_bwd,
                      masked_attention, masked_attention_bwd, relu, relu_bwd,
@@ -107,6 +108,10 @@ class ModelConfig:
             raise ValueError(f"token vocabulary must contain {BOS!r}")
         if UNK not in self.word_to_id:
             raise ValueError(f"word vocabulary must contain {UNK!r}")
+        scheme = parse_scheme(self.scheme)
+        for token in self.token_to_id:
+            if token != BOS and parse_transition(token).kind not in scheme.kinds:
+                raise ValueError(f"token {token!r} is not in scheme {scheme}")
 
     @property
     def bos_id(self) -> int:
@@ -184,12 +189,12 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(..., T, d_model) -> (..., n_heads, T, d_head), a view."""
-    return np.swapaxes(x.reshape(*x.shape[:-1], n_heads, -1), -3, -2)
+    return x.reshape(*x.shape[:-1], n_heads, -1).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., n_heads, T, d_head) -> (..., T, d_model)."""
-    x = np.swapaxes(x, -3, -2)
+    x = x.swapaxes(-3, -2)
     return x.reshape(*x.shape[:-2], -1)
 
 
@@ -224,13 +229,17 @@ def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
     if past is not None:
         k = np.concatenate((past[0], k), axis=-2)
         v = np.concatenate((past[1], v), axis=-2)
-    # written in the rows' own layout, so merging the heads copies nothing
-    heads = np.empty_like(q)
-    weights = []
-    for rows, columns, mask in segments:
-        heads[..., rows, :], segment_weights = masked_attention(
-            q[..., rows, :], k[..., columns, :], v[..., columns, :], mask)
-        weights.append(segment_weights)
+    if len(segments) == 1 and segments[0][:2] == (_ALL, _ALL):  # all rows at once
+        heads, segment_weights = masked_attention(q, k, v, segments[0][2])
+        weights = [segment_weights]
+    else:
+        # written in the rows' own layout, so merging the heads copies nothing
+        heads = np.empty_like(q)
+        weights = []
+        for rows, columns, mask in segments:
+            heads[..., rows, :], segment_weights = masked_attention(
+                q[..., rows, :], k[..., columns, :], v[..., columns, :], mask)
+            weights.append(segment_weights)
     concat = _merge_heads(heads)
     out = linear(concat, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return out, (x_q, x_kv, q, k, v, concat, weights, segments)
@@ -338,12 +347,31 @@ def _positions(lengths: Sequence[int]) -> np.ndarray:
     return np.arange(sum(lengths)) - np.repeat(starts, lengths)
 
 
+# d_model -> the first rows of the sinusoidal position table at that width; a
+# row depends only on its position and the width, so every caller shares it
+_POSITION_TABLES: dict[int, np.ndarray] = {}
+
+
+def _position_table(config: ModelConfig, length: int) -> np.ndarray:
+    """At least `length` rows of the position table, read-only.
+
+    The table is built on first use and rebuilt twice as long only when
+    a longer sequence comes; a row is the same at every table length.
+    """
+    table = _POSITION_TABLES.get(config.d_model)
+    if table is None or len(table) < length:
+        size = max(length, 64 if table is None else 2 * len(table))
+        table = sinusoidal_positions(np.arange(size), config.d_model)
+        table.flags.writeable = False
+        _POSITION_TABLES[config.d_model] = table
+    return table
+
+
 def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray,
-           positions: np.ndarray, rng: np.random.Generator | None,
+           position_rows: np.ndarray, rng: np.random.Generator | None,
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Scaled `table` rows of `ids` plus the rows of `positions`, with dropout."""
-    x = (embed(p[table], ids, math.sqrt(config.d_model))
-         + sinusoidal_positions(positions, config.d_model))
+    """Scaled `table` rows of `ids` plus `position_rows`, with dropout."""
+    x = embed(p[table], ids, math.sqrt(config.d_model)) + position_rows
     return dropout(x, config.dropout, rng)
 
 
@@ -365,7 +393,8 @@ def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     if max(lengths) > config.max_positions:
         raise ValueError(f"sentence length {max(lengths)} exceeds max_positions")
     ids = np.concatenate(sentences)
-    x, drop_emb = _embed(p, config, "word_emb", ids, _positions(lengths), rng)
+    x, drop_emb = _embed(p, config, "word_emb", ids,
+                         _position_table(config, max(lengths))[_positions(lengths)], rng)
     x, layers = _layers(p, config, "enc", x, rng,
                         [(rows, rows, None) for rows in _spans(lengths)])
     memory_rows = _spans([n + 1 for n in lengths])
@@ -432,7 +461,8 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     start = 0 if past is None else past[0][0].shape[-2]
     if start + t > config.max_positions:
         raise ValueError(f"sequence length {start + t} exceeds max_positions")
-    y, _ = _embed(p, config, "tok_emb", in_ids, np.arange(start, start + t), None)
+    y, _ = _embed(p, config, "tok_emb", in_ids,
+                  _position_table(config, start + t)[start:start + t], None)
     self_mask = (None if t == 1
                  else np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1))
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
@@ -467,7 +497,8 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
         self_segments.append((rows, rows, causal[:t, :t]))
         cross_segments.append((rows, columns, _cross_head_masks(config, stack, buffer)))
     ids = np.concatenate(in_ids)
-    y, drop_emb = _embed(p, config, "tok_emb", ids, _positions(lengths), rng)
+    y, drop_emb = _embed(p, config, "tok_emb", ids,
+                         _position_table(config, max(lengths))[_positions(lengths)], rng)
     y, layers = _layers(p, config, "dec", y, rng, self_segments, None, memory,
                         cross_segments)
     logits = linear(y, p["out.w"], p["out.b"])

@@ -145,8 +145,9 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
     With no explicit config, vocabularies are built from the trees and
     remaining keyword arguments override ModelConfig defaults.  Training
     stops after the first epoch whose token accuracy reaches
-    `early_stop_accuracy`, a number from 0 to 1.  Raises TrainingDiverged
-    when a batch loss is not finite.
+    `early_stop_accuracy`, a number from 0 to 1.  A given config must
+    name `scheme`.  Raises TrainingDiverged when a batch loss is not
+    finite.
     """
     # the chained comparison is false for nan too
     if early_stop_accuracy is not None and not 0.0 <= early_stop_accuracy <= 1.0:
@@ -163,6 +164,8 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
                              token_to_id=token_to_id, **overrides)  # type: ignore[arg-type]
     elif overrides:
         config = replace(config, **overrides)  # type: ignore[arg-type]
+    if parse_scheme(config.scheme) != scheme:
+        raise ValueError(f"the config's scheme is {config.scheme}, not {scheme}")
     examples = _examples(encoded, scheme, config)
 
     rng = np.random.default_rng(config.seed)

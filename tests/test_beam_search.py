@@ -1,0 +1,178 @@
+"""Beam search stops early without changing what it returns.
+
+`predict` keeps only the best finished hypothesis and ends once no live
+hypothesis scores above it.  `_reference_predict` below is the search
+that keeps a pool of `beam_size` finished hypotheses, builds a Python
+list of every legal candidate, sorts it by (-score, token id,
+hypothesis) and stops when the best live score is no higher than the
+worst kept finished one.  Both must give the same tokens, `terminal`
+flag and score, and `predict` must never run more decoder steps.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import discoseq as dq
+from discoseq.masks import initial_state, step
+from discoseq.neural import ModelConfig, beam, init_parameters, predict, train
+from discoseq.neural import model as nm
+from discoseq.neural.training import build_vocabularies
+
+from conftest import DISCO_SCHEMES
+from test_train_predict import RECIPE, SCHEME
+
+BEAMS = (1, 2, 5, 10)
+SCHEME_NAME = str(SCHEME)
+
+
+def _reference_predict(params, config, words, beam_size, max_len):
+    """(tokens, score, terminal, decoder steps) of the full-pool search."""
+    scheme = dq.parse_scheme(config.scheme)
+    n = len(words)
+    vocabulary = sorted((i, dq.parse_transition(text))
+                        for text, i in config.token_to_id.items() if i != config.bos_id)
+    memory, _ = nm._encode(params, config, [config.word_ids(words)], None)
+    live = [(0.0, [], initial_state(n, scheme))]
+    finished = []
+    past = memory_kv = None
+    steps = 0
+    for _ in range(max_len):
+        if not live:
+            break
+        if len(finished) >= beam_size:
+            if max(hyp[0] for hyp in live) <= min(hyp[0] for hyp in finished):
+                break
+        in_ids = np.array([[ids[-1] if ids else config.bos_id] for _, ids, _ in live])
+        stack_rows, buffer_rows = nm.mask_rows([state.pair for _, _, state in live], n)
+        logits, cache = nm._decode(params, config, memory, in_ids, stack_rows[:, None],
+                                   buffer_rows[:, None], past, memory_kv)
+        steps += 1
+        past, memory_kv = cache["past"], cache["memory_kv"]
+        log_probs = nm._log_softmax(logits[:, -1])
+        candidates = []
+        for index, (score, _, state) in enumerate(live):
+            largest = dq.legal(state.config, scheme)
+            for token_id, token in vocabulary:
+                if (token.k or 0) <= largest.get(token.kind, -1):
+                    candidates.append((score + log_probs[index, token_id], token_id,
+                                       index, token))
+        if not candidates:
+            break
+        candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+        next_live, parents = [], []
+        for score, token_id, index, token in candidates[:beam_size]:
+            state = step(live[index][2], token)
+            child = (score, live[index][1] + [token_id], state)
+            if dq.is_terminal(state.config, scheme):
+                finished.append(child)
+            else:
+                next_live.append(child)
+                parents.append(index)
+        finished.sort(key=lambda hyp: -hyp[0])
+        del finished[beam_size:]
+        live = next_live
+        past = [(keys[parents], values[parents]) for keys, values in past]
+    score, ids, _ = max(finished or live, key=lambda hyp: hyp[0])
+    transition_of = dict(vocabulary)
+    return tuple(transition_of[i] for i in ids), score, bool(finished), steps
+
+
+def _compare(params, config, sentences, monkeypatch, max_len):
+    """Checks every beam width on every sentence; returns the summed
+    decoder steps of `predict` and of the reference."""
+    calls = []
+    decode = nm._decode
+    monkeypatch.setattr(beam, "_decode", lambda *args: calls.append(1) or decode(*args))
+    totals = [0, 0]
+    for beam_size in BEAMS:
+        for words in sentences:
+            calls.clear()
+            got = predict(params, config, words, beam_size=beam_size, max_len=max_len)
+            tokens, score, terminal, steps = _reference_predict(
+                params, config, words, beam_size, max_len)
+            assert (got.tokens, got.terminal) == (tokens, terminal)
+            assert abs(got.score - score) <= 1e-9
+            assert len(calls) <= steps
+            totals[0] += len(calls)
+            totals[1] += steps
+    return totals
+
+
+def test_the_search_matches_the_full_pool_search_on_an_overfit_model(toy20, monkeypatch):
+    fit = train(list(toy20)[:4], SCHEME, early_stop_accuracy=1.0, **RECIPE)
+    ours, reference = _compare(fit.params, fit.config,
+                               [list(tree.sentence) for tree in toy20], monkeypatch,
+                               fit.config.max_positions - 1)
+    assert ours < reference
+
+
+@pytest.mark.parametrize("scheme", DISCO_SCHEMES, ids=str)
+def test_the_search_matches_the_full_pool_search_on_random_models(toy20, scheme,
+                                                                  monkeypatch):
+    trees = list(toy20)[:6]
+    sentences = [list(tree.sentence) for tree in trees]
+    # an untrained model seldom finishes within the cap, so the early stop
+    # shows on the same model after a few epochs
+    fit = train(trees, scheme, d_model=8, n_heads=2, n_layers=1, d_ff=16, lr=3e-3,
+                warmup_updates=20, epochs=40, seed=5)
+    totals = [_compare(params, fit.config, sentences, monkeypatch, 24) for params in
+              (init_parameters(fit.config, np.random.default_rng(5)), fit.params)]
+    assert totals[1][0] < totals[1][1]
+
+
+@pytest.mark.parametrize("scheme", DISCO_SCHEMES, ids=str)
+def test_ties_break_toward_the_lower_token_then_the_lower_hypothesis(toy20, scheme,
+                                                                     monkeypatch):
+    """An output layer of integer biases alone gives many tokens the same
+    probability, so equal scores decide many choices."""
+    trees = list(toy20)[:3]
+    words, tokens = build_vocabularies(trees, scheme)
+    config = ModelConfig(scheme=str(scheme), word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16)
+    params = init_parameters(config, np.random.default_rng(0))
+    params["out.w"][...] = 0.0
+    params["out.b"][...] = np.random.default_rng(3).integers(-2, 1, len(tokens))
+    _compare(params, config, [list(tree.sentence) for tree in trees], monkeypatch, 24)
+
+
+_LOGIT = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(_LOGIT, min_size=1, max_size=12), min_size=1, max_size=4),
+       st.floats(min_value=-1e4, max_value=0.0), st.floats(min_value=1e-300, max_value=1.0))
+def test_log_softmax_rows_never_raise_a_score(rows, score, spread):
+    """No child outscores its parent, which is what makes the early stop exact."""
+    width = min(len(row) for row in rows)
+    logits = np.array([row[:width] for row in rows]) * spread
+    log_probs = nm._log_softmax(logits)
+    assert (log_probs <= 0.0).all()
+    assert (score + log_probs <= score).all()
+
+
+def test_max_len_is_checked_before_decoding(toy20, monkeypatch):
+    trees = list(toy20)[:2]
+    words, tokens = build_vocabularies(trees, SCHEME)
+    config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=12)
+    params = init_parameters(config, np.random.default_rng(0))
+    monkeypatch.setattr(beam, "_decode", None)  # any decoder step would fail
+    for max_len in (13, 600, 0, -3):
+        with pytest.raises(ValueError, match=f"max_len {max_len} is under 1 or "
+                                             "exceeds max_positions 12"):
+            predict(params, config, list(trees[0].sentence), max_len=max_len)
+
+
+def test_max_len_runs_up_to_max_positions(toy20):
+    trees = list(toy20)[:2]
+    words, tokens = build_vocabularies(trees, SCHEME)
+    config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=3)
+    params = init_parameters(config, np.random.default_rng(0))
+    pred = predict(params, config, ["a", "b", "c"], beam_size=2, max_len=3)
+    assert len(pred.tokens) <= 3
+    assert math.isfinite(pred.score)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -142,6 +143,20 @@ def test_config_requires_contiguous_ids(toy4):
 def test_config_checks_field_types(toy4, field, value):
     with pytest.raises(ValueError, match=f"^{field}: expected "):
         tiny_config(toy4, **{field: value})
+
+
+@pytest.mark.parametrize("token,message", [
+    ("FOO", "bad transition token 'FOO'"),
+    ("SHIFT#2", "token 'SHIFT#2' is not in scheme inorder+swap"),
+    ("REDUCE#1(NP)", "token 'REDUCE#1(NP)' is not in scheme inorder+swap"),
+])
+def test_config_checks_tokens_against_the_scheme(toy4, token, message):
+    words, tokens = build_vocabularies(toy4, SCHEME)
+    tokens[token] = len(tokens)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelConfig(scheme=SCHEME, word_to_id=words, token_to_id=tokens)
+    with pytest.raises(ValueError, match="bad scheme name 'sideways'"):
+        tiny_config(toy4, scheme="sideways")
 
 
 def test_config_float_fields_take_ints(toy4):
@@ -679,6 +694,20 @@ def _wide_config(header):  # over tensors of width 8; one 10**6-square matrix is
     return header
 
 
+def _token(old, new):
+    def edit(header):
+        vocabulary = header["config"]["token_to_id"]
+        vocabulary[new] = vocabulary.pop(old)
+        return header
+    return _header_edit(edit)
+
+
+@_header_edit
+def _bad_scheme(header):
+    header["config"]["scheme"] = "sideways"
+    return header
+
+
 @_header_edit
 def _many_layers(header):  # a layout of 10**13 tensors is never drawn up
     header["config"]["n_layers"] = 10 ** 12
@@ -703,9 +732,14 @@ def _huge_header_length(blob):
     _huge_header_length,
     _float_width,
     _string_dropout,
+    _token("SWAP", "FOO"),
+    _token("SWAP", "SHIFT#2"),
+    _token("SWAP", "REDUCE#2(NP)"),
+    _bad_scheme,
 ], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
         "zero-width", "huge-shape", "overflowing-shape", "wide-config", "many-layers",
-        "huge-header-length", "float-width", "string-dropout"])
+        "huge-header-length", "float-width", "string-dropout", "bad-token",
+        "token-of-another-scheme", "token-of-another-base", "bad-scheme"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"
@@ -720,3 +754,4 @@ def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"discoseq: {path}: ")

@@ -62,8 +62,10 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     table = tracer.by_name()
     assert [name for name in PREDICT_SPANS if name not in table] == []
     steps = table["model.decode"]["calls"]
-    # one legality table per live hypothesis per decoder step, at most
+    # one legality table per live hypothesis, and one mask step per chosen
+    # child, per decoder step, at most
     assert table["transitions.legal"]["calls"] <= beam_size * steps
+    assert table["masks.step"]["calls"] <= beam_size * steps
     # per layer, a step makes 4 self-attention, 2 cross-attention and 2
     # feed-forward projections, plus the output layer's; the encoder's 6 per
     # layer and the memory's 2 cross keys and values run once per sentence
