@@ -4,7 +4,9 @@ The token prefix alone determines which words sit in the parser's stack
 and which wait in the buffer, so a model's cross-attention heads can be
 hard-masked to see only one side.  A constituent on the stack is
 represented by its lowest word position; the other member positions go
-dark until a later step frees them.
+dark until a later step frees them.  Each side of a mask pair is one
+int with bit p set for word p, the same form a constituent's yield
+takes.
 
 Run: python3 demos/04_mask_traces.py
 """
@@ -18,8 +20,8 @@ tokens = dq.encode(tree, scheme)
 n = len(tree.sentence)
 
 
-def fmt(positions):
-    return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
+def fmt(bits):
+    return "{" + ",".join(str(p) for p in range(n) if bits >> p & 1) + "}"
 
 
 print("tree:", dq.emit_discbracket(tree))
@@ -27,8 +29,7 @@ print("\nstep  token      stack      buffer")
 trace = dq.trace(n, tokens, scheme)
 for step, pair in enumerate(trace):
     token = dq.format_transitions(tokens[step - 1:step]) if step else "-"
-    print(f"{step:>4}  {token:<9}  {fmt(pair.stack_positions):<9}"
-          f"  {fmt(pair.buffer_positions)}")
+    print(f"{step:>4}  {token:<9}  {fmt(pair.stack):<9}  {fmt(pair.buffer)}")
 
 # The model adds the masks to attention scores as rows of 0.0 (visible)
 # and -inf (hidden); column 0 is a sentinel that both heads always see.
@@ -49,5 +50,4 @@ except dq.IllegalTransition as exc:
 # the visible stack set without touching the buffer.
 before = dq.trace(n, tokens[:5], scheme)[-1]
 after = dq.trace(n, tokens[:6], scheme)[-1]
-print(f"\nREDUCE at step 6: stack {fmt(before.stack_positions)}"
-      f" -> {fmt(after.stack_positions)}")
+print(f"\nREDUCE at step 6: stack {fmt(before.stack)} -> {fmt(after.stack)}")

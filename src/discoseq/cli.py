@@ -14,7 +14,6 @@ invariant.
 
 import argparse
 import json
-import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
@@ -27,7 +26,8 @@ from .metrics import MetricsError, pair_counts, summarize
 from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
-from .treebank import (TreebankError, _open_text, emit_discbracket,
+from .tree import _bit_positions
+from .treebank import (_TOKEN, TreebankError, _open_text, _split_atom, emit_discbracket,
                        parse_bracketed, parse_discbracket, parse_treebank)
 
 EXIT_OK = 0
@@ -251,18 +251,15 @@ def _cmd_stats(args) -> int:
 
 # --- mask-trace ------------------------------------------------------------
 
-def _format_positions(positions: frozenset[int]) -> str:
-    return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
-
-
-# an atom as the reader splits it, after the "(" that makes it a label if any
-_ATOM = re.compile(r"(\(?)[ \t]*((?:\\.|[^() \t\\])+)", re.DOTALL)
+def _format_positions(bits: int) -> str:
+    return "{" + ",".join(map(str, _bit_positions(bits))) + "}"
 
 
 def _has_numbered_leaf(text: str) -> bool:
-    """Whether a leaf, an atom that is no label, holds an unescaped '='."""
-    return any(not opener and "=" in re.sub(r"\\.", "", atom, flags=re.DOTALL)
-               for opener, atom in _ATOM.findall(text))
+    """Whether a leaf, an atom the reader takes for no label, holds an
+    unescaped '='."""
+    return any(match.lastindex == 3 and len(_split_atom(match[3])) > 1
+               for match in _TOKEN.finditer(text))
 
 
 def _cmd_mask_trace(args) -> int:
@@ -277,8 +274,8 @@ def _cmd_mask_trace(args) -> int:
     print("step\ttoken\tstack\tbuffer")
     for step_no, pair in enumerate(pairs):
         token = str(tokens[step_no - 1]) if step_no else "-"
-        print(f"{step_no}\t{token}\t{_format_positions(pair.stack_positions)}"
-              f"\t{_format_positions(pair.buffer_positions)}")
+        print(f"{step_no}\t{token}\t{_format_positions(pair.stack)}"
+              f"\t{_format_positions(pair.buffer)}")
     return EXIT_OK
 
 

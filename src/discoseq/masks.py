@@ -2,16 +2,18 @@
 
 Each decoding step carries two sets of input positions: the ones the
 stack attention head may attend and the ones the buffer head may
-attend.  Every other position is masked for that head.  The model turns
-a pair into additive {0, -inf} rows (`neural.model.mask_rows`).
+attend.  Every other position is masked for that head.  Each set is
+one int with bit p set for position p, the form a `Constituent` keeps
+its yield in.  The model turns a pair into additive {0, -inf} rows
+(`neural.model.mask_rows`).
 
 The masks are a function of the parse configuration.  Its items are
 word positions, built constituents and open non-terminal markers.  A
-word position on the stack or in the buffer enters that side's set
-itself; a built constituent contributes only its lowest position, so
-its other positions stay out of both sets.  Markers contribute nothing.
-So initially every word is in the buffer set only, and a position is
-in at most one set.
+word position on the stack or in the buffer sets its own bit on that
+side; a built constituent sets only its lowest position's bit, so its
+other positions stay out of both sets.  Markers set nothing.  So
+initially every word is in the buffer set only, and a position is in
+at most one set.
 
 A MaskState pairs the configuration replayed by `transitions.apply`
 with the mask pair read off it; an illegal token raises
@@ -28,10 +30,11 @@ from .tree import min_position
 
 @dataclass(frozen=True)
 class MaskPair:
-    """The input positions the stack head and the buffer head may attend."""
+    """The input positions the stack head and the buffer head may attend,
+    each as bits: bit p set for position p."""
 
-    stack_positions: frozenset[int]
-    buffer_positions: frozenset[int]
+    stack: int
+    buffer: int
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,13 @@ class MaskState:
 
 
 def _read_pair(config: Configuration) -> MaskPair:
-    return MaskPair(
-        frozenset(min_position(item) for item in config.stack
-                  if not isinstance(item, MarkerItem)),
-        frozenset(min_position(item) for item in config.buffer))
+    stack = buffer = 0
+    for item in config.stack:
+        if not isinstance(item, MarkerItem):
+            stack |= 1 << min_position(item)
+    for item in config.buffer:
+        buffer |= 1 << min_position(item)
+    return MaskPair(stack, buffer)
 
 
 def initial_state(n_words: int, scheme: Scheme) -> MaskState:

@@ -1,20 +1,21 @@
 """Labeled bracketing scores over aligned treebanks.
 
-A tree is scored as a multiset of (label, yield) items, so duplicate
-brackets each need a partner on the other side.  Punctuation removal
-drops the surface forms in DEFAULT_PUNCTUATION from every yield before matching;
-items whose yield becomes empty disappear.  The discontinuous score
-restricts matching to items whose yield has a real gap, where gaps
-containing only removed punctuation do not count.  All ratios are
-micro-averaged on a 0-100 scale.  Like `discoseq eval`, every function
-keeps punctuation and the root node unless asked to drop them.
+A tree is scored as a multiset of (label, yield) items, each yield an
+int with bit p set for position p, so duplicate brackets each need a
+partner on the other side.  Punctuation removal drops the surface forms
+in DEFAULT_PUNCTUATION from every yield before matching; items whose
+yield becomes empty disappear.  The discontinuous score restricts
+matching to items whose yield has a real gap, where gaps containing
+only removed punctuation do not count.  All ratios are micro-averaged
+on a 0-100 scale.  Like `discoseq eval`, every function keeps
+punctuation and the root node unless asked to drop them.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .tree import ConstituentTree, _bit_positions
+from .tree import ConstituentTree
 
 # Surface forms treated as punctuation, independent of part of speech.
 DEFAULT_PUNCTUATION = frozenset(
@@ -59,19 +60,12 @@ class Report:
 
 def bracket_items(tree: ConstituentTree, remove_punctuation: bool = False,
                   ignore_root: bool = False) -> Counter:
-    """Multiset of (label, yield) pairs for scoring, yields as frozensets.
+    """Multiset of (label, yield) pairs for scoring, each yield an int
+    with bit p set for position p.
 
     ignore_root drops the topmost node itself, not every node sharing
     its label.
     """
-    return Counter({(label, frozenset(_bit_positions(covered))): count
-                    for (label, covered), count in
-                    _items(tree, remove_punctuation, ignore_root).items()})
-
-
-def _items(tree: ConstituentTree, remove_punctuation: bool,
-           ignore_root: bool) -> Counter:
-    """`bracket_items` with each yield as an int, bit p for position p."""
     kept = ~_removed_bits(tree, remove_punctuation)
     items: Counter = Counter()
     for node in tree.root.constituents():
@@ -102,8 +96,8 @@ def pair_counts(gold: ConstituentTree, predicted: ConstituentTree,
                 ignore_root: bool = False) -> PairCounts:
     if list(gold.sentence) != list(predicted.sentence):
         raise MetricsError("sentence mismatch")
-    gold_items = _items(gold, remove_punctuation, ignore_root)
-    predicted_items = _items(predicted, remove_punctuation, ignore_root)
+    gold_items = bracket_items(gold, remove_punctuation, ignore_root)
+    predicted_items = bracket_items(predicted, remove_punctuation, ignore_root)
     matched = gold_items & predicted_items
     removed = _removed_bits(gold, remove_punctuation)
 

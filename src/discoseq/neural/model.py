@@ -36,7 +36,7 @@ smoothing 0.01, batches of 3584 tokens and 80 epochs.
 
 import math
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence, get_args, get_origin
 
 import numpy as np
@@ -95,8 +95,9 @@ class ModelConfig:
             if not fits:
                 raise ValueError(f"{field.name}: expected {field.type.__name__}, "
                                  f"got {value!r}")
-        if self.d_model < 1:
-            raise ValueError("d_model must be positive")
+        for name in ("d_model", "n_layers", "d_ff", "max_positions", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.n_heads < 2:
             raise ValueError("need at least a stack head and a buffer head")
         if self.d_model % self.n_heads:
@@ -415,13 +416,13 @@ def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.n
     0), always attendable for both specialized heads, so rows whose
     structure is empty stay finite.
     """
-    sets = ([pair.stack_positions for pair in pairs]
-            + [pair.buffer_positions for pair in pairs])
-    rows = np.full((len(sets), n_words + 1), NEG_INF)
-    rows[:, 0] = 0.0
-    sizes = [len(positions) for positions in sets]
-    columns = np.fromiter(chain.from_iterable(sets), np.int64, sum(sizes))
-    rows[np.repeat(np.arange(len(sets)), sizes), columns + 1] = 0.0
+    width = n_words // 8 + 1  # bytes per row of n_words + 1 columns
+    # a pair's bits shifted up one, with bit 0 set for the sentinel column
+    packed = b"".join((bits << 1 | 1).to_bytes(width, "little") for bits in
+                      [pair.stack for pair in pairs] + [pair.buffer for pair in pairs])
+    visible = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1,
+                            count=n_words + 1, bitorder="little")
+    rows = np.where(visible, 0.0, NEG_INF)
     return rows[:len(pairs)], rows[len(pairs):]
 
 
@@ -440,33 +441,28 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, dict]:
-    """Decoder logits for the input tokens `in_ids` (..., T) of one
-    sentence, in evaluation mode.
+    """One beam step's decoder logits (B, 1, vocab) for one sentence, in
+    evaluation mode.
 
     Beam search passes one new token per hypothesis as (B, 1) ids with
     (B, 1, n_words + 1) mask rows, plus `past`, the per-layer
     self-attention keys and values of the earlier positions that the
-    previous call returned as `cache["past"]`.  Positions and the causal
-    mask then start at the past length, and the `max_positions` check
-    counts past and new rows together.  A one-token step sees every
-    earlier position, so it gets no self mask.  A whole (T,) sequence
-    with (T, n_words + 1) rows is the same computation as `_pass` on one
-    sentence.
+    previous call returned as `cache["past"]`.  The new token's position
+    is the past length, and the `max_positions` check counts it too.  It
+    sees every earlier position, so it gets no self mask.  Whole
+    sequences go through `_pass`.
 
     `cache["memory_kv"]` holds each layer's cross-attention keys and
     values of `memory`, shared by every row.  Passing them back as
     `memory_kv` with the same memory skips projecting it again.
     """
-    t = in_ids.shape[-1]
     start = 0 if past is None else past[0][0].shape[-2]
-    if start + t > config.max_positions:
-        raise ValueError(f"sequence length {start + t} exceeds max_positions")
+    if start + 1 > config.max_positions:
+        raise ValueError(f"sequence length {start + 1} exceeds max_positions")
     y, _ = _embed(p, config, "tok_emb", in_ids,
-                  _position_table(config, start + t)[start:start + t], None)
-    self_mask = (None if t == 1
-                 else np.concatenate((np.zeros((t, start)), causal_mask(t)), axis=1))
+                  _position_table(config, start + 1)[start:start + 1], None)
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
-    y, layers = _layers(p, config, "dec", y, None, [(_ALL, _ALL, self_mask)], past, memory,
+    y, layers = _layers(p, config, "dec", y, None, [(_ALL, _ALL, None)], past, memory,
                         [(_ALL, _ALL, cross_masks)], memory_kv)
     logits = linear(y, p["out.w"], p["out.b"])
     return logits, {"past": [step[3][3:5] for step in layers if step[0] == "self"],

@@ -3,7 +3,9 @@
 A constituent is a labeled node whose children are word positions (plain
 ints) or other constituents.  The yield of a node is the set of sentence
 positions it covers, stored as one int with bit p set for position p;
-a node is discontinuous when those bits have gaps.  Children are stored
+a node is discontinuous when those bits have gaps.  That int is the one
+form of a position set in the package: mask pairs and scored brackets
+hold the same bits, and `_bit_positions` lists them.  Children are stored
 sorted by the smallest position they cover, so structural equality is
 canonical: two trees over the same sentence are equal exactly when they
 contain the same labeled yields arranged the same way.  Values are
@@ -72,11 +74,6 @@ class Constituent:
         _set(self, "children", children)
         _set(self, "_bits", bits)
         _set(self, "_low", (bits & -bits).bit_length() - 1 if bits else _EMPTY_SORT_KEY)
-
-    @property
-    def positions(self) -> frozenset[int]:
-        """The sentence positions this node covers."""
-        return frozenset(_bit_positions(self._bits))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

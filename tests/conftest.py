@@ -133,13 +133,34 @@ def deep_line(shape: str, depth: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# position sets on the test side: the package holds every position set as an
+# int with bit p set for position p, and these references compare sets
+
+def bit_set(bits: int) -> frozenset[int]:
+    """The positions of the set bits of `bits`."""
+    return frozenset(p for p in range(bits.bit_length()) if bits >> p & 1)
+
+
+def yield_set(node: dq.Constituent) -> frozenset[int]:
+    """The positions of the leaves under `node`, collected by a walk."""
+    found, pending = set(), [node]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, int):
+            found.add(item)
+        else:
+            pending.extend(item.children)
+    return frozenset(found)
+
+
+# ---------------------------------------------------------------------------
 # mask replay oracle
 
 def _representative(item: tr.StackItem) -> int:
     if isinstance(item, int):
         return item
     assert isinstance(item, dq.Constituent)
-    return min(item.positions)
+    return min(yield_set(item))
 
 
 def config_pair(config: tr.Configuration) -> tuple[frozenset[int], frozenset[int]]:

@@ -25,6 +25,7 @@ from discoseq.neural.training import build_examples, build_vocabularies
 from conftest import (
     ALL_SCHEMES,
     DISCO_SCHEMES,
+    bit_set,
     is_legal,
     random_tree,
     random_walk,
@@ -89,7 +90,7 @@ def test_criterion_3_mask_trace_matches_replay():
         scheme = DISCO_SCHEMES[sequences % len(DISCO_SCHEMES)]
         n = len(tree.sentence)
         tokens = dq.encode(tree, scheme)
-        got = [(p.stack_positions, p.buffer_positions)
+        got = [(bit_set(p.stack), bit_set(p.buffer))
                for p in dq.trace(n, tokens, scheme)]
         assert got == replay_pairs(n, tokens, scheme)
         sequences += 1

@@ -368,11 +368,14 @@ def test_mask_trace_autodetects_bracketed(capsys):
                         "--tree", "(S (NP a) (VP b))"], capsys)
     assert code == 0
     assert out.splitlines()[1].endswith("{0,1}")
-    # a raw "=" in a label does not make a discbracket line; only a leaf's does
-    argv = ["mask-trace", "--scheme", "topdown", "--tree", "(S (NP=1 a) (VP b))"]
-    code, labelled, _ = run(argv, capsys)
-    assert (code, labelled) == run([*argv, "--format", "bracketed"], capsys)[:2]
-    assert code == 0 and "NT(NP=1)" in labelled
+    # a raw "=" in a label does not make a discbracket line, nor an escaped
+    # one in a leaf; only a leaf's raw "=" does
+    for tree, token in (("(S (NP=1 a) (VP b))", "NT(NP=1)"),
+                        (r"(S (NP a\=1) (VP b))", "NT(NP)")):
+        argv = ["mask-trace", "--scheme", "topdown", "--tree", tree]
+        code, labelled, _ = run(argv, capsys)
+        assert (code, labelled) == run([*argv, "--format", "bracketed"], capsys)[:2]
+        assert code == 0 and token in labelled
 
 
 def test_eval_text_output(tmp_path, capsys):

@@ -3,11 +3,11 @@
 Every tree walk is a loop, so none of these stages, nor a tree's
 `repr`, depends on the interpreter's recursion limit, which stays at
 its default here.  A chain goes 5,000 levels deep.  Every level of a
-right-branching nest holds a word.  A yield is stored as one integer,
-so a nest's yields take little memory, but its mask traces hold a
-position set per step and grow with the square of its depth: the nest
-goes 1,200 levels deep here, and a separate process reads, encodes,
-decodes and scores a 5,000-level nest under a memory bound.
+right-branching nest holds a word; the nest goes 1,200 levels deep
+here.  A yield and each side of a mask pair are stored as one integer,
+so a nest's yields and mask traces grow with its depth, not with its
+square: a separate process reads, encodes, decodes and scores a
+5,000-level nest and traces the 1,200-level one under a memory bound.
 
 The last test guards the loops: no function in the package calls its
 own name.  It cannot see the methods that `dataclass` generates; the
@@ -77,14 +77,19 @@ def test_a_5000_level_nest_stays_small():
         "result = dq.decode(tree.sentence, dq.encode(tree, scheme), scheme)\n"
         "assert result.clean and result.tree == tree\n"
         "assert dq.evaluate([tree], [result.tree]).exact_match == 1.0\n"
+        "nest = dq.parse_discbracket(sys.argv[2])\n"
+        "tokens = dq.encode(nest, scheme)\n"
+        "assert len(dq.trace(len(nest.sentence), tokens, scheme)) == len(tokens) + 1\n"
         "with open('/proc/self/status') as status:\n"
         "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dq.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, deep_line("nest", 5000)],
+    proc = subprocess.run([sys.executable, "-c", script, deep_line("nest", 5000),
+                           deep_line("nest", DEPTHS["nest"])],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 64 * 1024  # KiB; frozenset yields took 586 MiB
+    # KiB; frozenset yields took 586 MiB, and frozenset mask pairs 203 MiB
+    assert int(proc.stdout) < 64 * 1024
 
 
 def _reference_repr(node) -> str:

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and the README's Python blocks, run to completion
+against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,25 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def _run(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run([str(demo)])
+
+
+def test_readme_python_blocks_run():
+    """The blocks run in order as one script, since later ones use names
+    that earlier ones define."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    _run(["-c", "\n".join(blocks)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import discoseq as dq
 from discoseq import transitions as tr
-from conftest import ALL_SCHEMES, random_walk, replay_pairs, trees
+from conftest import ALL_SCHEMES, bit_set, random_walk, replay_pairs, trees
 
 SWAP = dq.parse_scheme("inorder+swap")
 SHIFT_TOKEN = dq.parse_transition("SHIFT")
@@ -18,13 +18,12 @@ FIG_PREFIX = (
 
 
 def sets(pair):
-    return pair.stack_positions, pair.buffer_positions
+    return bit_set(pair.stack), bit_set(pair.buffer)
 
 
 def test_initial_state_masks_everything_off_the_buffer():
     state = dq.initial_state(4, SWAP)
-    assert state.pair.stack_positions == frozenset()
-    assert state.pair.buffer_positions == frozenset({0, 1, 2, 3})
+    assert state.pair == dq.MaskPair(stack=0, buffer=0b1111)
 
 
 def test_fig_prefix_trace():
@@ -37,8 +36,7 @@ def test_fig_prefix_trace():
 def test_shift_moves_one_representative():
     before = dq.initial_state(3, SWAP)
     after = dq.step(before, SHIFT_TOKEN)
-    assert after.pair.stack_positions == frozenset({0})
-    assert after.pair.buffer_positions == frozenset({1, 2})
+    assert after.pair == dq.MaskPair(stack=0b001, buffer=0b110)
 
 
 def test_nt_and_finish_leave_masks_alone():
@@ -139,8 +137,8 @@ def test_reduce_shrinks_union_by_children_minus_one(fig_tree):
     pairs = dq.trace(n, tokens, SWAP)
     config = dq.initial(n)
     for i, token in enumerate(tokens):
-        before = len(pairs[i].stack_positions) + len(pairs[i].buffer_positions)
-        after = len(pairs[i + 1].stack_positions) + len(pairs[i + 1].buffer_positions)
+        before = sum(map(len, sets(pairs[i])))
+        after = sum(map(len, sets(pairs[i + 1])))
         if token.kind == tr.REDUCE:
             marker = max(j for j, e in enumerate(config.stack)
                          if isinstance(e, tr.MarkerItem))

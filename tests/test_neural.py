@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from discoseq.neural import training
 from discoseq.neural.checkpoint import CheckpointError
 from discoseq.neural.training import build_examples, build_vocabularies
 
-from conftest import DISCO_SCHEMES
+from conftest import DISCO_SCHEMES, bit_set
 
 SCHEME = "inorder+swap"
 
@@ -303,8 +304,8 @@ def test_mask_rows_sentinel_column(setup, toy4):
     assert set(np.unique(np.concatenate((stack_rows, buffer_rows)))) == {0.0, -np.inf}
     assert np.all(stack_rows[:, 0] == 0.0) and np.all(buffer_rows[:, 0] == 0.0)
     for stack_row, buffer_row, pair in zip(stack_rows, buffer_rows, pairs):
-        assert {p for p in range(n) if stack_row[p + 1] == 0.0} == pair.stack_positions
-        assert {p for p in range(n) if buffer_row[p + 1] == 0.0} == pair.buffer_positions
+        assert {p for p in range(n) if stack_row[p + 1] == 0.0} == bit_set(pair.stack)
+        assert {p for p in range(n) if buffer_row[p + 1] == 0.0} == bit_set(pair.buffer)
 
 
 def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, toy4):
@@ -314,7 +315,19 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     ex = examples[0]
     memory, _ = nm._encode(params, config, [ex.word_ids], None)
     in_ids = np.concatenate(([config.bos_id], ex.target_ids[:-1]))
-    logits, _ = nm._decode(params, config, memory, in_ids, ex.stack_rows, ex.buffer_rows)
+
+    def stepped(memory):
+        """Each step's logits, one token at a time through `past`."""
+        past, rows = None, []
+        for t, in_id in enumerate(in_ids):
+            logits, cache = nm._decode(params, config, memory, np.array([[in_id]]),
+                                       ex.stack_rows[None, t:t + 1],
+                                       ex.buffer_rows[None, t:t + 1], past)
+            past = cache["past"]
+            rows.append(logits[0, 0])
+        return np.array(rows)
+
+    logits = stepped(memory)
     hidden_both = [
         (t, pos) for t in range(len(ex.target_ids))
         for pos in range(len(ex.word_ids))
@@ -324,8 +337,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     t, pos = hidden_both[-1]
     bumped = memory.copy()
     bumped[pos + 1] += 17.0
-    new_logits, _ = nm._decode(params, config, bumped, in_ids,
-                               ex.stack_rows, ex.buffer_rows)
+    new_logits = stepped(bumped)
     assert np.array_equal(logits[t], new_logits[t])
     # sanity: the perturbation is visible at steps that can see the word
     visible = [s for s in range(len(ex.target_ids))
@@ -736,15 +748,26 @@ def _huge_header_length(blob):
     _token("SWAP", "SHIFT#2"),
     _token("SWAP", "REDUCE#2(NP)"),
     _bad_scheme,
+    ("n_layers", 0),
+    ("d_ff", 0),
+    ("max_positions", 0),
+    ("batch_size", 0),
 ], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
         "zero-width", "huge-shape", "overflowing-shape", "wide-config", "many-layers",
         "huge-header-length", "float-width", "string-dropout", "bad-token",
-        "token-of-another-scheme", "token-of-another-base", "bad-scheme"])
+        "token-of-another-scheme", "token-of-another-base", "bad-scheme",
+        "zero-layers", "zero-d-ff", "zero-max-positions", "zero-batch-size"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, config)
-    path.write_bytes(edit(path.read_bytes()))
+    if isinstance(edit, tuple):  # a config field set after its check, saved consistently
+        config = copy.copy(config)
+        setattr(config, *edit)
+        params = init_parameters(config, np.random.default_rng(0))
+        save_checkpoint(path, params, config)
+    else:
+        save_checkpoint(path, params, config)
+        path.write_bytes(edit(path.read_bytes()))
     sentences = tmp_path / "sentences.txt"
     sentences.write_text("wake the dog up\n", encoding="utf-8")
     proc = subprocess.run(

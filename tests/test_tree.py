@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
-from conftest import FIG_LINE, structurally_equal, trees
+from conftest import FIG_LINE, bit_set, structurally_equal, trees
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def test_children_stored_in_canonical_order():
 
 def test_positions_union_of_children():
     node = dq.Constituent("S", (0, dq.Constituent("VP", (2, 4)), 1))
-    assert node.positions == frozenset({0, 1, 2, 4})
+    assert node._bits == 0b10111
 
 
 def test_canonical_leaf_order_is_depth_first(fig):
@@ -30,7 +30,7 @@ def test_canonical_leaf_order_is_depth_first(fig):
 def test_discontinuous_constituents(fig):
     assert not dq.is_continuous(fig)
     nodes = dq.discontinuous_constituents(fig)
-    assert [(c.label, sorted(c.positions)) for c in nodes] == [
+    assert [(c.label, sorted(bit_set(c._bits))) for c in nodes] == [
         ("VP", [0, 2, 3, 4, 6, 7, 8])
     ]
 
@@ -147,5 +147,5 @@ def test_equality_is_structural_and_equal_nodes_hash_equal(a, b, same):
      dq.Constituent("S", (dq.Constituent("NP", (0,)), 0))),
 ], ids=["repeated-position", "leaf-or-node-first"])
 def test_equality_tells_apart_nodes_with_the_same_yield(a, b):
-    assert (a.label, a.positions) == (b.label, b.positions)
+    assert (a.label, a._bits) == (b.label, b._bits)
     assert a != b and not structurally_equal(a, b)

@@ -29,8 +29,8 @@ def test_parse_bracketed_numbers_left_to_right():
     tree = dq.parse_bracketed("(S (NP John) (VP runs))")
     assert tree.sentence == ("John", "runs")
     np, vp = tree.root.children
-    assert (np.label, np.positions) == ("NP", frozenset({0}))
-    assert (vp.label, vp.positions) == ("VP", frozenset({1}))
+    assert (np.label, np._bits) == ("NP", 0b01)
+    assert (vp.label, vp._bits) == ("VP", 0b10)
 
 
 def test_emit_bracketed_rejects_discontinuity():

@@ -2,9 +2,10 @@
 
 A `Constituent` keeps its yield as one int, bit p for position p, and
 `metrics` scores on those ints.  Every reference here is the set
-arithmetic that the ints replace, written out on `positions` sets:
-yields, lowest positions, child order, equality and hashing,
-contiguity, the `validate` rules, `bracket_items` and `pair_counts`.
+arithmetic that the ints replace, written out on position sets and
+compared with the ints read back as sets (`conftest.bit_set`): yields,
+lowest positions, child order, equality and hashing, contiguity, the
+`validate` rules, `bracket_items` and `pair_counts`.
 Nodes are built both from `conftest.trees()` and by hand, with children
 in whatever order they are drawn and with empty, repeated, overlapping
 and out-of-range children.
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
-from conftest import WORDS, trees
+from conftest import WORDS, bit_set, trees
 from discoseq.metrics import DEFAULT_PUNCTUATION, PairCounts, pair_counts
 from discoseq.tree import min_position
 
@@ -109,7 +110,7 @@ def _check_node(spec, node: dq.Constituent) -> None:
     drawn = [child if isinstance(child, int) else _build(child) for child in spec[1]]
     order = sorted(range(len(drawn)), key=lambda i: _ref_low(drawn[i]))  # stable
     assert node.children == tuple(drawn[i] for i in order)
-    assert node.positions == frozenset(_ref_positions(node))
+    assert bit_set(node._bits) == frozenset(_ref_positions(node))
     assert min_position(node) == _ref_low(node)
     for i, child in zip(order, node.children):
         assert min_position(child) == _ref_low(child)
@@ -129,7 +130,7 @@ def test_hand_built_nodes_match_the_set_references(spec, n):
     expected = _ref_validate(tree)
     assert (violation and (violation.rule, violation.detail)) == expected
     for c in node.constituents():
-        assert dq.yield_is_consecutive(c.positions) == _ref_consecutive(_ref_positions(c))
+        assert dq.yield_is_consecutive(bit_set(c._bits)) == _ref_consecutive(_ref_positions(c))
     assert dq.is_continuous(tree) == all(_ref_consecutive(_ref_positions(c))
                                          for c in node.constituents())
 
@@ -154,7 +155,7 @@ def test_trees_match_the_set_references(tree, data):
     assert shuffled == tree.root and hash(shuffled) == hash(tree.root)
     assert dq.validate(tree) is None and _ref_validate(tree) is None
     for node in tree.root.constituents():
-        assert node.positions == frozenset(_ref_positions(node))
+        assert bit_set(node._bits) == frozenset(_ref_positions(node))
         lows = [_ref_low(child) for child in node.children]
         assert lows == sorted(lows) and min_position(node) == min(lows)
     assert dq.is_continuous(tree) == all(_ref_consecutive(_ref_positions(c))
@@ -165,7 +166,9 @@ def test_trees_match_the_set_references(tree, data):
     for remove_punctuation in (False, True):
         for ignore_root in (False, True):
             for t in (tree, predicted):
-                assert (dq.bracket_items(t, remove_punctuation, ignore_root)
+                got = dq.bracket_items(t, remove_punctuation, ignore_root)
+                assert (Counter({(label, bit_set(bits)): count
+                                 for (label, bits), count in got.items()})
                         == _ref_items(t, remove_punctuation, ignore_root))
             assert (pair_counts(tree, predicted, remove_punctuation, ignore_root)
                     == _ref_pair_counts(tree, predicted, remove_punctuation, ignore_root))
