@@ -20,7 +20,7 @@ from .transitions import (SHIPPED_SCHEMES, Configuration, IllegalTransition,
                           parse_transitions)
 from .tree import (Constituent, ConstituentTree, Violation, canonical_leaf_order,
                    discontinuous_constituents, is_continuous, permute_leaves,
-                   reorder_canonical, validate, yield_is_consecutive)
+                   reorder_canonical, validate)
 from .treebank import (TreebankError, bundled, emit_bracketed, emit_discbracket,
                        load_treebank, parse_bracketed, parse_discbracket,
                        parse_treebank, save_treebank)
@@ -42,5 +42,5 @@ __all__ = [
     "load_treebank", "parse_bracketed", "parse_discbracket",
     "parse_scheme", "parse_transition", "parse_transitions", "parse_treebank",
     "permute_leaves", "reorder_canonical", "save_treebank", "step", "trace",
-    "validate", "vocab_stats", "yield_is_consecutive",
+    "validate", "vocab_stats",
 ]

@@ -3,9 +3,9 @@
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON
 header (format version, model config, tensor manifest), then the raw
 tensor payloads concatenated in manifest order as little-endian
-float64.  Round-trips are bitwise.  Loading compares the header length
-and the manifest's total size with the file, and the tensors' names and
-shapes with the model layout of the config, before it reads a payload.
+float64.  Round-trips are bitwise.  Loading checks the header length,
+each manifest entry against the config's model layout, and the layout's
+size against the file before it fills one `_flat` vector of views.
 """
 
 import json
@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .model import ModelConfig, Parameters, _layout
+from .model import ModelConfig, Parameters, _flat, _layout
 
 MAGIC = b"DSEQCKP1"
 
@@ -42,14 +42,6 @@ def save_checkpoint(path: str, params: Parameters, config: ModelConfig) -> None:
         handle.write(blob)
         for name in names:
             handle.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
-
-
-def _is_tensor_entry(entry) -> bool:
-    """A manifest entry: string name, shape of non-negative ints, a dtype."""
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(type(n) is int and n >= 0 for n in entry["shape"])
-            and "dtype" in entry)
 
 
 def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
@@ -82,34 +74,37 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
         tensors = header.get("tensors")
         if not isinstance(tensors, list):
             raise CheckpointError(f"{path}: header has no tensor list")
-        for index, entry in enumerate(tensors):
-            if not _is_tensor_entry(entry):
-                raise CheckpointError(f"{path}: malformed tensor entry {index}")
-            if entry["dtype"] != "<f8":
-                raise CheckpointError(f"{path}: unsupported dtype {entry['dtype']!r}")
-        payload_bytes = sum(prod(entry["shape"]) * 8 for entry in tensors)
-        if payload_bytes != size - handle.tell():
-            raise CheckpointError(f"{path}: the tensors take {payload_bytes} bytes but "
-                                  f"{size - handle.tell()} follow the header")
         # one more than the manifest holds is enough to name a missing
         # tensor, however many layers the config claims
         expected = {name: shape for name, shape, _ in
                     islice(_layout(config), len(tensors) + 1)}
-        shapes = {entry["name"]: tuple(entry["shape"]) for entry in tensors}
-        if len(expected) > len(tensors):
-            missing = min(expected.keys() - shapes.keys())
-            raise CheckpointError(f"{path}: missing tensor {missing!r}")
-        for name in sorted(expected.keys() | shapes.keys()):
-            if name not in shapes:
-                raise CheckpointError(f"{path}: missing tensor {name!r}")
+        seen: set[str] = set()
+        for index, entry in enumerate(tensors):
+            name = entry.get("name") if isinstance(entry, dict) else None
+            if not isinstance(name, str):
+                raise CheckpointError(f"{path}: malformed tensor entry {index}")
+            if name in seen:
+                raise CheckpointError(f"{path}: repeated tensor {name!r}")
+            seen.add(name)
             if name not in expected:
-                raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-            if shapes[name] != expected[name]:
-                raise CheckpointError(f"{path}: tensor {name!r} has shape "
-                                      f"{shapes[name]}, expected {expected[name]}")
-        params: Parameters = {}
+                continue  # named below, after any missing tensor
+            want = {"name": name, "shape": list(expected[name]), "dtype": "<f8"}
+            # True == 1.0 == 1, so the dims' types are checked too
+            if entry != want or not all(type(n) is int for n in entry["shape"]):
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has shape {entry.get('shape')} and dtype "
+                    f"{entry.get('dtype')!r}, expected {want['shape']} and '<f8'")
+        if missing := expected.keys() - seen:
+            raise CheckpointError(f"{path}: missing tensor {min(missing)!r}")
+        if unexpected := seen - expected.keys():
+            raise CheckpointError(f"{path}: unexpected tensor {min(unexpected)!r}")
+        payload_bytes = sum(prod(shape) * 8 for shape in expected.values())
+        if payload_bytes != size - handle.tell():
+            raise CheckpointError(f"{path}: the tensors take {payload_bytes} bytes but "
+                                  f"{size - handle.tell()} follow the header")
+        params = _flat(config)
         for entry in tensors:
-            shape = tuple(entry["shape"])
-            payload = handle.read(prod(shape) * 8)
-            params[entry["name"]] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            tensor = params[entry["name"]]
+            tensor[...] = np.frombuffer(handle.read(tensor.nbytes),
+                                        dtype="<f8").reshape(tensor.shape)
     return params, config

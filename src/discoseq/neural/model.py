@@ -12,11 +12,11 @@ attention weight either way.
 Both stacks are post-norm residual layers, and `_SUBLAYERS` is the one
 statement of their layout: `_layout` (each parameter's name, shape and
 initializer, which `init_parameters` draws and checkpoint loading
-checks), the forward loop `_layers` and the backward loop `_layers_bwd`
-all read it.  `init_parameters` draws into one float64 vector in
-`_layout` order and hands out reshaped views of it, and `loss_and_grad`
-sums gradients into views of a second, zeroed vector, so training's
-Adam update runs over whole vectors.
+checks and fills), the forward loop `_layers` and the backward loop
+`_layers_bwd` all read it.  Parameters are `_flat`: reshaped views of one
+float64 vector in `_layout` order, drawn by `init_parameters` or read
+by checkpoint loading; `loss_and_grad` sums gradients into a second, so
+Adam's update and `grad_check` run over whole vectors.
 
 Training packs a batch: `_pass` stacks every sentence's word rows, its
 memory rows (a sentinel row, then its words) and its decoder token
@@ -95,9 +95,11 @@ class ModelConfig:
             if not fits:
                 raise ValueError(f"{field.name}: expected {field.type.__name__}, "
                                  f"got {value!r}")
-        for name in ("d_model", "n_layers", "d_ff", "max_positions", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        # max_positions holds <bos> and at least one token
+        for name, least in (("d_model", 1), ("n_layers", 1), ("d_ff", 1),
+                            ("max_positions", 2), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         if self.n_heads < 2:
             raise ValueError("need at least a stack head and a buffer head")
         if self.d_model % self.n_heads:
@@ -589,13 +591,6 @@ def _batch_pass(params: Parameters, config: ModelConfig, batch: Sequence[Example
     return total, len(targets), int((logits.argmax(axis=-1) == targets).sum())
 
 
-def batch_loss(params: Parameters, config: ModelConfig,
-               batch: Sequence[Example]) -> float:
-    """Mean label-smoothed cross entropy per target token."""
-    total, count, _ = _batch_pass(params, config, batch, None, None)
-    return total / count
-
-
 def loss_and_grad(params: Parameters, config: ModelConfig, batch: Sequence[Example],
                   rng: np.random.Generator | None = None,
                   ) -> tuple[float, Parameters, int, int]:
@@ -616,23 +611,23 @@ def grad_check(params: Parameters, config: ModelConfig, batch: Sequence[Example]
 
     Meant for tiny double-precision models (d_model <= 16); checks every
     parameter coordinate.  Dropout is ignored (evaluation mode), since a
-    stochastic forward has no well-defined finite difference.
+    stochastic forward has no well-defined finite difference.  It perturbs
+    `params` through their one vector, so they must be views of one, as
+    `init_parameters`, `train` and `load_checkpoint` hand them out.
     """
     if config.d_model > 16:
         raise ValueError("grad_check is for tiny models (d_model <= 16)")
-    _, analytic, _, _ = loss_and_grad(params, config, batch, rng=None)
+    _, grads, _, _ = loss_and_grad(params, config, batch, rng=None)
+    weights, analytic = _vector(params), _vector(grads)
     worst = 0.0
-    for name in sorted(params):
-        flat = params[name].reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            kept = flat[i]
-            flat[i] = kept + step
-            upper = batch_loss(params, config, batch)
-            flat[i] = kept - step
-            lower = batch_loss(params, config, batch)
-            flat[i] = kept
-            numeric = (upper - lower) / (2.0 * step)
-            scale = max(abs(numeric), abs(grad_flat[i]), 1e-4)
-            worst = max(worst, abs(numeric - grad_flat[i]) / scale)
+    for i in range(weights.size):
+        kept = weights[i]
+        weights[i] = kept + step
+        upper, count, _ = _batch_pass(params, config, batch, None, None)
+        weights[i] = kept - step
+        lower, _, _ = _batch_pass(params, config, batch, None, None)
+        weights[i] = kept
+        numeric = (upper / count - lower / count) / (2.0 * step)
+        scale = max(abs(numeric), abs(analytic[i]), 1e-4)
+        worst = max(worst, abs(numeric - analytic[i]) / scale)
     return worst

@@ -11,7 +11,7 @@ gradient vector as the second scratch.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -135,19 +135,17 @@ def _adam_update(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
     params -= scratch
 
 
-def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
-          config: ModelConfig | None = None, *,
+def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
           early_stop_accuracy: float | None = None,
           log: Callable[[EpochStats], None] | None = None,
           **overrides: object) -> TrainResult:
     """Fit a model on oracle sequences for the given scheme.
 
-    With no explicit config, vocabularies are built from the trees and
-    remaining keyword arguments override ModelConfig defaults.  Training
-    stops after the first epoch whose token accuracy reaches
-    `early_stop_accuracy`, a number from 0 to 1.  A given config must
-    name `scheme`.  Raises TrainingDiverged when a batch loss is not
-    finite.
+    The vocabularies are built from the trees, and the remaining keyword
+    arguments override ModelConfig defaults.  Training stops after the
+    first epoch whose token accuracy reaches `early_stop_accuracy`, a
+    number from 0 to 1.  Raises TrainingDiverged when a batch loss is
+    not finite.
     """
     # the chained comparison is false for nan too
     if early_stop_accuracy is not None and not 0.0 <= early_stop_accuracy <= 1.0:
@@ -158,14 +156,9 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme,
     if not trees:
         raise ValueError("no trees to train on")
     encoded = [(tree, encode(tree, scheme)) for tree in trees]
-    if config is None:
-        word_to_id, token_to_id = _vocabularies(encoded)
-        config = ModelConfig(scheme=str(scheme), word_to_id=word_to_id,
-                             token_to_id=token_to_id, **overrides)  # type: ignore[arg-type]
-    elif overrides:
-        config = replace(config, **overrides)  # type: ignore[arg-type]
-    if parse_scheme(config.scheme) != scheme:
-        raise ValueError(f"the config's scheme is {config.scheme}, not {scheme}")
+    word_to_id, token_to_id = _vocabularies(encoded)
+    config = ModelConfig(scheme=str(scheme), word_to_id=word_to_id,
+                         token_to_id=token_to_id, **overrides)  # type: ignore[arg-type]
     examples = _examples(encoded, scheme, config)
 
     rng = np.random.default_rng(config.seed)

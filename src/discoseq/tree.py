@@ -15,7 +15,7 @@ down, and a hash reads only label and yield.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Child = Union["Constituent", int]
 
@@ -144,14 +144,6 @@ class Violation:
 
     rule: str
     detail: str
-
-
-def yield_is_consecutive(positions: Iterable[int]) -> bool:
-    """True when the positions form one block without gaps."""
-    bits = 0
-    for p in positions:
-        bits |= 1 << p
-    return _gapless(bits)
 
 
 def is_continuous(tree: ConstituentTree) -> bool:

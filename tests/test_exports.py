@@ -1,5 +1,9 @@
-"""The package exports: every name in `__all__` resolves, and a token is
-built only by `Transition` or `parse_transition(s)`."""
+"""The package exports: every name in `__all__` resolves, a token is
+built only by `Transition` or `parse_transition(s)`, and no module
+imports a name it never reads."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +26,44 @@ def test_no_token_alias_is_exported():
     assert [name for name in REMOVED_TOKEN_ALIASES
             if name in discoseq.__all__ or hasattr(discoseq, name)
             or hasattr(transitions, name)] == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that `source` imports but never reads nor lists in `__all__`,
+    skipping imports marked `# noqa: F401`."""
+    module = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(module)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in module.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(module):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in read:
+                unused.append(f"line {node.lineno}: {bound}")
+    return unused
+
+
+PACKAGE = Path(discoseq.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda path: path.relative_to(PACKAGE.parent).as_posix())
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_unused_import_check_flags_an_appended_import():
+    source = Path(transitions.__file__).read_text(encoding="utf-8")
+    assert unused_imports(source) == []
+    assert unused_imports(source + "import os\n") == [
+        f"line {len(source.splitlines()) + 1}: os"]
+    assert unused_imports(source + "import os  # noqa: F401\n") == []

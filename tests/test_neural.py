@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ import pytest
 import discoseq as dq
 from discoseq.neural import (
     ModelConfig,
-    batch_loss,
     forward,
     grad_check,
     init_parameters,
@@ -208,6 +209,40 @@ def test_init_parameters_draws_every_tensor_into_one_vector(toy4, seed):
     vector = nm._vector(params)
     assert all(tensor.base is vector for tensor in params.values())
     assert np.array_equal(np.concatenate([t.ravel() for t in params.values()]), vector)
+
+
+def _is_one_vector(tensors, config):
+    """Whether `tensors` are the `_layout` views of one whole vector."""
+    vector = nm._vector(tensors)
+    return (list(tensors) == [name for name, _, _ in nm._layout(config)]
+            and vector is not None and all(t.base is vector for t in tensors.values())
+            and vector.size == sum(t.size for t in tensors.values()))
+
+
+def test_gradients_and_loaded_parameters_are_views_of_one_vector(tmp_path, setup):
+    config, params, examples = setup
+    _, grads, _, _ = loss_and_grad(params, config, examples[:2])
+    assert _is_one_vector(grads, config)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config)
+    loaded, _ = load_checkpoint(path)
+    assert _is_one_vector(loaded, config)
+
+
+# the checked-in benchmark checkpoint, and the SHA-256 of its tensors'
+# names and little-endian float64 bytes, by name in sorted order
+PARSE_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "parse.ckpt"
+PARSE_CHECKPOINT_SHA256 = "1ae9aa37d075dd0af5ea77ae7b83f7df9790803fbf9ee4e751a39aaca3da2194"
+
+
+def test_the_benchmark_checkpoint_loads_to_its_recorded_tensors():
+    params, config = load_checkpoint(PARSE_CHECKPOINT)
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(name.encode("utf-8"))
+        digest.update(params[name].astype("<f8").tobytes())
+    assert digest.hexdigest() == PARSE_CHECKPOINT_SHA256
+    assert _is_one_vector(params, config)
 
 
 # --- forward pass ---------------------------------------------------------
@@ -480,13 +515,6 @@ def test_dropout_gradients_match_central_differences(toy20):
     assert worst < 1e-5
 
 
-def test_batch_loss_agrees_with_loss_and_grad(setup):
-    config, params, examples = setup
-    direct = batch_loss(params, config, examples[:2])
-    via_grad, _, _, _ = loss_and_grad(params, config, examples[:2])
-    assert math.isclose(direct, via_grad, rel_tol=1e-12)
-
-
 @pytest.mark.parametrize("scheme", DISCO_SCHEMES, ids=str)
 def test_a_packed_batch_sums_its_sentences_gradients(toy20, scheme):
     """One pass over four sentences of uneven lengths gives the gradients
@@ -726,6 +754,26 @@ def _many_layers(header):  # a layout of 10**13 tensors is never drawn up
     return header
 
 
+def _entry(field, value):
+    """An edit that sets one field of the first manifest entry."""
+    def edit(header):
+        header["tensors"][0][field] = value
+        return header
+    return _header_edit(edit)
+
+
+@_header_edit
+def _repeated_name(header):
+    header["tensors"][1]["name"] = header["tensors"][0]["name"]
+    return header
+
+
+@_header_edit
+def _bool_shape(header):
+    header["tensors"][0]["shape"] = [True] * len(header["tensors"][0]["shape"])
+    return header
+
+
 def _huge_header_length(blob):
     return blob[:8] + struct.pack("<Q", 2 ** 62) + blob[16:]
 
@@ -751,12 +799,20 @@ def _huge_header_length(blob):
     ("n_layers", 0),
     ("d_ff", 0),
     ("max_positions", 0),
+    ("max_positions", 1),
     ("batch_size", 0),
+    _repeated_name,
+    _entry("name", ["word_emb"]),
+    _entry("name", 3),
+    _entry("dtype", "<f4"),
+    _bool_shape,
 ], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
         "zero-width", "huge-shape", "overflowing-shape", "wide-config", "many-layers",
         "huge-header-length", "float-width", "string-dropout", "bad-token",
         "token-of-another-scheme", "token-of-another-base", "bad-scheme",
-        "zero-layers", "zero-d-ff", "zero-max-positions", "zero-batch-size"])
+        "zero-layers", "zero-d-ff", "zero-max-positions", "one-max-position",
+        "zero-batch-size", "repeated-name", "list-name", "int-name", "f4-dtype",
+        "bool-shape"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"
@@ -778,3 +834,35 @@ def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"discoseq: {path}: ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeated_name, "repeated tensor"),
+    (_entry("name", ["word_emb"]), "malformed tensor entry 0"),
+    (_entry("dtype", "<f4"), "has shape .* and dtype '<f4'"),
+], ids=["repeated-name", "list-name", "f4-dtype"])
+def test_checkpoint_names_the_malformed_manifest_entry(tmp_path, setup, edit, message):
+    config, params, _ = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [[True, 8], [1.0, 8]], ids=["bool", "float"])
+def test_checkpoint_refuses_a_shape_equal_only_as_numbers(tmp_path, toy4, dims):
+    """True == 1.0 == 1, so a shape's dims must be ints as well as equal."""
+    config = tiny_config(toy4, token_to_id={"<bos>": 0})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_parameters(config, np.random.default_rng(0)), config)
+
+    def edit(header):
+        for entry in header["tensors"]:
+            if entry["name"] == "tok_emb":  # shape (1, 8)
+                entry["shape"] = dims
+        return header
+
+    path.write_bytes(_header_edit(edit)(path.read_bytes()))
+    with pytest.raises(CheckpointError, match="tensor 'tok_emb' has shape"):
+        load_checkpoint(path)

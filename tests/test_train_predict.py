@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import discoseq as dq
-from discoseq.neural import (ModelConfig, Prediction, TrainingDiverged, forward, predict,
-                             train)
+from discoseq.neural import Prediction, TrainingDiverged, forward, predict, train
 from discoseq.neural.training import build_examples, build_vocabularies, lr_at
 
 SCHEME = dq.parse_scheme("inorder+swap")
@@ -56,18 +55,11 @@ def test_log_callback_sees_every_epoch(toy4):
     assert seen == list(result.history)
 
 
-def test_config_overrides_apply(overfit, toy4):
-    result = train(toy4, SCHEME, config=overfit.config, epochs=2)
+def test_config_overrides_apply(toy4):
+    result = train(toy4, SCHEME, **dict(RECIPE, epochs=2, d_ff=48))
     assert len(result.history) == 2
-    assert result.config.epochs == 2
-
-
-def test_train_rejects_a_config_of_another_scheme(toy4):
-    words, tokens = build_vocabularies(toy4, "topdown+swap")
-    config = ModelConfig(scheme="topdown+swap", word_to_id=words, token_to_id=tokens,
-                         **RECIPE)
-    with pytest.raises(ValueError, match="scheme is topdown[+]swap, not inorder[+]swap"):
-        train(toy4, SCHEME, config=config)
+    assert (result.config.epochs, result.config.d_ff) == (2, 48)
+    assert result.config.scheme == str(SCHEME)
 
 
 def test_train_rejects_empty_input():

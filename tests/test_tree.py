@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
+from discoseq.tree import _gapless
 from conftest import FIG_LINE, bit_set, structurally_equal, trees
 
 
@@ -36,9 +37,9 @@ def test_discontinuous_constituents(fig):
 
 
 def test_yield_is_consecutive():
-    assert dq.yield_is_consecutive(frozenset({3}))
-    assert dq.yield_is_consecutive(frozenset({2, 3, 4}))
-    assert not dq.yield_is_consecutive(frozenset({2, 4}))
+    assert _gapless(0b1000)
+    assert _gapless(0b11100)
+    assert not _gapless(0b10100)
 
 
 def test_permute_identity():

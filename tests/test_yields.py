@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import discoseq as dq
 from conftest import WORDS, bit_set, trees
 from discoseq.metrics import DEFAULT_PUNCTUATION, PairCounts, pair_counts
-from discoseq.tree import min_position
+from discoseq.tree import _gapless, min_position
 
 _EMPTY = float("inf")
 
@@ -130,7 +130,7 @@ def test_hand_built_nodes_match_the_set_references(spec, n):
     expected = _ref_validate(tree)
     assert (violation and (violation.rule, violation.detail)) == expected
     for c in node.constituents():
-        assert dq.yield_is_consecutive(bit_set(c._bits)) == _ref_consecutive(_ref_positions(c))
+        assert _gapless(c._bits) == _ref_consecutive(_ref_positions(c))
     assert dq.is_continuous(tree) == all(_ref_consecutive(_ref_positions(c))
                                          for c in node.constituents())
 
