@@ -3,7 +3,7 @@
 A model predicting tokens freely can emit anything, so the decoder
 patches sequences instead of rejecting them: illegal tokens are dropped
 or clamped, missing structure is closed off, leftover words are adopted
-by a fallback root.  Every repair is reported with its step and rule.
+by a ROOT constituent.  Every repair is reported with its step and rule.
 
 Run: python3 demos/03_decode_and_repairs.py
 """
@@ -35,7 +35,7 @@ show("illegal prefix", "REDUCE SHIFT NT(S) SHIFT SHIFT REDUCE FINISH")
 # Truncated input: open constituents are closed and stragglers adopted.
 show("truncated", "SHIFT NT(NP) SHIFT")
 
-# An empty sequence still yields a tree, thanks to the fallback root.
+# An empty sequence still yields a tree, under a ROOT constituent.
 show("empty", "")
 
 # Out-of-range parameters are clamped to the nearest legal value.
@@ -51,6 +51,6 @@ seqs = [dq.encode(t, scheme) for t in bank]
 seqs[3] = seqs[3][:5]  # sabotage one
 results = [dq.decode(t.sentence, seq, scheme) for t, seq in zip(bank, seqs)]
 rules = Counter(repair.rule for result in results for repair in result.repairs)
-repaired = sum(not result.clean for result in results)
+repaired = sum(bool(result.repairs) for result in results)
 print(f"\nbatch: {len(results)} trees, {repaired} repaired,"
       f" rules {dict(sorted(rules.items()))}")

@@ -8,7 +8,7 @@ the intended consumer: its cross-attention is steered by stack and
 buffer masks replayed from the token stream alone.
 """
 
-from .decode import DecodeResult, LabelMismatch, Repair, decode
+from .decode import DecodeResult, Repair, decode
 from .masks import MaskPair, MaskState, initial_state, step, trace
 from .metrics import (DEFAULT_PUNCTUATION, MetricsError, Report, Score,
                       bracket_items, evaluate)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Configuration", "Constituent", "ConstituentTree",
     "DEFAULT_PUNCTUATION", "DecodeResult", "EncodeError", "IllegalTransition",
-    "LabelMismatch", "MaskPair", "MaskState", "MetricsError",
+    "MaskPair", "MaskState", "MetricsError",
     "Repair", "Report", "SHIPPED_SCHEMES", "Scheme",
     "Score", "Transition", "TreebankError", "Violation",
     "VocabStats", "apply",

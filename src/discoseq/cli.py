@@ -20,15 +20,15 @@ from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict
 
 from . import __version__
-from .decode import decode
+from .decode import Repair, decode
 from .masks import trace
 from .metrics import MetricsError, pair_counts, summarize
 from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
 from .tree import _bit_positions
-from .treebank import (_TOKEN, TreebankError, _open_text, _split_atom, emit_discbracket,
-                       parse_bracketed, parse_discbracket, parse_treebank)
+from .treebank import (TreebankError, _open_text, emit_discbracket, parse_bracketed,
+                       parse_discbracket, parse_treebank)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,22 +82,37 @@ def _d_model(text: str) -> int:
     return d_model
 
 
-def _open_in(path: str):
-    return nullcontext(sys.stdin) if path == "-" else _open_text(path, "r")
-
-
 def _open_out(path: str):
     return nullcontext(sys.stdout) if path == "-" else _open_text(path, "w")
 
 
-def _numbered_lines(handle) -> list[tuple[int, str]]:
-    """The non-blank lines as read, without the newline, and their numbers."""
-    return [(no, line.rstrip("\n")) for no, line in enumerate(handle, 1)
-            if line.strip()]
-
-
 def _source(path: str) -> str:
     return "<stdin>" if path == "-" else path
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of a file, or of standard input for "-"; a line that is
+    not UTF-8 is a TreebankError naming it."""
+    if path == "-":
+        with suppress(AttributeError):  # a stand-in stdin may lack reconfigure
+            sys.stdin.reconfigure(errors="surrogateescape")
+        lines = sys.stdin.readlines()
+    else:
+        with _open_text(path, "r", errors="surrogateescape") as handle:
+            lines = handle.readlines()
+    for line_no, line in enumerate(lines, 1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise TreebankError("invalid UTF-8", source=_source(path), line_no=line_no,
+                                offset=len(line[:err.start].encode("utf-8"))) from None
+    return lines
+
+
+def _numbered_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """The non-blank lines, without the newline, and their numbers."""
+    return [(no, line.rstrip("\n")) for no, line in enumerate(lines, 1)
+            if line.strip()]
 
 
 @contextmanager
@@ -118,22 +133,25 @@ def _at_line(source: str, line_no: int):
 
 def _read_treebank(path: str, fmt: str):
     """The trees of a file and the 1-based line number of each."""
-    with _open_in(path) as handle:
-        lines = handle.readlines()
+    lines = _read_lines(path)
     trees = parse_treebank(lines, fmt, source=_source(path))
     return trees, [line_no for line_no, _ in _numbered_lines(lines)]
 
 
 @contextmanager
-def _naming_unencodable(trees, line_nos: list[int], scheme: Scheme, source: str):
-    """Report an EncodeError as the line of the first tree that fails."""
+def _naming_unencodable(line_nos: list[int], source: str):
+    """Report an EncodeError at the line of the tree its `index` names."""
     try:
         yield
-    except EncodeError:
-        for tree, line_no in zip(trees, line_nos):
-            with _at_line(source, line_no):
-                encode(tree, scheme)
-        raise
+    except EncodeError as err:
+        raise TreebankError(str(err), source=source, line_no=line_nos[err.index]) from None
+
+
+def _summary(noun: str, logs: list[tuple[Repair, ...]]) -> str:
+    """`N <noun>, M repaired (R1 xK, ...)` over one repair log per item."""
+    rules = sorted(Counter(repair.rule for log in logs for repair in log).items())
+    detail = f" ({', '.join(f'{rule} x{count}' for rule, count in rules)})" if rules else ""
+    return f"{len(logs)} {noun}, {sum(1 for log in logs if log)} repaired{detail}"
 
 
 # --- linearize -------------------------------------------------------------
@@ -161,12 +179,10 @@ def _is_string_list(value) -> bool:
 
 def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
     source = _source(args.tokens)
-    with _open_in(args.tokens) as handle:
-        token_lines = _numbered_lines(handle)
+    token_lines = _numbered_lines(_read_lines(args.tokens))
     sentences = None
     if args.sentences is not None:
-        with _open_in(args.sentences) as handle:
-            sentences = [line.split() for _, line in _numbered_lines(handle)]
+        sentences = [line.split() for _, line in _numbered_lines(_read_lines(args.sentences))]
         if len(sentences) != len(token_lines):
             raise TreebankError(f"{len(sentences)} sentences but "
                                 f"{len(token_lines)} token lines")
@@ -199,27 +215,15 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
 
 def _cmd_delinearize(args) -> int:
     items = _delinearize_items(args)
-    rule_counts: Counter = Counter()
-    repaired = 0
-    mismatches = 0
+    logs = []
     with _open_out(args.outfile) as out:
         for line_no, words, token_texts in items:
             with _at_line(_source(args.tokens), line_no):
                 tokens = parse_transitions(" ".join(token_texts))
-                result = decode(words, tokens, args.scheme, args.fallback_label)
+                result = decode(words, tokens, args.scheme)
             print(emit_discbracket(result.tree), file=out)
-            if result.repairs:
-                repaired += 1
-                rule_counts.update(repair.rule for repair in result.repairs)
-            mismatches += len(result.label_mismatches)
-    summary = f"{len(items)} trees, {repaired} repaired"
-    if rule_counts:
-        detail = ", ".join(f"{rule} x{count}"
-                           for rule, count in sorted(rule_counts.items()))
-        summary += f" ({detail})"
-    if mismatches:
-        summary += f", {mismatches} label mismatches"
-    print(summary, file=sys.stderr)
+            logs.append(result.repairs)
+    print(_summary("trees", logs), file=sys.stderr)
     return EXIT_OK
 
 
@@ -239,7 +243,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_stats(args) -> int:
     trees, line_nos = _read_treebank(args.infile, args.format)
-    with _naming_unencodable(trees, line_nos, args.scheme, _source(args.infile)):
+    with _naming_unencodable(line_nos, _source(args.infile)):
         stats = vocab_stats(trees, args.scheme)
     print("scheme\tsize\tmax_length")
     print(f"{args.scheme}\t{stats.size}\t{stats.max_length}")
@@ -255,20 +259,9 @@ def _format_positions(bits: int) -> str:
     return "{" + ",".join(map(str, _bit_positions(bits))) + "}"
 
 
-def _has_numbered_leaf(text: str) -> bool:
-    """Whether a leaf, an atom the reader takes for no label, holds an
-    unescaped '='."""
-    return any(match.lastindex == 3 and len(_split_atom(match[3])) > 1
-               for match in _TOKEN.finditer(text))
-
-
 def _cmd_mask_trace(args) -> int:
-    text = args.tree.rstrip("\n")
-    if args.format == "auto":
-        fmt = "discbracket" if _has_numbered_leaf(text) else "bracketed"
-    else:
-        fmt = args.format
-    tree = (parse_discbracket if fmt == "discbracket" else parse_bracketed)(text)
+    parse = parse_discbracket if args.format == "discbracket" else parse_bracketed
+    tree = parse(args.tree.rstrip("\n"))
     tokens = encode(tree, args.scheme)
     pairs = trace(len(tree.sentence), tokens, args.scheme)
     print("step\ttoken\tstack\tbuffer")
@@ -329,7 +322,7 @@ def _cmd_train(args) -> int:
     overrides = {name: value for name, value in (
         ("epochs", args.epochs), ("seed", args.seed),
         ("d_model", args.d_model)) if value is not None}
-    with _naming_unencodable(gold, line_nos, args.scheme, _source(args.infile)):
+    with _naming_unencodable(line_nos, _source(args.infile)):
         result = train(
             gold, args.scheme,
             early_stop_accuracy=args.early_stop_accuracy,
@@ -353,20 +346,17 @@ def _cmd_predict(args) -> int:
               f"most {config.max_positions}, got {args.max_len}", file=sys.stderr)
         return EXIT_USAGE
     scheme = parse_scheme(config.scheme)
-    with _open_in(args.infile) as handle:
-        sentences = [(no, line.split()) for no, line in _numbered_lines(handle)]
-    repaired = 0
+    sentences = [(no, line.split()) for no, line in _numbered_lines(_read_lines(args.infile))]
+    logs = []
     with _open_out(args.outfile) as out:
         for line_no, words in sentences:
             with _at_line(_source(args.infile), line_no):
                 prediction = predict(params, config, words, beam_size=args.beam,
                                      max_len=args.max_len)
-            result = decode(words, list(prediction.tokens), scheme,
-                            args.fallback_label)
-            if not result.clean:
-                repaired += 1
+            result = decode(words, list(prediction.tokens), scheme)
+            logs.append(result.repairs)
             print(emit_discbracket(result.tree), file=out)
-    print(f"{len(sentences)} sentences, {repaired} repaired", file=sys.stderr)
+    print(_summary("sentences", logs), file=sys.stderr)
     return EXIT_OK
 
 
@@ -418,8 +408,6 @@ def _build_parser() -> _Parser:
                      help="one space-separated sentence per line; required "
                           "for plain token input")
     sub.add_argument("--out", dest="outfile", default="-", metavar="FILE")
-    sub.add_argument("--fallback-label", default="ROOT", metavar="X",
-                     help="root label used when repairing leftovers")
     _add_jobs(sub)
     sub.set_defaults(handler=_cmd_delinearize)
 
@@ -442,10 +430,8 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("mask-trace",
                               help="per-step stack/buffer mask table")
     _add_scheme(sub)
-    sub.add_argument("--tree", required=True, metavar="TREE",
-                     help="one tree, bracketed or discbracket")
-    sub.add_argument("--format", choices=("auto", "discbracket", "bracketed"),
-                     default="auto")
+    sub.add_argument("--tree", required=True, metavar="TREE", help="one tree")
+    _add_format(sub)
     sub.set_defaults(handler=_cmd_mask_trace)
 
     sub = commands.add_parser("eval", help="labeled bracketing F1 / DF1")
@@ -482,7 +468,6 @@ def _build_parser() -> _Parser:
                      help="one space-separated sentence per line")
     sub.add_argument("--out", dest="outfile", default="-", metavar="FILE")
     sub.add_argument("--max-len", type=_positive_int, default=None)
-    sub.add_argument("--fallback-label", default="ROOT", metavar="X")
     sub.set_defaults(handler=_cmd_predict)
     return parser
 

@@ -9,9 +9,11 @@ empty log.
     R2  tokens ran out with buffer items left: shift them implicitly
     R3  tokens ran out with leftovers on the stack: discard unmatched
         open non-terminals and, if more than one item (or a bare word)
-        remains, wrap everything in a fallback-labeled constituent
+        remains, wrap everything in one constituent labeled ROOT
     R4  SHIFT#k beyond the buffer: clamp k to the largest legal k
     R5  REDUCE#k beyond the available items: clamp k to the largest legal k
+    R6  an enriched REDUCE(X) closes an open NT(Y) with Y != X: keep Y;
+        the tree is the one REDUCE would have built
 
 Decoding is deterministic; repairs never reorder the words.
 """
@@ -26,37 +28,19 @@ from .transitions import Configuration, Scheme, Transition
 
 @dataclass(frozen=True)
 class Repair:
-    rule: str    # "R1" .. "R5"
+    rule: str    # "R1" .. "R6"
     step: int    # token index; -1 for end-of-sequence repairs
     detail: str
-
-
-@dataclass(frozen=True)
-class LabelMismatch:
-    """An enriched REDUCE whose carried label disagrees with its marker.
-
-    The marker's label wins for the structure; the disagreement is
-    recorded here because it is a labeling inconsistency, not a repair.
-    """
-
-    step: int
-    marker_label: str
-    carried_label: str
 
 
 @dataclass(frozen=True)
 class DecodeResult:
     tree: ConstituentTree
     repairs: tuple[Repair, ...]
-    label_mismatches: tuple[LabelMismatch, ...] = ()
-
-    @property
-    def clean(self) -> bool:
-        return not self.repairs
 
 
 def decode(sentence: Sequence[str], tokens: Iterable[Transition],
-           scheme: Scheme, fallback_label: str = "ROOT") -> DecodeResult:
+           scheme: Scheme) -> DecodeResult:
     """Rebuild a tree from tokens over the given words; always succeeds.
 
     Each token's guard is checked once, by `apply`; only a token that
@@ -67,7 +51,6 @@ def decode(sentence: Sequence[str], tokens: Iterable[Transition],
         raise ValueError("cannot decode over an empty sentence")
     config = tr.initial(len(sentence))
     repairs: list[Repair] = []
-    mismatches: list[LabelMismatch] = []
 
     for step, token in enumerate(tokens):
         try:
@@ -86,35 +69,27 @@ def decode(sentence: Sequence[str], tokens: Iterable[Transition],
         if token.kind == tr.REDUCE_L:
             marker = config.stack[tr.topmost_marker(config.stack)]
             if marker.label != token.label:
-                mismatches.append(LabelMismatch(step, marker.label, token.label))
+                repairs.append(Repair("R6", step, f"kept NT({marker.label}) over {token}"))
         config = after
 
     if not tr.is_terminal(config, scheme):
-        config, end_repairs = _force_terminal(config, scheme, fallback_label)
-        repairs.extend(end_repairs)
+        config = _force_terminal(config, repairs)
     tree = tr.extract_tree(config, sentence, scheme)
-    return DecodeResult(tree, tuple(repairs), tuple(mismatches))
+    return DecodeResult(tree, tuple(repairs))
 
 
-def _force_terminal(config: Configuration, scheme: Scheme,
-                    fallback_label: str) -> tuple[Configuration, list[Repair]]:
-    repairs: list[Repair] = []
+def _force_terminal(config: Configuration, repairs: list[Repair]) -> Configuration:
+    """The finished configuration that R2 and R3 make, logged to `repairs`."""
     if config.buffer:
-        count = len(config.buffer)
-        stack = config.stack + config.buffer
-        config = Configuration(stack, ())
-        repairs.append(Repair("R2", -1, f"shifted {count} leftover buffer items"))
+        repairs.append(Repair("R2", -1, f"shifted {len(config.buffer)} leftover buffer items"))
+        config = Configuration(config.stack + config.buffer, ())
 
     material = [i for i in config.stack if not isinstance(i, tr.MarkerItem)]
     markers = len(config.stack) - len(material)
-    needs_wrap = len(material) != 1 or isinstance(material[0], int)
-    if markers or needs_wrap:
-        detail = []
-        if markers:
-            detail.append(f"discarded {markers} unmatched open non-terminals")
-        if needs_wrap:
-            detail.append(f"wrapped {len(material)} items in {fallback_label!r}")
-            material = [Constituent(fallback_label, tuple(material))]
+    detail = [f"discarded {markers} unmatched open non-terminals"] if markers else []
+    if len(material) != 1 or isinstance(material[0], int):
+        detail.append(f"wrapped {len(material)} items in 'ROOT'")
+        material = [Constituent("ROOT", tuple(material))]
+    if detail:
         repairs.append(Repair("R3", -1, "; ".join(detail)))
-    config = Configuration((material[0],), (), finished=True)
-    return config, repairs
+    return Configuration((material[0],), (), finished=True)

@@ -378,8 +378,8 @@ def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray,
     return dropout(x, config.dropout, rng)
 
 
-def _embed_bwd(p: Parameters, config: ModelConfig, table: str, d_x: np.ndarray,
-               cache: dict, grads: Parameters) -> None:
+def _embed_bwd(config: ModelConfig, table: str, d_x: np.ndarray, cache: dict,
+               grads: Parameters) -> None:
     d_x = dropout_bwd(d_x, cache["drop_emb"])
     embed_bwd(d_x, grads[table], cache["ids"], math.sqrt(config.d_model))
 
@@ -511,12 +511,12 @@ def _pass_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray, cache: d
     grads["out.w"] += d_out_w
     grads["out.b"] += d_out_b
     d_y, d_memory = _layers_bwd(p, config, d_y, cache["layers"], grads)
-    _embed_bwd(p, config, "tok_emb", d_y, cache, grads)
+    _embed_bwd(config, "tok_emb", d_y, cache, grads)
     encoder = cache["encoder"]
     words = encoder["words"]
     grads["sentinel"] += d_memory[~words].sum(axis=0)
     d_x, _ = _layers_bwd(p, config, d_memory[words], encoder["layers"], grads)
-    _embed_bwd(p, config, "word_emb", d_x, encoder, grads)
+    _embed_bwd(config, "word_emb", d_x, encoder, grads)
 
 
 @dataclass(frozen=True)

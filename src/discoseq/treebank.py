@@ -190,11 +190,11 @@ def emit_discbracket(tree: ConstituentTree) -> str:
     return _render(tree, numbered=True)
 
 
-def _open_text(path: str | Path, mode: str):
+def _open_text(path: str | Path, mode: str, errors: str = "strict"):
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, mode + "t", encoding="utf-8", errors=errors)
+    return open(path, mode, encoding="utf-8", errors=errors)
 
 
 def parse_treebank(lines: Iterable[str], fmt: str = "discbracket", *,

@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import os
 import re
 import struct
 import subprocess
@@ -363,18 +364,19 @@ def test_mask_trace_table(capsys):
     assert lines[-1] == "10\tFINISH\t{0}\t{}"
 
 
-def test_mask_trace_autodetects_bracketed(capsys):
-    code, out, _ = run(["mask-trace", "--scheme", "topdown",
-                        "--tree", "(S (NP a) (VP b))"], capsys)
+def test_mask_trace_reads_bracketed_only_when_asked(capsys):
+    argv = ["mask-trace", "--scheme", "topdown", "--tree", "(S (NP a) (VP b))"]
+    code, out, _ = run([*argv, "--format", "bracketed"], capsys)
     assert code == 0
     assert out.splitlines()[1].endswith("{0,1}")
-    # a raw "=" in a label does not make a discbracket line, nor an escaped
-    # one in a leaf; only a leaf's raw "=" does
+    code, out, err = run(argv, capsys)  # discbracket by default
+    assert (code, out) == (2, "")
+    assert "index=word" in err and "Traceback" not in err
+    # a raw "=" in a label or an escaped one in a leaf reads as bracketed
     for tree, token in (("(S (NP=1 a) (VP b))", "NT(NP=1)"),
                         (r"(S (NP a\=1) (VP b))", "NT(NP)")):
-        argv = ["mask-trace", "--scheme", "topdown", "--tree", tree]
-        code, labelled, _ = run(argv, capsys)
-        assert (code, labelled) == run([*argv, "--format", "bracketed"], capsys)[:2]
+        code, labelled, _ = run(["mask-trace", "--scheme", "topdown", "--tree", tree,
+                                 "--format", "bracketed"], capsys)
         assert code == 0 and token in labelled
 
 
@@ -501,15 +503,34 @@ def test_symbolic_commands_do_not_load_numpy(tmp_path):
     assert forbidden_modules == []
 
 
-def test_max_len_beyond_the_checkpoint_is_a_usage_error(tmp_path, toy20, capsys):
+def _cli(argv, stdin: bytes = b""):
+    """Exit code, stdout and stderr of `python -m discoseq.cli`; no traceback.
+
+    Standard input is strict UTF-8, as under a UTF-8 locale; the C locale
+    would read it with surrogateescape already.
+    """
+    proc = subprocess.run([sys.executable, "-m", "discoseq.cli", *argv], input=stdin,
+                          capture_output=True,
+                          env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"})
+    err = proc.stderr.decode("utf-8")
+    assert "Traceback" not in err, err
+    return proc.returncode, proc.stdout.decode("utf-8"), err
+
+
+def _untrained_checkpoint(directory, toy20):
     import numpy as np
     from discoseq.neural import ModelConfig, init_parameters, save_checkpoint
     from discoseq.neural.training import build_vocabularies
     words, tokens = build_vocabularies(list(toy20)[:2], "inorder+swap")
     config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
                          d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=12)
-    ckpt = tmp_path / "model.ckpt"
+    ckpt = directory / "model.ckpt"
     save_checkpoint(str(ckpt), init_parameters(config, np.random.default_rng(0)), config)
+    return ckpt
+
+
+def test_max_len_beyond_the_checkpoint_is_a_usage_error(tmp_path, toy20, capsys):
+    ckpt = _untrained_checkpoint(tmp_path, toy20)
     sentences = tmp_path / "sents.txt"
     sentences.write_text("the dog ran\n", encoding="utf-8")
     out_path = tmp_path / "pred.discbracket"
@@ -530,6 +551,60 @@ def test_predict_rejects_missing_checkpoint(tmp_path, capsys):
     code, _, err = run(["predict", "--checkpoint", str(tmp_path / "no.ckpt")],
                        capsys)
     assert code == 2
+
+
+def test_delinearize_counts_a_label_mismatch_as_r6(tmp_path):
+    record = {"sentence": ["a", "b"], "scheme": "topdown:enriched",
+              "tokens": "NT(S) NT(NP) SHIFT REDUCE(VP) SHIFT REDUCE(S)".split()}
+    tokens = tmp_path / "tokens.jsonl"
+    tokens.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = _cli(["delinearize", "--scheme", "topdown:enriched",
+                           "--tokens", str(tokens)])
+    assert (code, out, err) == (0, "(S (NP 0=a) 1=b)\n", "1 trees, 1 repaired (R6 x1)\n")
+
+
+def test_predict_lists_its_repairs_by_rule(tmp_path, toy20):
+    ckpt = _untrained_checkpoint(tmp_path, toy20)
+    sentences = tmp_path / "sents.txt"
+    sentences.write_text("the dog ran\n", encoding="utf-8")
+    # one token, the in-order SHIFT, cannot finish a parse of three words
+    code, out, err = _cli(["predict", "--checkpoint", str(ckpt), "--beam", "1",
+                           "--max-len", "1", "--in", str(sentences)])
+    assert (code, out) == (0, "(ROOT 0=the 1=dog 2=ran)\n")
+    assert err == "1 sentences, 1 repaired (R2 x1, R3 x1)\n"
+
+
+def test_train_names_a_tree_longer_than_max_positions(tmp_path):
+    # a 64-word 2-way interleave: 1,063 tokens under inorder+swap
+    evens = " ".join(f"{i}=w{i}" for i in range(0, 64, 2))
+    odds = " ".join(f"{i}=w{i}" for i in range(1, 64, 2))
+    bank = tmp_path / "long.discbracket"
+    bank.write_text(f"(S 0=a 1=b)\n(S (A {evens}) (B {odds}))\n", encoding="utf-8")
+    code, out, err = _cli(["train", "--scheme", "inorder+swap", "--in", str(bank),
+                           "--out", str(tmp_path / "model.ckpt"), "--epochs", "1"])
+    assert (code, out) == (2, "")
+    assert err == (f"discoseq: {bank}: line 2: sequence length 1063 exceeds "
+                   f"max_positions 512\n")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_a_line_that_is_not_utf8_is_named(tmp_path, toy20):
+    lines = [dq.emit_discbracket(tree).encode("utf-8") for tree in toy20] * 50
+    trees = tmp_path / "trees.discbracket"
+    trees.write_bytes(b"\n".join(lines + [b"(S 0=a 1=b\xff)"]) + b"\n")
+    code, out, err = _cli(["linearize", "--scheme", "inorder+swap", "--in", str(trees)])
+    assert (code, out, err) == (2, "", f"discoseq: {trees}: line 1001: invalid UTF-8 "
+                                       f"at byte 10\n")
+    record = json.dumps({"sentence": ["a"], "tokens": ["SHIFT", "NT(S)", "REDUCE"]})
+    stdin = f"{record}\n\n".encode("utf-8") + b'{"sentence": ["\xc3"]}\n'
+    code, out, err = _cli(["delinearize", "--scheme", "inorder", "--tokens", "-"], stdin)
+    assert (code, out, err) == (2, "", "discoseq: <stdin>: line 3: invalid UTF-8 at byte 15\n")
+    sentences = tmp_path / "sents.txt"
+    sentences.write_bytes(b"the dog ran\nthe \x80dog\n")
+    code, out, err = _cli(["predict", "--checkpoint", str(_untrained_checkpoint(tmp_path, toy20)),
+                           "--beam", "1", "--in", str(sentences)])
+    assert (code, out, err) == (2, "", f"discoseq: {sentences}: line 2: invalid UTF-8 "
+                                       f"at byte 4\n")
 
 
 @pytest.mark.parametrize("shape", SHAPES)

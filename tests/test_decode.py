@@ -85,25 +85,24 @@ def test_missing_finish_is_forced_without_logging():
 
 
 def test_empty_sequence_uses_fallback_label():
-    result = dq.decode(("a", "b"), [], TOPDOWN, fallback_label="TOP")
-    assert dq.emit_discbracket(result.tree) == "(TOP 0=a 1=b)"
+    result = dq.decode(("a", "b"), [], TOPDOWN)
+    assert dq.emit_discbracket(result.tree) == "(ROOT 0=a 1=b)"
     assert rules(result) == ["R2", "R3"]
 
 
-def test_enriched_label_mismatch_is_recorded_not_repaired():
+def test_enriched_label_mismatch_is_repair_r6():
     seq = dq.parse_transitions("NT(S) SHIFT SHIFT REDUCE(VP)")
     result = dq.decode(("a", "b"), seq, dq.parse_scheme("topdown:enriched"))
     # the open marker's label wins
     assert dq.emit_discbracket(result.tree) == "(S 0=a 1=b)"
-    assert not result.repairs
-    assert [(m.step, m.marker_label, m.carried_label)
-            for m in result.label_mismatches] == [(3, "S", "VP")]
+    assert [(r.rule, r.step, r.detail) for r in result.repairs] == [
+        ("R6", 3, "kept NT(S) over REDUCE(VP)")]
 
 
 def test_clean_flag():
     tree = dq.parse_discbracket("(S 0=a 1=b)")
-    assert dq.decode(("a", "b"), dq.encode(tree, TOPDOWN), TOPDOWN).clean
-    assert not dq.decode(("a", "b"), [], TOPDOWN).clean
+    assert not dq.decode(("a", "b"), dq.encode(tree, TOPDOWN), TOPDOWN).repairs
+    assert dq.decode(("a", "b"), [], TOPDOWN).repairs
 
 
 def test_decode_is_deterministic():

@@ -52,7 +52,7 @@ def test_a_deep_tree_encodes_decodes_and_traces(deep, scheme):
     scheme = dq.parse_scheme(scheme)
     tokens = dq.encode(tree, scheme)
     result = dq.decode(tree.sentence, tokens, scheme)
-    assert result.clean and result.tree == tree
+    assert not result.repairs and result.tree == tree
     assert len(dq.trace(len(tree.sentence), tokens, scheme)) == len(tokens) + 1
 
 
@@ -75,7 +75,7 @@ def test_a_5000_level_nest_stays_small():
         "tree = dq.parse_discbracket(sys.argv[1])\n"
         "scheme = dq.parse_scheme('inorder+swap')\n"
         "result = dq.decode(tree.sentence, dq.encode(tree, scheme), scheme)\n"
-        "assert result.clean and result.tree == tree\n"
+        "assert not result.repairs and result.tree == tree\n"
         "assert dq.evaluate([tree], [result.tree]).exact_match == 1.0\n"
         "nest = dq.parse_discbracket(sys.argv[2])\n"
         "tokens = dq.encode(nest, scheme)\n"

@@ -73,6 +73,23 @@ def test_train_rejects_an_early_stop_accuracy_outside_0_to_1(toy4, accuracy):
         train(toy4, SCHEME, early_stop_accuracy=accuracy, **dict(RECIPE, epochs=3))
 
 
+def test_train_refuses_a_tree_before_drawing_parameters(toy4, monkeypatch):
+    from discoseq.neural import training
+
+    def draw(*args):
+        raise AssertionError("parameters drawn")
+
+    monkeypatch.setattr(training, "init_parameters", draw)
+    longest = max(len(dq.encode(tree, SCHEME)) for tree in toy4)
+    with pytest.raises(dq.EncodeError, match=f"exceeds max_positions {longest - 1}") as exc:
+        train(toy4, SCHEME, **dict(RECIPE, max_positions=longest - 1))
+    assert [len(dq.encode(tree, SCHEME)) for tree in toy4][exc.value.index] == longest
+    with pytest.raises(dq.EncodeError) as exc:
+        train([dq.parse_discbracket("(S 0=a 1=b)"),
+               dq.parse_discbracket("(S (A 0=a 2=c) 1=b)")], "inorder")
+    assert exc.value.index == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_train_aborts_on_non_finite_loss(toy4):
