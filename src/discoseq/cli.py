@@ -101,12 +101,18 @@ def _read_lines(path: str) -> list[str]:
         with _open_text(path, "r", errors="surrogateescape") as handle:
             lines = handle.readlines()
     for line_no, line in enumerate(lines, 1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as err:
-            raise TreebankError("invalid UTF-8", source=_source(path), line_no=line_no,
-                                offset=len(line[:err.start].encode("utf-8"))) from None
+        _check_utf8(line, _source(path), line_no)
     return lines
+
+
+def _check_utf8(text: str, source: str, line_no: int | None = None) -> None:
+    """Refuse text decoded with surrogateescape from bytes that are not
+    UTF-8, as a TreebankError naming the first bad byte."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise TreebankError("invalid UTF-8", source=source, line_no=line_no,
+                            offset=len(text[:err.start].encode("utf-8"))) from None
 
 
 def _numbered_lines(lines: list[str]) -> list[tuple[int, str]]:
@@ -261,6 +267,7 @@ def _format_positions(bits: int) -> str:
 
 def _cmd_mask_trace(args) -> int:
     parse = parse_discbracket if args.format == "discbracket" else parse_bracketed
+    _check_utf8(args.tree, "--tree")  # argv is decoded with surrogateescape
     tree = parse(args.tree.rstrip("\n"))
     tokens = encode(tree, args.scheme)
     pairs = trace(len(tree.sentence), tokens, args.scheme)

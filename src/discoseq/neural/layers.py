@@ -134,7 +134,9 @@ def causal_mask(length: int) -> np.ndarray:
     return mask
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
+# `rng` is annotated as a string, so importing this module does not import
+# `numpy.random`, which inference never uses.
+def dropout(x: np.ndarray, rate: float, rng: "np.random.Generator | None",
             ) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout; rng=None means evaluation mode (identity)."""
     if rng is None or rate <= 0.0:

@@ -175,7 +175,9 @@ def _vector(tensors: Parameters) -> np.ndarray:
     return tensors["sentinel"].base
 
 
-def init_parameters(config: ModelConfig, rng: np.random.Generator) -> Parameters:
+# The `rng` annotations here are strings, so importing this module does not
+# import `numpy.random`, which inference never uses.
+def init_parameters(config: ModelConfig, rng: "np.random.Generator") -> Parameters:
     """Drawn tensors in `_layout` order, each a view of one float64 vector."""
     scale = 1.0 / math.sqrt(config.d_model)
     params = _flat(config)
@@ -286,7 +288,7 @@ def _sublayer_ff_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple
 
 
 def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
-            rng: np.random.Generator | None, self_segments: Segments,
+            rng: "np.random.Generator | None", self_segments: Segments,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             memory: np.ndarray | None = None, cross_segments: Segments | None = None,
             memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
@@ -371,7 +373,7 @@ def _position_table(config: ModelConfig, length: int) -> np.ndarray:
 
 
 def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray,
-           position_rows: np.ndarray, rng: np.random.Generator | None,
+           position_rows: np.ndarray, rng: "np.random.Generator | None",
            ) -> tuple[np.ndarray, np.ndarray | None]:
     """Scaled `table` rows of `ids` plus `position_rows`, with dropout."""
     x = embed(p[table], ids, math.sqrt(config.d_model)) + position_rows
@@ -385,7 +387,7 @@ def _embed_bwd(config: ModelConfig, table: str, d_x: np.ndarray, cache: dict,
 
 
 def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
-            rng: np.random.Generator | None) -> tuple[np.ndarray, dict]:
+            rng: "np.random.Generator | None") -> tuple[np.ndarray, dict]:
     """The packed encoder memory of `sentences`: each one's sentinel row,
     then its words' rows.
 
@@ -394,7 +396,8 @@ def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     """
     lengths = [len(ids) for ids in sentences]
     if max(lengths) > config.max_positions:
-        raise ValueError(f"sentence length {max(lengths)} exceeds max_positions")
+        raise ValueError(f"sentence length {max(lengths)} exceeds max_positions "
+                         f"{config.max_positions}")
     ids = np.concatenate(sentences)
     x, drop_emb = _embed(p, config, "word_emb", ids,
                          _position_table(config, max(lengths))[_positions(lengths)], rng)
@@ -460,7 +463,8 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     """
     start = 0 if past is None else past[0][0].shape[-2]
     if start + 1 > config.max_positions:
-        raise ValueError(f"sequence length {start + 1} exceeds max_positions")
+        raise ValueError(f"sequence length {start + 1} exceeds max_positions "
+                         f"{config.max_positions}")
     y, _ = _embed(p, config, "tok_emb", in_ids,
                   _position_table(config, start + 1)[start:start + 1], None)
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
@@ -473,7 +477,7 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
 
 def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
           in_ids: Sequence[np.ndarray], stack_rows: Sequence[np.ndarray],
-          buffer_rows: Sequence[np.ndarray], rng: np.random.Generator | None,
+          buffer_rows: Sequence[np.ndarray], rng: "np.random.Generator | None",
           ) -> tuple[np.ndarray, dict]:
     """Logits of a packed batch and the cache that `_pass_bwd` reads.
 
@@ -486,7 +490,8 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     memory, encoder = _encode(p, config, sentences, rng)
     lengths = [len(ids) for ids in in_ids]
     if max(lengths) > config.max_positions:
-        raise ValueError(f"sequence length {max(lengths)} exceeds max_positions")
+        raise ValueError(f"sequence length {max(lengths)} exceeds max_positions "
+                         f"{config.max_positions}")
     causal = causal_mask(max(lengths))
     self_segments, cross_segments = [], []
     for rows, columns, stack, buffer in zip(_spans(lengths), encoder["memory_rows"],
@@ -575,7 +580,7 @@ def _smoothed_ce(logits: np.ndarray, targets: np.ndarray,
 
 
 def _batch_pass(params: Parameters, config: ModelConfig, batch: Sequence[Example],
-                rng: np.random.Generator | None, grads: Parameters | None,
+                rng: "np.random.Generator | None", grads: Parameters | None,
                 ) -> tuple[float, int, int]:
     """Summed loss, target and correct counts of one packed pass; adds
     the gradients to `grads`."""
@@ -592,7 +597,7 @@ def _batch_pass(params: Parameters, config: ModelConfig, batch: Sequence[Example
 
 
 def loss_and_grad(params: Parameters, config: ModelConfig, batch: Sequence[Example],
-                  rng: np.random.Generator | None = None,
+                  rng: "np.random.Generator | None" = None,
                   ) -> tuple[float, Parameters, int, int]:
     """Token-mean loss, gradients, and (correct, total) token counts.
 

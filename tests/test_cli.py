@@ -607,6 +607,15 @@ def test_a_line_that_is_not_utf8_is_named(tmp_path, toy20):
                                        f"at byte 4\n")
 
 
+def test_a_tree_argument_that_is_not_utf8_is_named():
+    # argv is decoded with surrogateescape, so the raw byte reaches the command
+    argv = ["mask-trace", "--scheme", "topdown", "--tree"]
+    code, out, err = _cli([*argv, b"(S 0=a\xff 1=b)"])
+    assert (code, out, err) == (2, "", "discoseq: --tree: invalid UTF-8 at byte 6\n")
+    code, out, _ = _cli([*argv, "(S 0=a 1=b)"])
+    assert code == 0 and out.startswith("step\ttoken\tstack\tbuffer\n")
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_a_line_nested_1200_deep_passes_every_command(tmp_path, shape):
     trees = tmp_path / "deep.discbracket"

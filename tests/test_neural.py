@@ -314,7 +314,7 @@ def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4, toy20):
     )
     assert proc.returncode == 2
     assert proc.stderr == (f"discoseq: {sentences}: line 3: sentence length 9 "
-                           "exceeds max_positions\n")
+                           "exceeds max_positions 8\n")
 
 
 def test_cross_head_masks_shape(setup):
