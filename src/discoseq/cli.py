@@ -27,8 +27,9 @@ from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
 from .tree import _bit_positions
-from .treebank import (TreebankError, _open_text, emit_discbracket, parse_bracketed,
-                       parse_discbracket, parse_treebank)
+from .treebank import (TreebankError, _check_utf8, _file_lines, _open_text, _utf8_lines,
+                       emit_discbracket, parse_bracketed, parse_discbracket,
+                       parse_treebank)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,26 +94,11 @@ def _source(path: str) -> str:
 def _read_lines(path: str) -> list[str]:
     """The lines of a file, or of standard input for "-"; a line that is
     not UTF-8 is a TreebankError naming it."""
-    if path == "-":
-        with suppress(AttributeError):  # a stand-in stdin may lack reconfigure
-            sys.stdin.reconfigure(errors="surrogateescape")
-        lines = sys.stdin.readlines()
-    else:
-        with _open_text(path, "r", errors="surrogateescape") as handle:
-            lines = handle.readlines()
-    for line_no, line in enumerate(lines, 1):
-        _check_utf8(line, _source(path), line_no)
-    return lines
-
-
-def _check_utf8(text: str, source: str, line_no: int | None = None) -> None:
-    """Refuse text decoded with surrogateescape from bytes that are not
-    UTF-8, as a TreebankError naming the first bad byte."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise TreebankError("invalid UTF-8", source=source, line_no=line_no,
-                            offset=len(text[:err.start].encode("utf-8"))) from None
+    if path != "-":
+        return _file_lines(path)
+    with suppress(AttributeError):  # a stand-in stdin may lack reconfigure
+        sys.stdin.reconfigure(errors="surrogateescape")
+    return _utf8_lines(sys.stdin.readlines(), _source(path))
 
 
 def _numbered_lines(lines: list[str]) -> list[tuple[int, str]]:

@@ -6,10 +6,12 @@ that are illegal in the current configuration are excluded outright
 rather than merely down-weighted.  Scores are summed log probabilities
 without length normalisation.
 
-Only the best finished hypothesis is kept, and every candidate and live
-hypothesis whose score does not beat it is dropped; the search ends when
-none is left (the optimal stop of Huang, Zhao & Ma 2017).  This is
-exact: log-softmax rows are <= 0, so no child outscores its parent.
+Only the best finished hypothesis is kept, and its score is the one
+bound (-inf before any finishes): every candidate and live hypothesis
+that does not beat it is dropped, and the search ends when none is left
+(the optimal stop of Huang, Zhao & Ma 2017).  This is exact: log-softmax
+rows are <= 0, so no child outscores its parent.  A step's candidates
+come best first, so its first terminal child ends the step.
 
 All live hypotheses have the same length, so each beam step is one
 batched decoder call that feeds every hypothesis only its newest token
@@ -76,38 +78,32 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     memory, _ = _encode(params, config, [config.word_ids(words)], None)
 
     live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
-    best: _Hypothesis | None = None  # the best finished hypothesis
+    best, bound = None, -np.inf  # the best finished hypothesis and its score
     past = memory_kv = None  # per decoder layer: self- and cross-attention (keys, values)
     for _ in range(max_len):
         in_ids = np.array([[hyp.token_ids[-1] if hyp.token_ids else config.bos_id]
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
-        logits, cache = _decode(params, config, memory, in_ids, stack_rows[:, None],
-                                buffer_rows[:, None], past, memory_kv)
-        past, memory_kv = cache["past"], cache["memory_kv"]
-        del cache  # free this step's activations before the next step allocates
+        logits, past, memory_kv = _decode(params, config, memory, in_ids, stack_rows[:, None],
+                                          buffer_rows[:, None], past, memory_kv)
         scores = _log_softmax(logits[:, -1]) + np.array([[hyp.score] for hyp in live])
         largest = np.array([[table[kind] for kind in column] + [-1] for table in
                             (legal(hyp.state.config, scheme) for hyp in live)])
-        allowed = token_k <= largest[:, token_kind]
-        if best is not None:
-            allowed &= scores > best.score
+        allowed = (token_k <= largest[:, token_kind]) & (scores > bound)
         token_ids, hyp_indices = np.nonzero(allowed.T)
         candidate_scores = scores[hyp_indices, token_ids]
         chosen = np.argsort(-candidate_scores, kind="stable")[:beam_size]
         picked = (a[chosen].tolist() for a in (candidate_scores, token_ids, hyp_indices))
         children = []  # (child, parent index) of every live child
         for score, token_id, hyp_index in zip(*picked):
-            if best is not None and score <= best.score:
-                break  # found this step; the later candidates score no higher
             hyp = live[hyp_index]
             child = _Hypothesis(score=score, token_ids=hyp.token_ids + [token_id],
                                 state=step(hyp.state, vocabulary[token_id]))
             if is_terminal(child.state.config, scheme):
-                best = child
-            else:
-                children.append((child, hyp_index))
-        children = [pair for pair in children if best is None or pair[0].score > best.score]
+                best, bound = child, score
+                break  # the later candidates score no higher
+            children.append((child, hyp_index))
+        children = [pair for pair in children if pair[0].score > bound]
         if not children:
             break
         parents = [hyp_index for _, hyp_index in children]

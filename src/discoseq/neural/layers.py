@@ -74,14 +74,14 @@ def linear_bwd(d_out: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-5) -> tuple[np.ndarray, tuple]:
+               ) -> tuple[np.ndarray, tuple]:
     # add.reduce over the width is what `.mean` computes, without its
-    # Python-level wrapper
+    # Python-level wrapper; 1e-5 keeps a constant row's scale finite
     width = x.shape[-1]
     mean = np.add.reduce(x, axis=-1, keepdims=True) / width
     centered = x - mean
     variance = np.add.reduce(centered ** 2, axis=-1, keepdims=True) / width
-    inv_std = 1.0 / np.sqrt(variance + eps)
+    inv_std = 1.0 / np.sqrt(variance + 1e-5)
     normalized = centered * inv_std
     return gain * normalized + bias, (normalized, inv_std, gain)
 

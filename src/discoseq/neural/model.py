@@ -234,7 +234,8 @@ def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
     if past is not None:
         k = np.concatenate((past[0], k), axis=-2)
         v = np.concatenate((past[1], v), axis=-2)
-    if len(segments) == 1 and segments[0][:2] == (_ALL, _ALL):  # all rows at once
+    if len(segments) == 1 and segments[0][:2] == (_ALL, _ALL):
+        # all rows at once, as in a beam step: unlike the loop, no copy into `heads`
         heads, segment_weights = masked_attention(q, k, v, segments[0][2])
         weights = [segment_weights]
     else:
@@ -363,9 +364,9 @@ def _position_table(config: ModelConfig, length: int) -> np.ndarray:
     The table is built on first use and rebuilt twice as long only when
     a longer sequence comes; a row is the same at every table length.
     """
-    table = _POSITION_TABLES.get(config.d_model)
-    if table is None or len(table) < length:
-        size = max(length, 64 if table is None else 2 * len(table))
+    table = _POSITION_TABLES.get(config.d_model, np.empty((0, config.d_model)))
+    if len(table) < length:
+        size = max(length, 64, 2 * len(table))
         table = sinusoidal_positions(np.arange(size), config.d_model)
         table.flags.writeable = False
         _POSITION_TABLES[config.d_model] = table
@@ -388,12 +389,8 @@ def _embed_bwd(config: ModelConfig, table: str, d_x: np.ndarray, cache: dict,
 
 def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
             rng: "np.random.Generator | None") -> tuple[np.ndarray, dict]:
-    """The packed encoder memory of `sentences`: each one's sentinel row,
-    then its words' rows.
-
-    `cache["memory_rows"]` holds each sentence's memory rows, and
-    `cache["words"]` marks the rows that are not sentinels.
-    """
+    """The packed encoder memory of `sentences` and a cache whose
+    `memory_rows` holds each one's rows: its sentinel, then its words."""
     lengths = [len(ids) for ids in sentences]
     if max(lengths) > config.max_positions:
         raise ValueError(f"sentence length {max(lengths)} exceeds max_positions "
@@ -401,16 +398,11 @@ def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     ids = np.concatenate(sentences)
     x, drop_emb = _embed(p, config, "word_emb", ids,
                          _position_table(config, max(lengths))[_positions(lengths)], rng)
-    x, layers = _layers(p, config, "enc", x, rng,
-                        [(rows, rows, None) for rows in _spans(lengths)])
-    memory_rows = _spans([n + 1 for n in lengths])
-    words = np.ones(len(ids) + len(lengths), dtype=bool)
-    words[[rows.start for rows in memory_rows]] = False
-    memory = np.empty((len(words), config.d_model))
-    memory[~words] = p["sentinel"]
-    memory[words] = x
+    spans = _spans(lengths)
+    x, layers = _layers(p, config, "enc", x, rng, [(rows, rows, None) for rows in spans])
+    memory = np.insert(x, [rows.start for rows in spans], p["sentinel"], axis=0)
     return memory, {"ids": ids, "drop_emb": drop_emb, "layers": layers,
-                    "memory_rows": memory_rows, "words": words}
+                    "memory_rows": _spans([n + 1 for n in lengths])}
 
 
 def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.ndarray]:
@@ -445,21 +437,18 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
             in_ids: np.ndarray, stack_rows: np.ndarray, buffer_rows: np.ndarray,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
-            ) -> tuple[np.ndarray, dict]:
-    """One beam step's decoder logits (B, 1, vocab) for one sentence, in
-    evaluation mode.
+            ) -> tuple[np.ndarray, list, list]:
+    """One beam step for one sentence, in evaluation mode: the logits
+    (B, 1, vocab), then `past` and `memory_kv` for the next step.
 
-    Beam search passes one new token per hypothesis as (B, 1) ids with
-    (B, 1, n_words + 1) mask rows, plus `past`, the per-layer
-    self-attention keys and values of the earlier positions that the
-    previous call returned as `cache["past"]`.  The new token's position
-    is the past length, and the `max_positions` check counts it too.  It
-    sees every earlier position, so it gets no self mask.  Whole
-    sequences go through `_pass`.
-
-    `cache["memory_kv"]` holds each layer's cross-attention keys and
-    values of `memory`, shared by every row.  Passing them back as
-    `memory_kv` with the same memory skips projecting it again.
+    Each hypothesis passes its newest token as (B, 1) ids with
+    (B, 1, n_words + 1) mask rows.  `past` holds each layer's
+    self-attention keys and values of the earlier positions; the new
+    token's position is their length, the `max_positions` check counts
+    it, and it sees every earlier position, so it gets no self mask.
+    `memory_kv` holds each layer's cross-attention keys and values of
+    `memory`, shared by every row; passing it back with the same memory
+    skips projecting it again.  Whole sequences go through `_pass`.
     """
     start = 0 if past is None else past[0][0].shape[-2]
     if start + 1 > config.max_positions:
@@ -470,9 +459,9 @@ def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
     y, layers = _layers(p, config, "dec", y, None, [(_ALL, _ALL, None)], past, memory,
                         [(_ALL, _ALL, cross_masks)], memory_kv)
-    logits = linear(y, p["out.w"], p["out.b"])
-    return logits, {"past": [step[3][3:5] for step in layers if step[0] == "self"],
-                    "memory_kv": [step[3][3:5] for step in layers if step[0] == "cross"]}
+    return (linear(y, p["out.w"], p["out.b"]),
+            [step[3][3:5] for step in layers if step[0] == "self"],
+            [step[3][3:5] for step in layers if step[0] == "cross"])
 
 
 def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
@@ -518,9 +507,10 @@ def _pass_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray, cache: d
     d_y, d_memory = _layers_bwd(p, config, d_y, cache["layers"], grads)
     _embed_bwd(config, "tok_emb", d_y, cache, grads)
     encoder = cache["encoder"]
-    words = encoder["words"]
-    grads["sentinel"] += d_memory[~words].sum(axis=0)
-    d_x, _ = _layers_bwd(p, config, d_memory[words], encoder["layers"], grads)
+    sentinels = [rows.start for rows in encoder["memory_rows"]]
+    grads["sentinel"] += d_memory[sentinels].sum(axis=0)
+    d_x, _ = _layers_bwd(p, config, np.delete(d_memory, sentinels, axis=0),
+                         encoder["layers"], grads)
     _embed_bwd(config, "word_emb", d_x, encoder, grads)
 
 
@@ -610,8 +600,7 @@ def loss_and_grad(params: Parameters, config: ModelConfig, batch: Sequence[Examp
     return total / count, grads, correct, count
 
 
-def grad_check(params: Parameters, config: ModelConfig, batch: Sequence[Example],
-               step: float = 1e-5) -> float:
+def grad_check(params: Parameters, config: ModelConfig, batch: Sequence[Example]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Meant for tiny double-precision models (d_model <= 16); checks every
@@ -624,7 +613,7 @@ def grad_check(params: Parameters, config: ModelConfig, batch: Sequence[Example]
         raise ValueError("grad_check is for tiny models (d_model <= 16)")
     _, grads, _, _ = loss_and_grad(params, config, batch, rng=None)
     weights, analytic = _vector(params), _vector(grads)
-    worst = 0.0
+    worst, step = 0.0, 1e-5
     for i in range(weights.size):
         kept = weights[i]
         weights[i] = kept + step

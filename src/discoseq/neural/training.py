@@ -176,11 +176,9 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
     vector = _vector(params)
     moments = np.zeros((2, vector.size))
     scratch = np.empty(vector.size)
-    dropout_rng = rng if config.dropout > 0.0 else None
 
     history: list[EpochStats] = []
     update = 0
-    rate = lr_at(1, config)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(examples))
         loss_sum = 0.0
@@ -188,8 +186,7 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
         token_correct = 0
         for start in range(0, len(examples), config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
-            batch_loss, grads, correct, count = loss_and_grad(
-                params, config, batch, dropout_rng)
+            batch_loss, grads, correct, count = loss_and_grad(params, config, batch, rng)
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"loss {batch_loss} at epoch {epoch}, update {update + 1}")

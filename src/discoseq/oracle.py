@@ -50,7 +50,14 @@ class OracleInvariantError(AssertionError):
 
 
 # tokens are immutable, so encodings share them: one per (kind, k, label)
-_token = lru_cache(maxsize=4096)(Transition)
+@lru_cache(maxsize=4096)
+def _token(kind: str, k: int | None = None, label: str | None = None) -> Transition:
+    try:
+        return Transition(kind, k, label)
+    except ValueError as err:  # a label that no token can carry
+        raise EncodeError(str(err)) from None
+
+
 _SHIFT, _SWAP, _REDUCE, _FINISH = map(_token, (tr.SHIFT, tr.SWAP, tr.REDUCE, tr.FINISH))
 
 

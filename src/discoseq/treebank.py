@@ -190,11 +190,35 @@ def emit_discbracket(tree: ConstituentTree) -> str:
     return _render(tree, numbered=True)
 
 
-def _open_text(path: str | Path, mode: str, errors: str = "strict"):
+def _open_text(path: str | Path, mode: str):
     path = Path(path)
+    # a read keeps a byte that is not UTF-8 as a surrogate, for `_utf8_lines`
+    errors = "surrogateescape" if mode == "r" else "strict"
     if path.suffix == ".gz":
         return gzip.open(path, mode + "t", encoding="utf-8", errors=errors)
     return open(path, mode, encoding="utf-8", errors=errors)
+
+
+def _check_utf8(text: str, source: str, line_no: int | None = None) -> None:
+    """Refuse text decoded with surrogateescape from bytes that are not
+    UTF-8, as a TreebankError naming the first bad byte."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise TreebankError("invalid UTF-8", source=source, line_no=line_no,
+                            offset=len(text[:err.start].encode("utf-8"))) from None
+
+
+def _utf8_lines(lines: list[str], source: str) -> list[str]:
+    """`lines`, each checked by `_check_utf8`."""
+    for line_no, line in enumerate(lines, 1):
+        _check_utf8(line, source, line_no)
+    return lines
+
+
+def _file_lines(path: str | Path) -> list[str]:
+    with _open_text(path, "r") as handle:
+        return _utf8_lines(handle.readlines(), str(path))
 
 
 def parse_treebank(lines: Iterable[str], fmt: str = "discbracket", *,
@@ -221,9 +245,9 @@ def parse_treebank(lines: Iterable[str], fmt: str = "discbracket", *,
 
 def load_treebank(path: str | Path,
                   fmt: str = "discbracket") -> tuple[ConstituentTree, ...]:
-    """Load a treebank file; `.gz` paths are decompressed transparently."""
-    with _open_text(path, "r") as handle:
-        return parse_treebank(handle, fmt, source=str(path))
+    """Load a treebank file; `.gz` paths are decompressed transparently,
+    and a line that is not UTF-8 is a TreebankError naming it."""
+    return parse_treebank(_file_lines(path), fmt, source=str(path))
 
 
 def save_treebank(trees: Iterable[ConstituentTree], path: str | Path,

@@ -48,10 +48,10 @@ def _reference_predict(params, config, words, beam_size, max_len):
                 break
         in_ids = np.array([[ids[-1] if ids else config.bos_id] for _, ids, _ in live])
         stack_rows, buffer_rows = nm.mask_rows([state.pair for _, _, state in live], n)
-        logits, cache = nm._decode(params, config, memory, in_ids, stack_rows[:, None],
-                                   buffer_rows[:, None], past, memory_kv)
+        logits, past, memory_kv = nm._decode(params, config, memory, in_ids,
+                                             stack_rows[:, None], buffer_rows[:, None],
+                                             past, memory_kv)
         steps += 1
-        past, memory_kv = cache["past"], cache["memory_kv"]
         log_probs = nm._log_softmax(logits[:, -1])
         candidates = []
         for index, (score, _, state) in enumerate(live):

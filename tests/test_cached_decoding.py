@@ -45,12 +45,13 @@ def _step(params, config, memory, in_ids, pairs, past, memory_kv):
     """One cached step for a batch: distributions (B, vocab), the new
     past and the memory's cross keys and values."""
     stack_rows, buffer_rows = nm.mask_rows(pairs, memory.shape[0] - 1)
-    logits, cache = nm._decode(params, config, memory,
-                               np.array(in_ids, dtype=np.int64)[:, None],
-                               stack_rows[:, None], buffer_rows[:, None], past, memory_kv)
+    logits, past, memory_kv = nm._decode(params, config, memory,
+                                         np.array(in_ids, dtype=np.int64)[:, None],
+                                         stack_rows[:, None], buffer_rows[:, None],
+                                         past, memory_kv)
     last = logits[:, -1]
     exp = np.exp(last - last.max(axis=-1, keepdims=True))
-    return exp / exp.sum(axis=-1, keepdims=True), cache["past"], cache["memory_kv"]
+    return exp / exp.sum(axis=-1, keepdims=True), past, memory_kv
 
 
 @pytest.mark.parametrize("start,stop", [(0, 512), (0, 1), (7, 8), (511, 512), (3, 40)])

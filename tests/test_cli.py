@@ -166,6 +166,19 @@ def test_unencodable_tree_is_reported_the_same_way(tmp_path, capsys, command):
                    "discontinuous constituents\n")
 
 
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_a_label_that_no_token_can_carry_is_named_by_its_line(tmp_path, command):
+    # the reader resolves the escaped space, but no token takes a spaced label
+    path = tmp_path / "spaced.discbracket"
+    path.write_text("(S 0=a 1=b)\n(A\\ B 0=a 1=b)\n", encoding="utf-8")
+    argv = [command, "--scheme", "inorder", "--in", str(path)]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "m.ckpt"), "--epochs", "1"]
+    assert _cli(argv) == (2, "", f"discoseq: {path}: line 2: bad label 'A B': "
+                                 "no whitespace or parentheses\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--checkpoint", "model.ckpt", "--beam", "0"],
     ["predict", "--checkpoint", "model.ckpt", "--max-len", "0"],

@@ -69,6 +69,50 @@ def test_the_unused_import_check_flags_an_appended_import():
     assert unused_imports(source + "import os  # noqa: F401\n") == []
 
 
+# `bench/tracing.py` wraps library functions where their callers bind them,
+# so a module may import a name only for the tracer, under `# noqa: F401`
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def tracer_bindings() -> set[tuple[str, str]]:
+    """The (module, name) pairs that the tracer's `WRAPS` spells out,
+    read from its source without importing it."""
+    module = ast.parse(TRACING.read_text(encoding="utf-8"))
+    wraps = next(node.value for node in module.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "WRAPS")
+    return {(entry.elts[0].value, entry.elts[1].value) for entry in ast.walk(wraps)
+            if isinstance(entry, ast.Tuple) and len(entry.elts) == 4
+            and all(isinstance(elt, ast.Constant) for elt in entry.elts[:2])}
+
+
+def untraced_imports(module_name: str, source: str) -> list[str]:
+    """The names that `source` imports under `# noqa: F401` and never
+    reads, but that the tracer does not bind in `module_name`."""
+    hidden = [found.split(": ")[1]
+              for found in unused_imports(source.replace("# noqa: F401", ""))]
+    bound = tracer_bindings()
+    return [name for name in hidden if (module_name, name) not in bound]
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda path: path.relative_to(PACKAGE.parent).as_posix())
+def test_every_import_kept_from_the_unused_check_is_a_tracer_binding(path):
+    assert untraced_imports(_module_name(path), path.read_text(encoding="utf-8")) == []
+
+
+def test_the_tracer_binding_check_flags_an_appended_marked_import():
+    path = PACKAGE / "neural" / "beam.py"
+    name, source = _module_name(path), path.read_text(encoding="utf-8")
+    assert name == "discoseq.neural.beam"
+    assert untraced_imports(name, source) == []
+    assert untraced_imports(name, source + "import os  # noqa: F401\n") == ["os"]
+
+
 def _loads(module: ast.Module) -> set[str]:
     """The names and attribute names that `module` reads; `x += y` reads x."""
     augmented = {node.target for node in ast.walk(module) if isinstance(node, ast.AugAssign)}

@@ -355,10 +355,9 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
         """Each step's logits, one token at a time through `past`."""
         past, rows = None, []
         for t, in_id in enumerate(in_ids):
-            logits, cache = nm._decode(params, config, memory, np.array([[in_id]]),
-                                       ex.stack_rows[None, t:t + 1],
-                                       ex.buffer_rows[None, t:t + 1], past)
-            past = cache["past"]
+            logits, past, _ = nm._decode(params, config, memory, np.array([[in_id]]),
+                                         ex.stack_rows[None, t:t + 1],
+                                         ex.buffer_rows[None, t:t + 1], past)
             rows.append(logits[0, 0])
         return np.array(rows)
 

@@ -90,6 +90,15 @@ def test_plain_scheme_rejects_discontinuity(fig_tree):
             dq.encode(fig_tree, dq.parse_scheme(name))
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+def test_a_label_that_no_token_can_carry_is_an_encode_error_at_its_tree(scheme):
+    trees = [dq.parse_discbracket(line) for line in ("(S 0=a 1=b)", r"(A\ B 0=a 1=b)")]
+    with pytest.raises(dq.EncodeError) as exc:
+        dq.vocab_stats(trees, scheme)
+    assert str(exc.value) == "bad label 'A B': no whitespace or parentheses"
+    assert exc.value.index == 1
+
+
 # --- invariants over random trees --------------------------------------------
 
 def _applicable(tree, scheme):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discoseq as dq
+from discoseq import cli
 from conftest import DISCO_SCHEMES, FIG_LINE, trees
 
 
@@ -157,6 +158,19 @@ def test_save_load_gzip(tmp_path, toy20):
     with gzip.open(path, "rt", encoding="utf-8") as handle:
         assert len(handle.read().splitlines()) == len(toy20)
     assert list(dq.load_treebank(path)) == list(toy20)
+
+
+@pytest.mark.parametrize("name", ["bank.discbracket", "bank.discbracket.gz"])
+def test_load_treebank_names_a_line_that_is_not_utf8_as_the_cli_does(tmp_path, capsys, name):
+    # the bad byte lies far past the text decoder's first chunk
+    data = b"(S 0=a 1=b)\n" * 1200 + b"(S 0=a\xff 1=b)\n"
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    with pytest.raises(dq.TreebankError) as exc:
+        dq.load_treebank(path)
+    assert str(exc.value) == f"{path}: line 1201: invalid UTF-8 at byte 6"
+    assert cli.main(["stats", "--scheme", "inorder", "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"discoseq: {exc.value}\n")
 
 
 def test_bundled_fixtures(toy20, cont5, fig_tree):
