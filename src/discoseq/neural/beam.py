@@ -14,13 +14,14 @@ rows are <= 0, so no child outscores its parent.  A step's candidates
 come best first, so its first terminal child ends the step.
 
 All live hypotheses have the same length, so each beam step is one
-batched decoder call that feeds every hypothesis only its newest token
+batched `_decode` call that feeds every hypothesis only its newest token
 and mask row.  Earlier positions come from the per-layer self-attention
 keys and values that the previous call returned, gathered by parent
-unless every child has its parent's row.  Each hypothesis's `legal`
-table becomes a row of a (B, V) mask through per-token kind and k
-arrays, and one stable sort of the legal scores, token-major, orders
-the candidates by (-score, token id, hypothesis).
+unless every child has its parent's row; the memory's cross-attention
+keys and values are projected once, before the first step.  Each
+hypothesis's `legal` table becomes a row of a (B, V) mask through
+per-token kind and k arrays, and one stable sort of the legal scores,
+token-major, orders the candidates by (-score, token id, hypothesis).
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from ..masks import MaskState, initial_state, step
 from ..transitions import (Transition, apply, is_terminal, legal,  # noqa: F401
                            parse_scheme, parse_transition)
 from .model import (BOS, ModelConfig, Parameters, _decode, _encode, _log_softmax,
-                    mask_rows)
+                    _memory_kv, mask_rows)
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     if not 1 <= max_len <= config.max_positions:
         raise ValueError(f"max_len {max_len} is under 1 or exceeds max_positions "
                          f"{config.max_positions}")
+    if not words:
+        raise ValueError("cannot parse an empty sentence")
     scheme, n = parse_scheme(config.scheme), len(words)
     vocabulary = [None if text == BOS else parse_transition(text)
                   for text in sorted(config.token_to_id, key=config.token_to_id.get)]
@@ -76,17 +79,18 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     token_kind, token_k = np.array([(len(column), 0) if t is None else
                                     (column[t.kind], t.k or 0) for t in vocabulary]).T
     memory, _ = _encode(params, config, [config.word_ids(words)], None)
+    memory_kv = _memory_kv(params, config, memory)
 
     live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
     best, bound = None, -np.inf  # the best finished hypothesis and its score
-    past = memory_kv = None  # per decoder layer: self- and cross-attention (keys, values)
+    past = None  # per decoder layer: self-attention (keys, values)
     for _ in range(max_len):
-        in_ids = np.array([[hyp.token_ids[-1] if hyp.token_ids else config.bos_id]
+        in_ids = np.array([hyp.token_ids[-1] if hyp.token_ids else config.bos_id
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
-        logits, past, memory_kv = _decode(params, config, memory, in_ids, stack_rows[:, None],
-                                          buffer_rows[:, None], past, memory_kv)
-        scores = _log_softmax(logits[:, -1]) + np.array([[hyp.score] for hyp in live])
+        logits, past = _decode(params, config, memory_kv, in_ids, stack_rows, buffer_rows,
+                               past)
+        scores = _log_softmax(logits) + np.array([[hyp.score] for hyp in live])
         largest = np.array([[table[kind] for kind in column] + [-1] for table in
                             (legal(hyp.state.config, scheme) for hyp in live)])
         allowed = (token_k <= largest[:, token_kind]) & (scores > bound)

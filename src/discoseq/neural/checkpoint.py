@@ -5,7 +5,8 @@ header (format version, model config, tensor manifest), then the raw
 tensor payloads concatenated in manifest order as little-endian
 float64.  Round-trips are bitwise.  Loading checks the header length,
 each manifest entry against the config's model layout, and the layout's
-size against the file before it fills one `_flat` vector of views.
+size against the file before it fills one `_flat` vector of views, and
+then that every value is finite.
 """
 
 import json
@@ -107,4 +108,7 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
             tensor = params[entry["name"]]
             tensor[...] = np.frombuffer(handle.read(tensor.nbytes),
                                         dtype="<f8").reshape(tensor.shape)
+            if not np.isfinite(tensor).all():
+                raise CheckpointError(f"{path}: tensor {entry['name']!r} holds a "
+                                      f"non-finite value")
     return params, config

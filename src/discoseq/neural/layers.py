@@ -1,11 +1,10 @@
 """Building blocks with hand-written backward passes.
 
 Everything is float64.  The forward functions work along the last
-axis and take any leading axes: training passes a whole batch's
-sentences packed as (rows, d), beam search one new row per hypothesis
-as (B, 1, d), and attention adds an axis per head.  `linear` flattens
-the leading axes into rows, so a batch or a beam step is one matrix
-product.  The backward functions serve training, so they take packed
+axis: training passes a whole batch's sentences packed as (rows, d),
+beam search one new row per hypothesis as (B, d), so a batch or a beam
+step is one matrix product in `linear`, and attention adds an axis per
+head.  The backward functions serve training, so they take packed
 (rows, d) rows and sum parameter gradients over every row of the
 batch; attention, forward and backward, is called once per sentence on
 that sentence's rows, with a leading head axis.  A forward whose
@@ -13,6 +12,8 @@ backward needs more than the inputs and output also returns that
 cache.  Backwards return gradients in the same order as the forward
 inputs.
 """
+
+import math
 
 import numpy as np
 
@@ -43,7 +44,7 @@ def masked_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     weight; a query row with every key masked is an error because its
     weights would be undefined.
     """
-    scale = 1.0 / np.sqrt(queries.shape[-1])
+    scale = 1.0 / math.sqrt(queries.shape[-1])
     scores = (queries @ keys.swapaxes(-1, -2)) * scale
     if mask is not None:
         scores = scores + mask
@@ -65,7 +66,7 @@ def masked_attention_bwd(d_out: np.ndarray, queries: np.ndarray, keys: np.ndarra
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (x.reshape(-1, w.shape[0]) @ w + b).reshape(*x.shape[:-1], w.shape[1])
+    return x @ w + b
 
 
 def linear_bwd(d_out: np.ndarray, x: np.ndarray, w: np.ndarray,

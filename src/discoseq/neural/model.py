@@ -12,8 +12,8 @@ attention weight either way.
 Both stacks are post-norm residual layers, and `_SUBLAYERS` is the one
 statement of their layout: `_layout` (each parameter's name, shape and
 initializer, which `init_parameters` draws and checkpoint loading
-checks and fills), the forward loop `_layers` and the backward loop
-`_layers_bwd` all read it.  Parameters are `_flat`: reshaped views of one
+checks and fills), `_layers`, `_layers_bwd` and beam search's step
+`_decode` all read it.  Parameters are `_flat`: reshaped views of one
 float64 vector in `_layout` order, drawn by `init_parameters` or read
 by checkpoint loading; `loss_and_grad` sums gradients into a second, so
 Adam's update and `grad_check` run over whole vectors.
@@ -24,8 +24,9 @@ rows, with positions restarting per sentence.  Each projection, norm,
 ReLU, dropout and embedding then runs once per batch, forward and
 backward; only attention runs per sentence, over that sentence's rows
 (its `Segments`), so nothing is padded.  `forward` is the same pass
-over one sentence.  Beam search steps every live hypothesis of one
-sentence at once through `_decode`, with cached keys and values.
+over one sentence.  Beam search has its own evaluation-only step,
+`_decode`, over one (B, d) row per live hypothesis of one sentence, with
+cached keys and values; `_memory_kv` projects the memory's once.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
@@ -97,7 +98,7 @@ class ModelConfig:
                                  f"got {value!r}")
         # max_positions holds <bos> and at least one token
         for name, least in (("d_model", 1), ("n_layers", 1), ("d_ff", 1),
-                            ("max_positions", 2), ("batch_size", 1)):
+                            ("max_positions", 2), ("batch_size", 1), ("epochs", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
         if self.n_heads < 2:
@@ -205,47 +206,28 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 # A packed batch's attention, one (query rows, key rows, additive mask or
 # None) triple per sentence: each sentence attends only its own rows, so no
-# score is computed across sentences.  Segments tile the key rows.
+# score is computed across sentences.  Segments tile the key rows.  Beam
+# search's `_decode` steps one row per hypothesis and needs none.
 Segments = list[tuple[slice, slice, np.ndarray | None]]
-_ALL = slice(None)
 
 
 def _mha(p: Parameters, prefix: str, x_q: np.ndarray, x_kv: np.ndarray,
-         segments: Segments, n_heads: int,
-         past: tuple[np.ndarray, np.ndarray] | None = None,
-         kv: tuple[np.ndarray, np.ndarray] | None = None,
-         ) -> tuple[np.ndarray, tuple]:
-    """Multi-head attention; `past` keys and values precede the new ones.
+         segments: Segments, n_heads: int) -> tuple[np.ndarray, tuple]:
+    """Multi-head attention over packed rows.
 
     Every projection runs once over all rows; only the attention itself
-    runs per segment.  A beam step is one segment over all rows, whose
-    mask broadcasts over the leading hypothesis axis.  The cache's `k`
-    and `v` (entries 3 and 4) hold past plus new rows, so they are the
-    next call's `past`.  Given `kv`, the keys and values that an earlier
-    call projected from the same `x_kv`, they are used as they are and
-    `x_kv` is not projected again; training never passes them.
+    runs per segment.
     """
     q = _split_heads(linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), n_heads)
-    if kv is not None:
-        k, v = kv
-    else:
-        k = _split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
-        v = _split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
-    if past is not None:
-        k = np.concatenate((past[0], k), axis=-2)
-        v = np.concatenate((past[1], v), axis=-2)
-    if len(segments) == 1 and segments[0][:2] == (_ALL, _ALL):
-        # all rows at once, as in a beam step: unlike the loop, no copy into `heads`
-        heads, segment_weights = masked_attention(q, k, v, segments[0][2])
-        weights = [segment_weights]
-    else:
-        # written in the rows' own layout, so merging the heads copies nothing
-        heads = np.empty_like(q)
-        weights = []
-        for rows, columns, mask in segments:
-            heads[..., rows, :], segment_weights = masked_attention(
-                q[..., rows, :], k[..., columns, :], v[..., columns, :], mask)
-            weights.append(segment_weights)
+    k = _split_heads(linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), n_heads)
+    v = _split_heads(linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), n_heads)
+    # written in the rows' own layout, so merging the heads copies nothing
+    heads = np.empty_like(q)
+    weights = []
+    for rows, columns, mask in segments:
+        heads[..., rows, :], segment_weights = masked_attention(
+            q[..., rows, :], k[..., columns, :], v[..., columns, :], mask)
+        weights.append(segment_weights)
     concat = _merge_heads(heads)
     out = linear(concat, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     return out, (x_q, x_kv, q, k, v, concat, weights, segments)
@@ -290,17 +272,14 @@ def _sublayer_ff_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple
 
 def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
             rng: "np.random.Generator | None", self_segments: Segments,
-            past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             memory: np.ndarray | None = None, cross_segments: Segments | None = None,
-            memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, list[tuple]]:
     """The `side` layer stack: x = ln_j(x + dropout(sublayer_j(x))).
 
-    Self-attention reads `self_segments` and layer i's `past` keys and
-    values; cross-attention reads `memory` under `cross_segments`,
-    through layer i's `memory_kv` keys and values when given.  Returns
-    the output and one (kind, name, norm name, sublayer cache, dropout
-    mask, norm cache) step per sublayer, in run order.
+    Self-attention reads `self_segments`; cross-attention reads `memory`
+    under `cross_segments`.  Returns the output and one (kind, name,
+    norm name, sublayer cache, dropout mask, norm cache) step per
+    sublayer, in run order.
     """
     steps = []
     for i in range(config.n_layers):
@@ -309,11 +288,9 @@ def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
             if kind == "ff":
                 out, cache = _sublayer_ff(p, name, x)
             elif kind == "self":
-                out, cache = _mha(p, name, x, x, self_segments, config.n_heads,
-                                  None if past is None else past[i])
+                out, cache = _mha(p, name, x, x, self_segments, config.n_heads)
             else:
-                out, cache = _mha(p, name, x, memory, cross_segments, config.n_heads,
-                                  kv=None if memory_kv is None else memory_kv[i])
+                out, cache = _mha(p, name, x, memory, cross_segments, config.n_heads)
             out, drop = dropout(out, config.dropout, rng)
             x, norm = layer_norm(x + out, p[f"{ln}.g"], p[f"{ln}.b"])
             steps.append((kind, name, ln, cache, drop, norm))
@@ -433,35 +410,63 @@ def _cross_head_masks(config: ModelConfig, stack_rows: np.ndarray,
     return masks
 
 
-def _decode(p: Parameters, config: ModelConfig, memory: np.ndarray,
-            in_ids: np.ndarray, stack_rows: np.ndarray, buffer_rows: np.ndarray,
-            past: list[tuple[np.ndarray, np.ndarray]] | None = None,
-            memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
-            ) -> tuple[np.ndarray, list, list]:
-    """One beam step for one sentence, in evaluation mode: the logits
-    (B, 1, vocab), then `past` and `memory_kv` for the next step.
+def _memory_kv(p: Parameters, config: ModelConfig,
+               memory: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each decoder layer's (n_heads, M, d_head) cross keys and values."""
+    return [tuple(_split_heads(linear(memory, p[f"dec{i}.cross.w{x}"],
+                                      p[f"dec{i}.cross.b{x}"]), config.n_heads)
+                  for x in "kv") for i in range(config.n_layers)]
 
-    Each hypothesis passes its newest token as (B, 1) ids with
-    (B, 1, n_words + 1) mask rows.  `past` holds each layer's
-    self-attention keys and values of the earlier positions; the new
-    token's position is their length, the `max_positions` check counts
-    it, and it sees every earlier position, so it gets no self mask.
-    `memory_kv` holds each layer's cross-attention keys and values of
-    `memory`, shared by every row; passing it back with the same memory
-    skips projecting it again.  Whole sequences go through `_pass`.
+
+def _decode(p: Parameters, config: ModelConfig,
+            memory_kv: list[tuple[np.ndarray, np.ndarray]], in_ids: np.ndarray,
+            stack_rows: np.ndarray, buffer_rows: np.ndarray,
+            past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+            ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """One beam step for one sentence, in evaluation mode: the logits
+    (B, vocab), then the `past` of the next step.
+
+    Each of the B hypotheses passes its newest token id and its
+    (n_words + 1) mask rows, and is one row through `_SUBLAYERS["dec"]`.
+    `past` holds each layer's (B, n_heads, T, d_head) self-attention keys
+    and values of the earlier positions; the new token's position is T,
+    the `max_positions` check counts it, and it sees every earlier
+    position, so it gets no self mask.  For cross-attention the B rows
+    are one sentence's queries over `_memory_kv`'s keys and values.
+    Whole sequences go through `_pass`.
     """
-    start = 0 if past is None else past[0][0].shape[-2]
+    rows, h = len(in_ids), config.n_heads
+    if past is None:  # the first step: no earlier positions
+        past = [(np.empty((rows, h, 0, config.d_model // h)),) * 2] * config.n_layers
+    start = past[0][0].shape[-2]
     if start + 1 > config.max_positions:
         raise ValueError(f"sequence length {start + 1} exceeds max_positions "
                          f"{config.max_positions}")
-    y, _ = _embed(p, config, "tok_emb", in_ids,
-                  _position_table(config, start + 1)[start:start + 1], None)
+    y = (embed(p["tok_emb"], in_ids, math.sqrt(config.d_model))
+         + _position_table(config, start + 1)[start])
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
-    y, layers = _layers(p, config, "dec", y, None, [(_ALL, _ALL, None)], past, memory,
-                        [(_ALL, _ALL, cross_masks)], memory_kv)
-    return (linear(y, p["out.w"], p["out.b"]),
-            [step[3][3:5] for step in layers if step[0] == "self"],
-            [step[3][3:5] for step in layers if step[0] == "cross"])
+    next_past = []
+    for i in range(config.n_layers):
+        for j, kind in enumerate(_SUBLAYERS["dec"], 1):
+            name, ln = f"dec{i}.{kind}", f"dec{i}.ln{j}"
+            if kind == "ff":
+                out, _ = _sublayer_ff(p, name, y)
+            else:
+                q = linear(y, p[f"{name}.wq"], p[f"{name}.bq"])
+                if kind == "self":  # each row's (n_heads, 1, d_head) query over its past
+                    new = (linear(y, p[f"{name}.w{x}"], p[f"{name}.b{x}"]) for x in "kv")
+                    k, v = (np.concatenate((cached, row.reshape(rows, h, 1, -1)), axis=2)
+                            for cached, row in zip(past[i], new))
+                    next_past.append((k, v))
+                    heads, _ = masked_attention(q.reshape(rows, h, 1, -1), k, v)
+                    concat = heads.reshape(rows, -1)
+                else:  # (n_heads, B, d_head) queries of one sentence
+                    heads, _ = masked_attention(_split_heads(q, h), *memory_kv[i],
+                                                cross_masks)
+                    concat = _merge_heads(heads)
+                out = linear(concat, p[f"{name}.wo"], p[f"{name}.bo"])
+            y, _ = layer_norm(y + out, p[f"{ln}.g"], p[f"{ln}.b"])
+    return linear(y, p["out.w"], p["out.b"]), next_past
 
 
 def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
@@ -491,8 +496,7 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     ids = np.concatenate(in_ids)
     y, drop_emb = _embed(p, config, "tok_emb", ids,
                          _position_table(config, max(lengths))[_positions(lengths)], rng)
-    y, layers = _layers(p, config, "dec", y, rng, self_segments, None, memory,
-                        cross_segments)
+    y, layers = _layers(p, config, "dec", y, rng, self_segments, memory, cross_segments)
     logits = linear(y, p["out.w"], p["out.b"])
     return logits, {"encoder": encoder, "ids": ids, "drop_emb": drop_emb,
                     "layers": layers, "final": y}

@@ -9,7 +9,9 @@ worst kept finished one.  Both must give the same tokens, `terminal`
 flag and score, and `predict` must never run more decoder steps.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 
 import discoseq as dq
 from discoseq.masks import initial_state, step
-from discoseq.neural import ModelConfig, beam, init_parameters, predict, train
+from discoseq.neural import (ModelConfig, beam, init_parameters, load_checkpoint, predict,
+                              train)
 from discoseq.neural import model as nm
 from discoseq.neural.training import build_vocabularies
 
@@ -27,6 +30,11 @@ from test_train_predict import RECIPE, SCHEME
 
 BEAMS = (1, 2, 5, 10)
 SCHEME_NAME = str(SCHEME)
+PARSE_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "parse.ckpt"
+# the beam-10 tokens, terminal flags and scores of the benchmark checkpoint on
+# the 40 `parse` workload sentences, one JSON object per sentence, recorded
+# when each beam step still ran through the packed training layers
+PINNED = Path(__file__).resolve().parent / "data" / "parse_predictions.jsonl"
 
 
 def _reference_predict(params, config, words, beam_size, max_len):
@@ -36,9 +44,10 @@ def _reference_predict(params, config, words, beam_size, max_len):
     vocabulary = sorted((i, dq.parse_transition(text))
                         for text, i in config.token_to_id.items() if i != config.bos_id)
     memory, _ = nm._encode(params, config, [config.word_ids(words)], None)
+    memory_kv = nm._memory_kv(params, config, memory)
     live = [(0.0, [], initial_state(n, scheme))]
     finished = []
-    past = memory_kv = None
+    past = None
     steps = 0
     for _ in range(max_len):
         if not live:
@@ -46,13 +55,12 @@ def _reference_predict(params, config, words, beam_size, max_len):
         if len(finished) >= beam_size:
             if max(hyp[0] for hyp in live) <= min(hyp[0] for hyp in finished):
                 break
-        in_ids = np.array([[ids[-1] if ids else config.bos_id] for _, ids, _ in live])
+        in_ids = np.array([ids[-1] if ids else config.bos_id for _, ids, _ in live])
         stack_rows, buffer_rows = nm.mask_rows([state.pair for _, _, state in live], n)
-        logits, past, memory_kv = nm._decode(params, config, memory, in_ids,
-                                             stack_rows[:, None], buffer_rows[:, None],
-                                             past, memory_kv)
+        logits, past = nm._decode(params, config, memory_kv, in_ids, stack_rows,
+                                  buffer_rows, past)
         steps += 1
-        log_probs = nm._log_softmax(logits[:, -1])
+        log_probs = nm._log_softmax(logits)
         candidates = []
         for index, (score, _, state) in enumerate(live):
             largest = dq.legal(state.config, scheme)
@@ -167,6 +175,17 @@ def test_max_len_is_checked_before_decoding(toy20, monkeypatch):
             predict(params, config, list(trees[0].sentence), max_len=max_len)
 
 
+def test_an_empty_sentence_is_refused_before_encoding(toy20, monkeypatch):
+    trees = list(toy20)[:2]
+    words, tokens = build_vocabularies(trees, SCHEME)
+    config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16)
+    params = init_parameters(config, np.random.default_rng(0))
+    monkeypatch.setattr(beam, "_encode", None)  # encoding would fail
+    with pytest.raises(ValueError, match="^cannot parse an empty sentence$"):
+        predict(params, config, [])
+
+
 def test_max_len_runs_up_to_max_positions(toy20):
     trees = list(toy20)[:2]
     words, tokens = build_vocabularies(trees, SCHEME)
@@ -176,3 +195,15 @@ def test_max_len_runs_up_to_max_positions(toy20):
     pred = predict(params, config, ["a", "b", "c"], beam_size=2, max_len=3)
     assert len(pred.tokens) <= 3
     assert math.isfinite(pred.score)
+
+
+def test_the_benchmark_predictions_stay_pinned():
+    params, config = load_checkpoint(PARSE_CHECKPOINT)
+    with open(PINNED, encoding="utf-8") as handle:
+        pinned = [json.loads(line) for line in handle]
+    assert len(pinned) == 40
+    for row in pinned:
+        got = predict(params, config, row["words"], beam_size=10)
+        assert ([str(t) for t in got.tokens], got.terminal) == (row["tokens"],
+                                                                 row["terminal"])
+        assert abs(got.score - row["score"]) <= 1e-9

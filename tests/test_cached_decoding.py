@@ -2,12 +2,11 @@
 
 Beam search feeds `_decode` one new token per hypothesis and carries
 the earlier positions as per-layer self-attention keys and values
-(`past`), and from the second step on the memory's cross-attention
-keys and values (`memory_kv`) that the first step projected.  Its
-distributions must equal the rows `forward` computes over whole
-sequences, and hypotheses stepped in one batch must not see each
-other.  The layer functions a step runs through agree with their
-plain references.
+(`past`), over the memory's cross-attention keys and values
+(`memory_kv`) that `_memory_kv` projected once.  Its distributions must
+equal the rows `forward` computes over whole sequences, and hypotheses
+stepped in one batch must not see each other.  The layer functions a
+step runs through agree with their plain references.
 """
 
 import numpy as np
@@ -41,17 +40,20 @@ def _gold(tree, scheme, config):
     return ids, dq.trace(len(tree.sentence), tokens, scheme)
 
 
-def _step(params, config, memory, in_ids, pairs, past, memory_kv):
-    """One cached step for a batch: distributions (B, vocab), the new
-    past and the memory's cross keys and values."""
-    stack_rows, buffer_rows = nm.mask_rows(pairs, memory.shape[0] - 1)
-    logits, past, memory_kv = nm._decode(params, config, memory,
-                                         np.array(in_ids, dtype=np.int64)[:, None],
-                                         stack_rows[:, None], buffer_rows[:, None],
-                                         past, memory_kv)
-    last = logits[:, -1]
-    exp = np.exp(last - last.max(axis=-1, keepdims=True))
-    return exp / exp.sum(axis=-1, keepdims=True), past, memory_kv
+def _memory_kv(params, config, word_ids):
+    memory, _ = nm._encode(params, config, [word_ids], None)
+    return nm._memory_kv(params, config, memory)
+
+
+def _step(params, config, memory_kv, in_ids, pairs, past):
+    """One cached step for a batch: distributions (B, vocab) and the new past."""
+    n_words = memory_kv[0][0].shape[-2] - 1  # the memory holds a sentinel row
+    stack_rows, buffer_rows = nm.mask_rows(pairs, n_words)
+    logits, past = nm._decode(params, config, memory_kv, np.array(in_ids, dtype=np.int64),
+                              stack_rows, buffer_rows, past)
+    assert logits.shape == (len(in_ids), len(config.token_to_id))
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True), past
 
 
 @pytest.mark.parametrize("start,stop", [(0, 512), (0, 1), (7, 8), (511, 512), (3, 40)])
@@ -69,11 +71,9 @@ def test_cached_steps_match_forward(toy20, scheme):
         ids, pairs = _gold(tree, scheme, config)
         word_ids = config.word_ids(tree.sentence)
         expected = forward(word_ids, ids, pairs, params, config)
-        memory, _ = nm._encode(params, config, [word_ids], None)
-        past = memory_kv = None
+        memory_kv, past = _memory_kv(params, config, word_ids), None
         for t, in_id in enumerate([config.bos_id] + ids):
-            probs, past, memory_kv = _step(params, config, memory, [in_id], [pairs[t]],
-                                           past, memory_kv)
+            probs, past = _step(params, config, memory_kv, [in_id], [pairs[t]], past)
             np.testing.assert_allclose(probs[0], expected[t], rtol=0, atol=TOLERANCE)
 
 
@@ -87,14 +87,13 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
     # check legality, so permuted inputs and mask rows serve as well
     hyps = [(inputs, pairs), (inputs[::-1], pairs[::-1]),
             (inputs[1:] + inputs[:1], pairs[1:] + pairs[:1])]
-    memory, _ = nm._encode(params, config, [config.word_ids(tree.sentence)], None)
+    memory_kv = _memory_kv(params, config, config.word_ids(tree.sentence))
 
     alone = []
     for hyp_ids, hyp_pairs in hyps:
-        past, memory_kv, rows = None, None, []
+        past, rows = None, []
         for in_id, pair in zip(hyp_ids, hyp_pairs):
-            probs, past, memory_kv = _step(params, config, memory, [in_id], [pair],
-                                           past, memory_kv)
+            probs, past = _step(params, config, memory_kv, [in_id], [pair], past)
             rows.append(probs[0])
         alone.append(rows)
 
@@ -102,14 +101,14 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
     # way beam search does and continue the parents' sequences
     half = len(inputs) // 2
     parents = [2, 0, 0]
-    past = memory_kv = None
+    past = None
     for t in range(len(inputs)):
         if t == half:
             past = [(keys[parents], values[parents]) for keys, values in past]
             hyps = [hyps[i] for i in parents]
             alone = [alone[i] for i in parents]
-        probs, past, memory_kv = _step(params, config, memory, [h[0][t] for h in hyps],
-                                       [h[1][t] for h in hyps], past, memory_kv)
+        probs, past = _step(params, config, memory_kv, [h[0][t] for h in hyps],
+                            [h[1][t] for h in hyps], past)
         for row, expected in zip(probs, alone):
             np.testing.assert_allclose(row, expected[t], rtol=0, atol=TOLERANCE)
 

@@ -161,6 +161,13 @@ def test_config_checks_tokens_against_the_scheme(toy4, token, message):
         tiny_config(toy4, scheme="sideways")
 
 
+@pytest.mark.parametrize("epochs", [0, -2])
+def test_train_refuses_fewer_than_one_epoch(toy4, epochs):
+    with pytest.raises(ValueError, match="^epochs must be at least 1$"):
+        training.train(list(toy4), SCHEME, epochs=epochs, d_model=8, n_heads=2,
+                       n_layers=1, d_ff=16)
+
+
 def test_config_float_fields_take_ints(toy4):
     assert tiny_config(toy4, dropout=0, lr=1).lr == 1
 
@@ -353,12 +360,11 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
 
     def stepped(memory):
         """Each step's logits, one token at a time through `past`."""
-        past, rows = None, []
+        memory_kv, past, rows = nm._memory_kv(params, config, memory), None, []
         for t, in_id in enumerate(in_ids):
-            logits, past, _ = nm._decode(params, config, memory, np.array([[in_id]]),
-                                         ex.stack_rows[None, t:t + 1],
-                                         ex.buffer_rows[None, t:t + 1], past)
-            rows.append(logits[0, 0])
+            logits, past = nm._decode(params, config, memory_kv, np.array([in_id]),
+                                      ex.stack_rows[t:t + 1], ex.buffer_rows[t:t + 1], past)
+            rows.append(logits[0])
         return np.array(rows)
 
     logits = stepped(memory)
@@ -777,6 +783,11 @@ def _huge_header_length(blob):
     return blob[:8] + struct.pack("<Q", 2 ** 62) + blob[16:]
 
 
+def _last_value(value):
+    """An edit that sets the payload's last float, in its last tensor."""
+    return lambda blob: blob[:-8] + struct.pack("<d", value)
+
+
 @pytest.mark.parametrize("edit", [
     _header_edit(lambda header: header["tensors"]),
     _header_edit(lambda header: {k: v for k, v in header.items() if k != "tensors"}),
@@ -800,18 +811,21 @@ def _huge_header_length(blob):
     ("max_positions", 0),
     ("max_positions", 1),
     ("batch_size", 0),
+    ("epochs", 0),
     _repeated_name,
     _entry("name", ["word_emb"]),
     _entry("name", 3),
     _entry("dtype", "<f4"),
     _bool_shape,
+    _last_value(math.nan),
+    _last_value(-math.inf),
 ], ids=["list-header", "no-tensors", "no-dtype", "string-shape", "list-vocabulary",
         "zero-width", "huge-shape", "overflowing-shape", "wide-config", "many-layers",
         "huge-header-length", "float-width", "string-dropout", "bad-token",
         "token-of-another-scheme", "token-of-another-base", "bad-scheme",
         "zero-layers", "zero-d-ff", "zero-max-positions", "one-max-position",
-        "zero-batch-size", "repeated-name", "list-name", "int-name", "f4-dtype",
-        "bool-shape"])
+        "zero-batch-size", "zero-epochs", "repeated-name", "list-name", "int-name",
+        "f4-dtype", "bool-shape", "nan-value", "infinite-value"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"
@@ -839,7 +853,10 @@ def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     (_repeated_name, "repeated tensor"),
     (_entry("name", ["word_emb"]), "malformed tensor entry 0"),
     (_entry("dtype", "<f4"), "has shape .* and dtype '<f4'"),
-], ids=["repeated-name", "list-name", "f4-dtype"])
+    # save_checkpoint writes the tensors by name, so word_emb comes last
+    (_last_value(math.nan), "tensor 'word_emb' holds a non-finite value"),
+    (_last_value(math.inf), "tensor 'word_emb' holds a non-finite value"),
+], ids=["repeated-name", "list-name", "f4-dtype", "nan-value", "infinite-value"])
 def test_checkpoint_names_the_malformed_manifest_entry(tmp_path, setup, edit, message):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"

@@ -23,7 +23,8 @@ from discoseq.neural.training import build_vocabularies
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PREDICT_SPANS = ("beam.predict", "model.encode", "model.decode", "model.mask_rows",
-                 "masks.step", "transitions.legal", "layers.masked_attention")
+                 "masks.step", "transitions.legal", "layers.masked_attention",
+                 "layers.linear", "layers.layer_norm")
 TRAIN_SPANS = ("training.train", "model.loss_and_grad", "layers.linear",
                "layers.linear_bwd", "layers.layer_norm_bwd", "layers.masked_attention_bwd")
 CONVERT_SPANS = ("cli.main", "treebank.parse_treebank", "tree.validate",
@@ -66,11 +67,11 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     # child, per decoder step, at most
     assert table["transitions.legal"]["calls"] <= beam_size * steps
     assert table["masks.step"]["calls"] <= beam_size * steps
-    # per layer, a step makes 4 self-attention, 2 cross-attention and 2
-    # feed-forward projections, plus the output layer's; the encoder's 6 per
-    # layer and the memory's 2 cross keys and values run once per sentence
+    # per layer, a step makes 4 self-attention, 2 cross-attention (query and
+    # output) and 2 feed-forward projections, plus the output layer's 1; once
+    # per sentence, the encoder makes 6 per layer and `_memory_kv` 2
     per_layer = 8 * config.n_layers
-    assert table["layers.linear"]["calls"] <= (per_layer + 1) * steps + per_layer
+    assert table["layers.linear"]["calls"] == (per_layer + 1) * steps + per_layer
     # a one-token step sees its whole past, so it needs no causal mask
     assert "layers.causal_mask" not in table
 
