@@ -22,7 +22,9 @@ from dataclasses import asdict
 from . import __version__
 from .decode import Repair, decode
 from .masks import trace
-from .metrics import MetricsError, pair_counts, summarize
+from .metrics import MetricsError, evaluate
+# unused here; the benchmark tracer binds them in this module
+from .metrics import pair_counts, summarize  # noqa: F401
 from .oracle import EncodeError, OracleInvariantError, encode, vocab_stats
 from .transitions import (IllegalTransition, Scheme, format_transitions,
                           parse_scheme, parse_transitions)
@@ -131,11 +133,14 @@ def _read_treebank(path: str, fmt: str):
 
 
 @contextmanager
-def _naming_unencodable(line_nos: list[int], source: str):
-    """Report an EncodeError at the line of the tree its `index` names."""
+def _naming_indexed_line(line_nos: list[int], source: str):
+    """Report an EncodeError or MetricsError at the line of the tree its
+    `index` names; one without an index names no line."""
     try:
         yield
-    except EncodeError as err:
+    except (EncodeError, MetricsError) as err:
+        if err.index is None:
+            raise
         raise TreebankError(str(err), source=source, line_no=line_nos[err.index]) from None
 
 
@@ -235,7 +240,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_stats(args) -> int:
     trees, line_nos = _read_treebank(args.infile, args.format)
-    with _naming_unencodable(line_nos, _source(args.infile)):
+    with _naming_indexed_line(line_nos, _source(args.infile)):
         stats = vocab_stats(trees, args.scheme)
     print("scheme\tsize\tmax_length")
     print(f"{args.scheme}\t{stats.size}\t{stats.max_length}")
@@ -270,23 +275,16 @@ def _cmd_mask_trace(args) -> int:
 def _cmd_eval(args) -> int:
     gold, _ = _read_treebank(args.gold, args.format)
     predicted, line_nos = _read_treebank(args.pred, args.format)
-    if len(gold) != len(predicted):
-        raise MetricsError(f"treebank sizes differ: {len(gold)} gold vs "
-                           f"{len(predicted)} predicted")
-    counts = []
-    for line_no, gold_tree, predicted_tree in zip(line_nos, gold, predicted):
-        with _at_line(_source(args.pred), line_no):
-            counts.append(pair_counts(gold_tree, predicted_tree,
-                                      remove_punctuation=args.no_punct,
-                                      ignore_root=args.ignore_root))
-    report = summarize(counts)
+    with _naming_indexed_line(line_nos, _source(args.pred)):
+        report = evaluate(gold, predicted, remove_punctuation=args.no_punct,
+                          ignore_root=args.ignore_root)
     if args.json:
         print(json.dumps({
             "sentences": report.trees,
             "exact_match": report.exact_match,
             "labeled": asdict(report.labeled),
             "discontinuous": asdict(report.discontinuous),
-            "per_sentence": [asdict(c) for c in counts],
+            "per_sentence": [asdict(c) for c in report.per_sentence],
         }))
         return EXIT_OK
     rows = [
@@ -315,7 +313,7 @@ def _cmd_train(args) -> int:
     overrides = {name: value for name, value in (
         ("epochs", args.epochs), ("seed", args.seed),
         ("d_model", args.d_model)) if value is not None}
-    with _naming_unencodable(line_nos, _source(args.infile)):
+    with _naming_indexed_line(line_nos, _source(args.infile)):
         result = train(
             gold, args.scheme,
             early_stop_accuracy=args.early_stop_accuracy,
@@ -334,18 +332,13 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     from .neural import load_checkpoint, predict
     params, config = load_checkpoint(args.checkpoint)
-    if args.max_len is not None and args.max_len > config.max_positions:
-        print(f"discoseq predict: error: argument --max-len: the checkpoint allows at "
-              f"most {config.max_positions}, got {args.max_len}", file=sys.stderr)
-        return EXIT_USAGE
     scheme = parse_scheme(config.scheme)
     sentences = [(no, line.split()) for no, line in _numbered_lines(_read_lines(args.infile))]
     logs = []
     with _open_out(args.outfile) as out:
         for line_no, words in sentences:
             with _at_line(_source(args.infile), line_no):
-                prediction = predict(params, config, words, beam_size=args.beam,
-                                     max_len=args.max_len)
+                prediction = predict(params, config, words, beam_size=args.beam)
             result = decode(words, list(prediction.tokens), scheme)
             logs.append(result.repairs)
             print(emit_discbracket(result.tree), file=out)
@@ -460,7 +453,6 @@ def _build_parser() -> _Parser:
     sub.add_argument("--in", dest="infile", default="-", metavar="FILE",
                      help="one space-separated sentence per line")
     sub.add_argument("--out", dest="outfile", default="-", metavar="FILE")
-    sub.add_argument("--max-len", type=_positive_int, default=None)
     sub.set_defaults(handler=_cmd_predict)
     return parser
 

@@ -23,7 +23,7 @@ DEFAULT_PUNCTUATION = frozenset(
 
 
 class MetricsError(ValueError):
-    pass
+    index: int | None = None  # the mismatched pair's position, set by `evaluate`
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ class Report:
     discontinuous: Score
     exact_match: float
     trees: int
+    per_sentence: tuple[PairCounts, ...]
 
 
 def bracket_items(tree: ConstituentTree, remove_punctuation: bool = False,
@@ -149,7 +150,7 @@ def summarize(counts: Sequence[PairCounts]) -> Report:
     else:
         exact = 1.0
     return Report(labeled=labeled, discontinuous=discontinuous,
-                  exact_match=exact, trees=len(counts))
+                  exact_match=exact, trees=len(counts), per_sentence=tuple(counts))
 
 
 def evaluate(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTree],
@@ -164,6 +165,7 @@ def evaluate(gold: Sequence[ConstituentTree], predicted: Sequence[ConstituentTre
     for index, (g, p) in enumerate(zip(gold, predicted)):
         try:
             counts.append(pair_counts(g, p, remove_punctuation, ignore_root))
-        except MetricsError:
-            raise MetricsError(f"sentence mismatch at index {index}") from None
+        except MetricsError as err:
+            err.index = index
+            raise
     return summarize(counts)

@@ -53,10 +53,10 @@ class _Hypothesis:
 
 
 def predict(params: Parameters, config: ModelConfig, words: list[str],
-            beam_size: int = 10, max_len: int | None = None) -> Prediction:
-    """Decode one sentence in at most `max_len` steps, from 1 to
-    `config.max_positions` (default one less); ties break toward the
-    lower token id.
+            beam_size: int = 10) -> Prediction:
+    """Decode one sentence in at most `config.max_positions - 1` steps,
+    which leaves `forward` the one more position it needs to score the
+    whole prediction; ties break toward the lower token id.
 
     A terminal hypothesis stops expanding.  The search ends once no live
     hypothesis scores above the best finished one, as no child outscores
@@ -65,10 +65,6 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
-    max_len = config.max_positions - 1 if max_len is None else max_len
-    if not 1 <= max_len <= config.max_positions:
-        raise ValueError(f"max_len {max_len} is under 1 or exceeds max_positions "
-                         f"{config.max_positions}")
     if not words:
         raise ValueError("cannot parse an empty sentence")
     scheme, n = parse_scheme(config.scheme), len(words)
@@ -84,7 +80,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
     best, bound = None, -np.inf  # the best finished hypothesis and its score
     past = None  # per decoder layer: self-attention (keys, values)
-    for _ in range(max_len):
+    for _ in range(config.max_positions - 1):
         in_ids = np.array([hyp.token_ids[-1] if hyp.token_ids else config.bos_id
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)

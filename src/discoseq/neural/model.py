@@ -98,9 +98,12 @@ class ModelConfig:
                                  f"got {value!r}")
         # max_positions holds <bos> and at least one token
         for name, least in (("d_model", 1), ("n_layers", 1), ("d_ff", 1),
-                            ("max_positions", 2), ("batch_size", 1), ("epochs", 1)):
+                            ("max_positions", 2), ("batch_size", 1), ("epochs", 1),
+                            ("warmup_updates", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if not 0.0 <= self.dropout < 1.0:  # false for nan too
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.n_heads < 2:
             raise ValueError("need at least a stack head and a buffer head")
         if self.d_model % self.n_heads:
@@ -430,18 +433,15 @@ def _decode(p: Parameters, config: ModelConfig,
     (n_words + 1) mask rows, and is one row through `_SUBLAYERS["dec"]`.
     `past` holds each layer's (B, n_heads, T, d_head) self-attention keys
     and values of the earlier positions; the new token's position is T,
-    the `max_positions` check counts it, and it sees every earlier
-    position, so it gets no self mask.  For cross-attention the B rows
-    are one sentence's queries over `_memory_kv`'s keys and values.
+    below `max_positions` as `predict` caps its steps, and it sees every
+    earlier position, so it gets no self mask.  For cross-attention the
+    B rows are one sentence's queries over `_memory_kv`'s keys and values.
     Whole sequences go through `_pass`.
     """
     rows, h = len(in_ids), config.n_heads
     if past is None:  # the first step: no earlier positions
         past = [(np.empty((rows, h, 0, config.d_model // h)),) * 2] * config.n_layers
     start = past[0][0].shape[-2]
-    if start + 1 > config.max_positions:
-        raise ValueError(f"sequence length {start + 1} exceeds max_positions "
-                         f"{config.max_positions}")
     y = (embed(p["tok_emb"], in_ids, math.sqrt(config.d_model))
          + _position_table(config, start + 1)[start])
     cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)

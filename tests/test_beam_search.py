@@ -9,6 +9,7 @@ worst kept finished one.  Both must give the same tokens, `terminal`
 flag and score, and `predict` must never run more decoder steps.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 import discoseq as dq
 from discoseq.masks import initial_state, step
-from discoseq.neural import (ModelConfig, beam, init_parameters, load_checkpoint, predict,
-                              train)
+from discoseq.neural import (ModelConfig, beam, forward, init_parameters, load_checkpoint,
+                              predict, train)
 from discoseq.neural import model as nm
 from discoseq.neural.training import build_vocabularies
 
@@ -90,8 +91,10 @@ def _reference_predict(params, config, words, beam_size, max_len):
 
 
 def _compare(params, config, sentences, monkeypatch, max_len):
-    """Checks every beam width on every sentence; returns the summed
-    decoder steps of `predict` and of the reference."""
+    """Checks every beam width on every sentence, with `predict` capped at
+    `max_len` steps through `max_positions`; returns the summed decoder
+    steps of `predict` and of the reference."""
+    config = dataclasses.replace(config, max_positions=max_len + 1)
     calls = []
     decode = nm._decode
     monkeypatch.setattr(beam, "_decode", lambda *args: calls.append(1) or decode(*args))
@@ -99,7 +102,7 @@ def _compare(params, config, sentences, monkeypatch, max_len):
     for beam_size in BEAMS:
         for words in sentences:
             calls.clear()
-            got = predict(params, config, words, beam_size=beam_size, max_len=max_len)
+            got = predict(params, config, words, beam_size=beam_size)
             tokens, score, terminal, steps = _reference_predict(
                 params, config, words, beam_size, max_len)
             assert (got.tokens, got.terminal) == (tokens, terminal)
@@ -162,19 +165,6 @@ def test_log_softmax_rows_never_raise_a_score(rows, score, spread):
     assert (score + log_probs <= score).all()
 
 
-def test_max_len_is_checked_before_decoding(toy20, monkeypatch):
-    trees = list(toy20)[:2]
-    words, tokens = build_vocabularies(trees, SCHEME)
-    config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
-                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=12)
-    params = init_parameters(config, np.random.default_rng(0))
-    monkeypatch.setattr(beam, "_decode", None)  # any decoder step would fail
-    for max_len in (13, 600, 0, -3):
-        with pytest.raises(ValueError, match=f"max_len {max_len} is under 1 or "
-                                             "exceeds max_positions 12"):
-            predict(params, config, list(trees[0].sentence), max_len=max_len)
-
-
 def test_an_empty_sentence_is_refused_before_encoding(toy20, monkeypatch):
     trees = list(toy20)[:2]
     words, tokens = build_vocabularies(trees, SCHEME)
@@ -190,11 +180,31 @@ def test_max_len_runs_up_to_max_positions(toy20):
     trees = list(toy20)[:2]
     words, tokens = build_vocabularies(trees, SCHEME)
     config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
-                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=3)
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                         max_positions=4)  # <bos> and 3 tokens
     params = init_parameters(config, np.random.default_rng(0))
-    pred = predict(params, config, ["a", "b", "c"], beam_size=2, max_len=3)
+    pred = predict(params, config, ["a", "b", "c"], beam_size=2)
     assert len(pred.tokens) <= 3
     assert math.isfinite(pred.score)
+
+
+def test_the_cap_leaves_forward_room_to_score_the_prediction(toy20):
+    """An unfinished prediction of `max_positions - 1` tokens still fits
+    `forward`, which reads <bos> before them; the `parse` benchmark's
+    score check relies on it."""
+    trees = list(toy20)[:2]
+    words, tokens = build_vocabularies(trees, SCHEME)
+    config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=6)
+    params = init_parameters(config, np.random.default_rng(0))
+    # three words take at least SHIFT NT SHIFT SHIFT REDUCE FINISH
+    sentence = list(trees[0].sentence)[:3]
+    pred = predict(params, config, sentence, beam_size=1)
+    assert (len(pred.tokens), pred.terminal) == (5, False)
+    ids = [config.token_to_id[str(t)] for t in pred.tokens]
+    probs = forward(config.word_ids(sentence), ids,
+                    dq.trace(len(sentence), pred.tokens, SCHEME), params, config)
+    assert abs(np.log(probs[np.arange(len(ids)), ids]).sum() - pred.score) <= 1e-9
 
 
 def test_the_benchmark_predictions_stay_pinned():

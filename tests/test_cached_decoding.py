@@ -113,7 +113,8 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
             np.testing.assert_allclose(row, expected[t], rtol=0, atol=TOLERANCE)
 
 
-@pytest.mark.parametrize("shape", [(7, 16), (5, 1, 16)])
+# training's packed rows, and a one-hypothesis beam step's (B, d) rows
+@pytest.mark.parametrize("shape", [(7, 16), (1, 16)])
 def test_layer_norm_matches_the_mean_reference(shape):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(shape) * 3.0 + 1.0
@@ -128,9 +129,10 @@ def test_layer_norm_matches_the_mean_reference(shape):
 def test_linear_on_stacked_rows_matches_each_row_alone():
     rng = np.random.default_rng(6)
     w, b = rng.standard_normal((16, 24)), rng.standard_normal(24)
-    rows = rng.standard_normal((10, 16))
-    assert np.array_equal(linear(rows, w, b), rows @ w + b)  # training's 2-D rows
-    stacked = linear(rows[:, None], w, b)
-    assert stacked.shape == (10, 1, 24)
+    rows = rng.standard_normal((10, 16))  # a beam step's (B, d) rows
+    stacked = linear(rows, w, b)
+    assert np.array_equal(stacked, rows @ w + b)
     for row, out in zip(rows, stacked):
-        np.testing.assert_allclose(out[0], row @ w + b, rtol=0, atol=1e-12)
+        alone = linear(row[None], w, b)  # the row as a one-hypothesis step
+        assert alone.shape == (1, 24)
+        np.testing.assert_allclose(out, alone[0], rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import io
 import json
@@ -181,7 +182,6 @@ def test_a_label_that_no_token_can_carry_is_named_by_its_line(tmp_path, command)
 
 @pytest.mark.parametrize("argv", [
     ["predict", "--checkpoint", "model.ckpt", "--beam", "0"],
-    ["predict", "--checkpoint", "model.ckpt", "--max-len", "0"],
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--epochs", "0"],
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--d-model", "0"],
     ["linearize", "--scheme", "inorder", "--jobs", "0"],
@@ -194,7 +194,7 @@ def test_a_label_that_no_token_can_carry_is_named_by_its_line(tmp_path, command)
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "1.5"],
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "nan"],
     ["train", "--scheme", "inorder", "--out", "m.ckpt", "--early-stop-accuracy", "inf"],
-], ids=["beam", "max-len", "epochs", "d-model", "jobs-0", "jobs-negative", "seed",
+], ids=["beam", "epochs", "d-model", "jobs-0", "jobs-negative", "seed",
         "seed-superscript-digit", "seed-arabic-indic-digit", "beam-superscript-digit",
         "early-stop-negative", "early-stop-above-one", "early-stop-nan", "early-stop-inf"])
 def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
@@ -212,6 +212,18 @@ def test_out_of_range_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
         assert f"expected a {expected} integer" in err
     assert "_int" not in err
     assert "Traceback" not in err
+
+
+def test_every_option_the_readme_names_is_an_option_of_a_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", section))
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {option for sub in commands.choices.values() for action in sub._actions
+               for option in action.option_strings}
+    assert "--scheme" in named
+    assert sorted(named - options) == []
 
 
 def test_d_model_the_model_cannot_split_is_a_usage_error(tmp_path):
@@ -530,34 +542,17 @@ def _cli(argv, stdin: bytes = b""):
     return proc.returncode, proc.stdout.decode("utf-8"), err
 
 
-def _untrained_checkpoint(directory, toy20):
+def _untrained_checkpoint(directory, toy20, max_positions=12):
     import numpy as np
     from discoseq.neural import ModelConfig, init_parameters, save_checkpoint
     from discoseq.neural.training import build_vocabularies
     words, tokens = build_vocabularies(list(toy20)[:2], "inorder+swap")
     config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
-                         d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=12)
+                         d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                         max_positions=max_positions)
     ckpt = directory / "model.ckpt"
     save_checkpoint(str(ckpt), init_parameters(config, np.random.default_rng(0)), config)
     return ckpt
-
-
-def test_max_len_beyond_the_checkpoint_is_a_usage_error(tmp_path, toy20, capsys):
-    ckpt = _untrained_checkpoint(tmp_path, toy20)
-    sentences = tmp_path / "sents.txt"
-    sentences.write_text("the dog ran\n", encoding="utf-8")
-    out_path = tmp_path / "pred.discbracket"
-    argv = ["predict", "--checkpoint", str(ckpt), "--beam", "1", "--in", str(sentences),
-            "--out", str(out_path)]
-    code, out, err = run(argv + ["--max-len", "13"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == ("discoseq predict: error: argument --max-len: the checkpoint allows "
-                   "at most 12, got 13\n")
-    assert not out_path.exists()
-    code, _, err = run(argv + ["--max-len", "12"], capsys)
-    assert code == 0
-    assert "1 sentences" in err
 
 
 def test_predict_rejects_missing_checkpoint(tmp_path, capsys):
@@ -577,13 +572,14 @@ def test_delinearize_counts_a_label_mismatch_as_r6(tmp_path):
 
 
 def test_predict_lists_its_repairs_by_rule(tmp_path, toy20):
-    ckpt = _untrained_checkpoint(tmp_path, toy20)
+    # two positions hold <bos> and one token, and two words
+    ckpt = _untrained_checkpoint(tmp_path, toy20, max_positions=2)
     sentences = tmp_path / "sents.txt"
-    sentences.write_text("the dog ran\n", encoding="utf-8")
-    # one token, the in-order SHIFT, cannot finish a parse of three words
+    sentences.write_text("the dog\n", encoding="utf-8")
+    # one token, the in-order SHIFT, cannot finish a parse of two words
     code, out, err = _cli(["predict", "--checkpoint", str(ckpt), "--beam", "1",
-                           "--max-len", "1", "--in", str(sentences)])
-    assert (code, out) == (0, "(ROOT 0=the 1=dog 2=ran)\n")
+                           "--in", str(sentences)])
+    assert (code, out) == (0, "(ROOT 0=the 1=dog)\n")
     assert err == "1 sentences, 1 repaired (R2 x1, R3 x1)\n"
 
 

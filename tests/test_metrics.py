@@ -115,12 +115,22 @@ def test_evaluate_reports_offending_index():
     pred = [T("(S 0=a)"), T("(S 0=c)")]
     with pytest.raises(dq.MetricsError) as exc:
         dq.evaluate(gold, pred)
-    assert "at index 1" in str(exc.value)
+    assert exc.value.index == 1
+    assert str(exc.value) == "sentence mismatch"
 
 
 def test_evaluate_rejects_size_mismatch():
-    with pytest.raises(dq.MetricsError):
+    with pytest.raises(dq.MetricsError) as exc:
         dq.evaluate([T("(S 0=a)")], [])
+    assert exc.value.index is None
+
+
+def test_report_keeps_the_counts_of_every_pair():
+    gold = [T("(S (NP 0=a) 1=b)"), T("(S (NP 0=a) (VP 1=b))")]
+    pred = [T("(S (NP 0=a) 1=b)"), T("(S (NP 0=a) (NP 1=b))")]
+    report = dq.evaluate(gold, pred, ignore_root=True)
+    assert report.per_sentence == tuple(mx.pair_counts(g, p, ignore_root=True)
+                                        for g, p in zip(gold, pred))
 
 
 def test_exact_match_fraction():

@@ -21,7 +21,6 @@ from discoseq.neural import (
     load_checkpoint,
     loss_and_grad,
     masked_attention,
-    predict,
     save_checkpoint,
 )
 from discoseq.neural import model as nm
@@ -168,6 +167,24 @@ def test_train_refuses_fewer_than_one_epoch(toy4, epochs):
                        n_layers=1, d_ff=16)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("warmup_updates", 0, "^warmup_updates must be at least 1$"),
+    ("warmup_updates", -3, "^warmup_updates must be at least 1$"),
+    ("dropout", 1.0, r"^dropout must be in \[0, 1\), got 1.0$"),
+    ("dropout", -0.5, r"^dropout must be in \[0, 1\), got -0.5$"),
+    ("dropout", math.nan, r"^dropout must be in \[0, 1\), got nan$"),
+], ids=["zero-warmup", "negative-warmup", "one-dropout", "negative-dropout", "nan-dropout"])
+def test_train_refuses_a_config_it_cannot_train_with(toy4, monkeypatch, field, value,
+                                                     message):
+    def draw(*args):
+        raise AssertionError("parameters drawn")
+
+    monkeypatch.setattr(training, "init_parameters", draw)
+    with pytest.raises(ValueError, match=message):
+        training.train(list(toy4), SCHEME, epochs=2, d_model=8, n_heads=2, n_layers=1,
+                       d_ff=16, **{field: value})
+
+
 def test_config_float_fields_take_ints(toy4):
     assert tiny_config(toy4, dropout=0, lr=1).lr == 1
 
@@ -301,17 +318,12 @@ def test_sentence_length_capped(setup):
         nm._encode(params, config, [words], None)
 
 
-def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4, toy20):
+def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4):
     config = tiny_config(toy4, max_positions=8)
     params = init_parameters(config, np.random.default_rng(0))
-    # six words need at least nine tokens, so the beam must outgrow 8 positions
-    words = list(next(t.sentence for t in toy20 if len(t.sentence) == 6))
-    with pytest.raises(ValueError, match="exceeds max_positions"):
-        predict(params, config, words, beam_size=1, max_len=20)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config)
-    # the CLI refuses such a --max-len before it reads a sentence (a usage
-    # error, see test_cli); a sentence the checkpoint cannot hold is bad data
+    # a sentence the checkpoint cannot hold is bad data
     sentences = tmp_path / "sentences.txt"
     sentences.write_text("\n\n" + " ".join(["a"] * 9) + "\n", encoding="utf-8")
     proc = subprocess.run(
@@ -812,6 +824,8 @@ def _last_value(value):
     ("max_positions", 1),
     ("batch_size", 0),
     ("epochs", 0),
+    ("warmup_updates", 0),
+    ("dropout", 1.0),
     _repeated_name,
     _entry("name", ["word_emb"]),
     _entry("name", 3),
@@ -824,8 +838,8 @@ def _last_value(value):
         "huge-header-length", "float-width", "string-dropout", "bad-token",
         "token-of-another-scheme", "token-of-another-base", "bad-scheme",
         "zero-layers", "zero-d-ff", "zero-max-positions", "one-max-position",
-        "zero-batch-size", "zero-epochs", "repeated-name", "list-name", "int-name",
-        "f4-dtype", "bool-shape", "nan-value", "infinite-value"])
+        "zero-batch-size", "zero-epochs", "zero-warmup", "one-dropout", "repeated-name",
+        "list-name", "int-name", "f4-dtype", "bool-shape", "nan-value", "infinite-value"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"

@@ -9,6 +9,7 @@ the others install the tracer around one toy `predict`, around toy
 round trip.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -53,11 +54,11 @@ def test_predict_runs_through_the_traced_bindings(toy20):
                          d_model=8, n_heads=2, n_layers=1, d_ff=16)
     params = init_parameters(config, np.random.default_rng(0))
     beam_size = 2
+    capped = dataclasses.replace(config, max_positions=7)  # <bos> and 6 tokens
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        beam.predict(params, config, list(trees[0].sentence), beam_size=beam_size,
-                     max_len=6)
+        beam.predict(params, capped, list(trees[0].sentence), beam_size=beam_size)
     finally:
         tracer.uninstall()
     table = tracer.by_name()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -187,8 +188,8 @@ def test_score_is_the_forward_log_probability_of_the_tokens(overfit, toy20, beam
 
 
 def test_length_cap_truncates(overfit, toy4):
-    pred = predict(overfit.params, overfit.config, list(toy4[0].sentence),
-                   beam_size=1, max_len=4)
+    capped = dataclasses.replace(overfit.config, max_positions=5)  # <bos> and 4 tokens
+    pred = predict(overfit.params, capped, list(toy4[0].sentence), beam_size=1)
     assert len(pred.tokens) == 4
     assert not pred.terminal
 
