@@ -17,8 +17,9 @@ All live hypotheses have the same length, so each beam step is one
 batched `_decode` call that feeds every hypothesis only its newest token
 and mask row.  Earlier positions come from the per-layer self-attention
 keys and values that the previous call returned, gathered by parent
-unless every child has its parent's row; the memory's cross-attention
-keys and values are projected once, before the first step.  Each
+unless every child has its parent's row.  The sentence's decoder plan,
+its weights with cross-attention folded over the memory, is built once,
+before the first step.  Each
 hypothesis's `legal` table becomes a row of a (B, V) mask through
 per-token kind and k arrays, and one stable sort of the legal scores,
 token-major, orders the candidates by (-score, token id, hypothesis).
@@ -33,7 +34,7 @@ from ..masks import MaskState, initial_state, step
 from ..transitions import (Transition, apply, is_terminal, legal,  # noqa: F401
                            parse_scheme, parse_transition)
 from .model import (BOS, ModelConfig, Parameters, _decode, _encode, _log_softmax,
-                    _memory_kv, mask_rows)
+                    _plan, mask_rows)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     token_kind, token_k = np.array([(len(column), 0) if t is None else
                                     (column[t.kind], t.k or 0) for t in vocabulary]).T
     memory, _ = _encode(params, config, [config.word_ids(words)], None)
-    memory_kv = _memory_kv(params, config, memory)
+    plan = _plan(params, config, memory)
 
     live = [_Hypothesis(score=0.0, token_ids=[], state=initial_state(n, scheme))]
     best, bound = None, -np.inf  # the best finished hypothesis and its score
@@ -84,8 +85,7 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
         in_ids = np.array([hyp.token_ids[-1] if hyp.token_ids else config.bos_id
                            for hyp in live], dtype=np.int64)
         stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
-        logits, past = _decode(params, config, memory_kv, in_ids, stack_rows, buffer_rows,
-                               past)
+        logits, past = _decode(params, config, plan, in_ids, stack_rows, buffer_rows, past)
         scores = _log_softmax(logits) + np.array([[hyp.score] for hyp in live])
         largest = np.array([[table[kind] for kind in column] + [-1] for table in
                             (legal(hyp.state.config, scheme) for hyp in live)])

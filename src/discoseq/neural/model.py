@@ -12,8 +12,8 @@ attention weight either way.
 Both stacks are post-norm residual layers, and `_SUBLAYERS` is the one
 statement of their layout: `_layout` (each parameter's name, shape and
 initializer, which `init_parameters` draws and checkpoint loading
-checks and fills), `_layers`, `_layers_bwd` and beam search's step
-`_decode` all read it.  Parameters are `_flat`: reshaped views of one
+checks and fills), `_layers`, `_layers_bwd` and beam search's
+`_plan` all read it.  Parameters are `_flat`: reshaped views of one
 float64 vector in `_layout` order, drawn by `init_parameters` or read
 by checkpoint loading; `loss_and_grad` sums gradients into a second, so
 Adam's update and `grad_check` run over whole vectors.
@@ -26,7 +26,8 @@ backward; only attention runs per sentence, over that sentence's rows
 (its `Segments`), so nothing is padded.  `forward` is the same pass
 over one sentence.  Beam search has its own evaluation-only step,
 `_decode`, over one (B, d) row per live hypothesis of one sentence, with
-cached keys and values; `_memory_kv` projects the memory's once.
+cached self-attention keys and values, through the sentence's `_plan`:
+its weights looked up once, with cross-attention folded over the memory.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
@@ -102,8 +103,14 @@ class ModelConfig:
                             ("warmup_updates", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        if not 0.0 <= self.dropout < 1.0:  # false for nan too
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        for names, interval, fits in (
+                ("dropout label_smoothing adam_beta1 adam_beta2", "[0, 1)",
+                 lambda x: 0.0 <= x < 1.0),
+                ("lr warmup_init_lr adam_eps", "(0, inf)", lambda x: 0.0 < x < math.inf),
+                ("min_lr", "[0, inf)", lambda x: 0.0 <= x < math.inf)):
+            for name in names.split():
+                if not fits(value := getattr(self, name)):  # false for nan too
+                    raise ValueError(f"{name} must be in {interval}, got {value!r}")
         if self.n_heads < 2:
             raise ValueError("need at least a stack head and a buffer head")
         if self.d_model % self.n_heads:
@@ -413,16 +420,32 @@ def _cross_head_masks(config: ModelConfig, stack_rows: np.ndarray,
     return masks
 
 
-def _memory_kv(p: Parameters, config: ModelConfig,
-               memory: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each decoder layer's (n_heads, M, d_head) cross keys and values."""
-    return [tuple(_split_heads(linear(memory, p[f"dec{i}.cross.w{x}"],
-                                      p[f"dec{i}.cross.b{x}"]), config.n_heads)
-                  for x in "kv") for i in range(config.n_layers)]
+def _plan(p: Parameters, config: ModelConfig, memory: np.ndarray) -> list[tuple]:
+    """What every `_decode` step over one sentence's `memory` reads: one
+    (kind, weights, norm) per decoder sublayer, in run order, where every
+    weight and norm is a (matrix or gain, bias) pair.  Cross-attention is
+    folded over the memory's (n_heads, M, d_head) keys K and values V, per
+    head: scores are y (Wq K^T) + bq K^T, scaled, a (d, n_heads * M) pair,
+    and the output is the softmax weights times (V Wo), (n_heads * M, d)."""
+    h, d, plan = config.n_heads, config.d_model, []
+    for i in range(config.n_layers):
+        for j, kind in enumerate(_SUBLAYERS["dec"], 1):
+            name = f"dec{i}.{kind}"
+            weights = tuple((p[f"{name}.w{x}"], p[f"{name}.b{x}"])
+                            for x in ("12" if kind == "ff" else "qkvo"))
+            if kind == "cross":
+                query, *keys_values, (wo, bo) = weights
+                keys, values = (_split_heads(linear(memory, *w), h) for w in keys_values)
+                # (n_heads, d + 1, M): the query weights' rows, then its bias
+                scores = (_split_heads(np.vstack(query), h) @ keys.swapaxes(-1, -2)
+                          * (1.0 / math.sqrt(d // h))).swapaxes(0, 1).reshape(d + 1, -1)
+                weights = ((scores[:-1], scores[-1]),
+                           ((values @ wo.reshape(h, d // h, d)).reshape(-1, d), bo))
+            plan.append((kind, weights, (p[f"dec{i}.ln{j}.g"], p[f"dec{i}.ln{j}.b"])))
+    return plan
 
 
-def _decode(p: Parameters, config: ModelConfig,
-            memory_kv: list[tuple[np.ndarray, np.ndarray]], in_ids: np.ndarray,
+def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.ndarray,
             stack_rows: np.ndarray, buffer_rows: np.ndarray,
             past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -430,13 +453,13 @@ def _decode(p: Parameters, config: ModelConfig,
     (B, vocab), then the `past` of the next step.
 
     Each of the B hypotheses passes its newest token id and its
-    (n_words + 1) mask rows, and is one row through `_SUBLAYERS["dec"]`.
+    (n_words + 1) mask rows, and is one row through the sentence's `_plan`.
     `past` holds each layer's (B, n_heads, T, d_head) self-attention keys
     and values of the earlier positions; the new token's position is T,
     below `max_positions` as `predict` caps its steps, and it sees every
-    earlier position, so it gets no self mask.  For cross-attention the
-    B rows are one sentence's queries over `_memory_kv`'s keys and values.
-    Whole sequences go through `_pass`.
+    earlier position, so it gets no self mask.  Cross-attention is a
+    softmax over (B, n_heads, 1, M) scores between the plan's two folded
+    products.  Whole sequences go through `_pass`.
     """
     rows, h = len(in_ids), config.n_heads
     if past is None:  # the first step: no earlier positions
@@ -444,28 +467,25 @@ def _decode(p: Parameters, config: ModelConfig,
     start = past[0][0].shape[-2]
     y = (embed(p["tok_emb"], in_ids, math.sqrt(config.d_model))
          + _position_table(config, start + 1)[start])
-    cross_masks = _cross_head_masks(config, stack_rows, buffer_rows)
+    cross_masks = _cross_head_masks(config, stack_rows[:, None], buffer_rows[:, None])
     next_past = []
-    for i in range(config.n_layers):
-        for j, kind in enumerate(_SUBLAYERS["dec"], 1):
-            name, ln = f"dec{i}.{kind}", f"dec{i}.ln{j}"
-            if kind == "ff":
-                out, _ = _sublayer_ff(p, name, y)
-            else:
-                q = linear(y, p[f"{name}.wq"], p[f"{name}.bq"])
-                if kind == "self":  # each row's (n_heads, 1, d_head) query over its past
-                    new = (linear(y, p[f"{name}.w{x}"], p[f"{name}.b{x}"]) for x in "kv")
-                    k, v = (np.concatenate((cached, row.reshape(rows, h, 1, -1)), axis=2)
-                            for cached, row in zip(past[i], new))
-                    next_past.append((k, v))
-                    heads, _ = masked_attention(q.reshape(rows, h, 1, -1), k, v)
-                    concat = heads.reshape(rows, -1)
-                else:  # (n_heads, B, d_head) queries of one sentence
-                    heads, _ = masked_attention(_split_heads(q, h), *memory_kv[i],
-                                                cross_masks)
-                    concat = _merge_heads(heads)
-                out = linear(concat, p[f"{name}.wo"], p[f"{name}.bo"])
-            y, _ = layer_norm(y + out, p[f"{ln}.g"], p[f"{ln}.b"])
+    for kind, weights, norm in plan:
+        if kind == "ff":
+            inner, outer = weights
+            out = linear(relu(linear(y, *inner)), *outer)
+        elif kind == "self":  # each row's (n_heads, 1, d_head) query over its past
+            query, *keys_values, output = weights
+            # this layer's past: `next_past` holds one per layer so far
+            k, v = (np.concatenate((cached, linear(y, *w).reshape(rows, h, 1, -1)), axis=2)
+                    for cached, w in zip(past[len(next_past)], keys_values))
+            next_past.append((k, v))
+            heads, _ = masked_attention(linear(y, *query).reshape(rows, h, 1, -1), k, v)
+            out = linear(heads.reshape(rows, -1), *output)
+        else:
+            to_scores, to_output = weights
+            scores = linear(y, *to_scores).reshape(cross_masks.shape) + cross_masks
+            out = linear(softmax_rows(scores).reshape(rows, -1), *to_output)
+        y, _ = layer_norm(y + out, *norm)
     return linear(y, p["out.w"], p["out.b"]), next_past
 
 

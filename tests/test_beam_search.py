@@ -36,6 +36,9 @@ PARSE_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "par
 # the 40 `parse` workload sentences, one JSON object per sentence, recorded
 # when each beam step still ran through the packed training layers
 PINNED = Path(__file__).resolve().parent / "data" / "parse_predictions.jsonl"
+# the same at beam 1, recorded before cross-attention was folded into the
+# per-sentence decoder plan; one sentence runs to the step cap unfinished
+PINNED_BEAM1 = PINNED.with_name("parse_predictions_beam1.jsonl")
 
 
 def _reference_predict(params, config, words, beam_size, max_len):
@@ -45,7 +48,7 @@ def _reference_predict(params, config, words, beam_size, max_len):
     vocabulary = sorted((i, dq.parse_transition(text))
                         for text, i in config.token_to_id.items() if i != config.bos_id)
     memory, _ = nm._encode(params, config, [config.word_ids(words)], None)
-    memory_kv = nm._memory_kv(params, config, memory)
+    plan = nm._plan(params, config, memory)
     live = [(0.0, [], initial_state(n, scheme))]
     finished = []
     past = None
@@ -58,7 +61,7 @@ def _reference_predict(params, config, words, beam_size, max_len):
                 break
         in_ids = np.array([ids[-1] if ids else config.bos_id for _, ids, _ in live])
         stack_rows, buffer_rows = nm.mask_rows([state.pair for _, _, state in live], n)
-        logits, past = nm._decode(params, config, memory_kv, in_ids, stack_rows,
+        logits, past = nm._decode(params, config, plan, in_ids, stack_rows,
                                   buffer_rows, past)
         steps += 1
         log_probs = nm._log_softmax(logits)
@@ -209,11 +212,12 @@ def test_the_cap_leaves_forward_room_to_score_the_prediction(toy20):
 
 def test_the_benchmark_predictions_stay_pinned():
     params, config = load_checkpoint(PARSE_CHECKPOINT)
-    with open(PINNED, encoding="utf-8") as handle:
-        pinned = [json.loads(line) for line in handle]
-    assert len(pinned) == 40
-    for row in pinned:
-        got = predict(params, config, row["words"], beam_size=10)
-        assert ([str(t) for t in got.tokens], got.terminal) == (row["tokens"],
-                                                                 row["terminal"])
-        assert abs(got.score - row["score"]) <= 1e-9
+    for beam_size, path in ((10, PINNED), (1, PINNED_BEAM1)):
+        with open(path, encoding="utf-8") as handle:
+            pinned = [json.loads(line) for line in handle]
+        assert len(pinned) == 40
+        for row in pinned:
+            got = predict(params, config, row["words"], beam_size=beam_size)
+            assert ([str(t) for t in got.tokens], got.terminal) == (row["tokens"],
+                                                                     row["terminal"])
+            assert abs(got.score - row["score"]) <= 1e-9

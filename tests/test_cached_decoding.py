@@ -2,11 +2,13 @@
 
 Beam search feeds `_decode` one new token per hypothesis and carries
 the earlier positions as per-layer self-attention keys and values
-(`past`), over the memory's cross-attention keys and values
-(`memory_kv`) that `_memory_kv` projected once.  Its distributions must
-equal the rows `forward` computes over whole sequences, and hypotheses
-stepped in one batch must not see each other.  The layer functions a
-step runs through agree with their plain references.
+(`past`), through the sentence's decoder plan (`_plan`), built once:
+every step weight looked up, and each layer's cross-attention folded
+over the memory into two products.  Its distributions must equal the
+rows `forward` computes over whole sequences, the folded cross-attention
+must equal the unfolded `_mha` sublayer, and hypotheses stepped in one
+batch must not see each other.  The layer functions a step runs through
+agree with their plain references.
 """
 
 import numpy as np
@@ -31,7 +33,12 @@ def _tiny_model(trees, scheme):
     words, tokens = build_vocabularies(trees, scheme)
     config = ModelConfig(scheme=str(scheme), word_to_id=words, token_to_id=tokens,
                          d_model=16, n_heads=4, n_layers=2, d_ff=32)
-    return init_parameters(config, np.random.default_rng(3)), config
+    rng = np.random.default_rng(3)
+    params = init_parameters(config, rng)
+    for name, tensor in params.items():  # biases start at 0, so draw them too
+        if name.rsplit(".", 1)[-1].startswith("b"):
+            tensor[...] = rng.standard_normal(tensor.shape) * 0.5
+    return params, config
 
 
 def _gold(tree, scheme, config):
@@ -40,16 +47,21 @@ def _gold(tree, scheme, config):
     return ids, dq.trace(len(tree.sentence), tokens, scheme)
 
 
-def _memory_kv(params, config, word_ids):
+def _plan(params, config, word_ids):
     memory, _ = nm._encode(params, config, [word_ids], None)
-    return nm._memory_kv(params, config, memory)
+    return nm._plan(params, config, memory)
 
 
-def _step(params, config, memory_kv, in_ids, pairs, past):
+def _n_words(config, plan):
+    """The plan's sentence length, read off its folded cross-attention."""
+    (_, (_, (values_w, _)), _) = next(step for step in plan if step[0] == "cross")
+    return len(values_w) // config.n_heads - 1  # the memory holds a sentinel row
+
+
+def _step(params, config, plan, in_ids, pairs, past):
     """One cached step for a batch: distributions (B, vocab) and the new past."""
-    n_words = memory_kv[0][0].shape[-2] - 1  # the memory holds a sentinel row
-    stack_rows, buffer_rows = nm.mask_rows(pairs, n_words)
-    logits, past = nm._decode(params, config, memory_kv, np.array(in_ids, dtype=np.int64),
+    stack_rows, buffer_rows = nm.mask_rows(pairs, _n_words(config, plan))
+    logits, past = nm._decode(params, config, plan, np.array(in_ids, dtype=np.int64),
                               stack_rows, buffer_rows, past)
     assert logits.shape == (len(in_ids), len(config.token_to_id))
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -71,9 +83,9 @@ def test_cached_steps_match_forward(toy20, scheme):
         ids, pairs = _gold(tree, scheme, config)
         word_ids = config.word_ids(tree.sentence)
         expected = forward(word_ids, ids, pairs, params, config)
-        memory_kv, past = _memory_kv(params, config, word_ids), None
+        plan, past = _plan(params, config, word_ids), None
         for t, in_id in enumerate([config.bos_id] + ids):
-            probs, past = _step(params, config, memory_kv, [in_id], [pairs[t]], past)
+            probs, past = _step(params, config, plan, [in_id], [pairs[t]], past)
             np.testing.assert_allclose(probs[0], expected[t], rtol=0, atol=TOLERANCE)
 
 
@@ -87,13 +99,13 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
     # check legality, so permuted inputs and mask rows serve as well
     hyps = [(inputs, pairs), (inputs[::-1], pairs[::-1]),
             (inputs[1:] + inputs[:1], pairs[1:] + pairs[:1])]
-    memory_kv = _memory_kv(params, config, config.word_ids(tree.sentence))
+    plan = _plan(params, config, config.word_ids(tree.sentence))
 
     alone = []
     for hyp_ids, hyp_pairs in hyps:
         past, rows = None, []
         for in_id, pair in zip(hyp_ids, hyp_pairs):
-            probs, past = _step(params, config, memory_kv, [in_id], [pair], past)
+            probs, past = _step(params, config, plan, [in_id], [pair], past)
             rows.append(probs[0])
         alone.append(rows)
 
@@ -107,10 +119,45 @@ def test_batched_hypotheses_match_each_stepped_alone(toy20):
             past = [(keys[parents], values[parents]) for keys, values in past]
             hyps = [hyps[i] for i in parents]
             alone = [alone[i] for i in parents]
-        probs, past = _step(params, config, memory_kv, [h[0][t] for h in hyps],
+        probs, past = _step(params, config, plan, [h[0][t] for h in hyps],
                             [h[1][t] for h in hyps], past)
         for row, expected in zip(probs, alone):
             np.testing.assert_allclose(row, expected[t], rtol=0, atol=TOLERANCE)
+
+
+def test_folded_cross_attention_matches_the_unfolded_sublayer(toy20, monkeypatch):
+    """Each layer's residual sum goes through `layer_norm`, so wrapping it
+    shows the rows a cross sublayer reads and the output it adds."""
+    scheme = dq.parse_scheme("inorder+swap")
+    params, config = _tiny_model(toy20, scheme)  # 4 heads: two specialized, two free
+    tree = max(toy20, key=lambda tree: len(tree.sentence))
+    ids, pairs = _gold(tree, scheme, config)
+    n = len(tree.sentence)
+    memory, _ = nm._encode(params, config, [config.word_ids(tree.sentence)], None)
+    plan = nm._plan(params, config, memory)
+    norms = []  # (input, output) of every `layer_norm` call
+
+    def recording(x, gain, bias):
+        out = layer_norm(x, gain, bias)
+        norms.append((x, out[0]))
+        return out
+
+    monkeypatch.setattr(nm, "layer_norm", recording)
+    # the third hypothesis's specialized heads see only the sentinel
+    steps = [([config.bos_id] * 3, [pairs[0], pairs[0], dq.MaskPair(0, 0)]),
+             (ids[:3], [pairs[1], pairs[-1], dq.MaskPair(0, 0)])]
+    past = None
+    for in_ids, step_pairs in steps:
+        norms.clear()
+        stack_rows, buffer_rows = nm.mask_rows(step_pairs, n)
+        _, past = nm._decode(params, config, plan, np.array(in_ids), stack_rows,
+                             buffer_rows, past)
+        masks = nm._cross_head_masks(config, stack_rows, buffer_rows)
+        for i in range(config.n_layers):  # each layer: self, cross, ff
+            rows, (folded_sum, _) = norms[3 * i][1], norms[3 * i + 1]
+            unfolded, _ = nm._mha(params, f"dec{i}.cross", rows, memory,
+                                  [(slice(None), slice(None), masks)], config.n_heads)
+            np.testing.assert_allclose(folded_sum - rows, unfolded, rtol=0, atol=1e-12)
 
 
 # training's packed rows, and a one-hypothesis beam step's (B, d) rows

@@ -173,7 +173,22 @@ def test_train_refuses_fewer_than_one_epoch(toy4, epochs):
     ("dropout", 1.0, r"^dropout must be in \[0, 1\), got 1.0$"),
     ("dropout", -0.5, r"^dropout must be in \[0, 1\), got -0.5$"),
     ("dropout", math.nan, r"^dropout must be in \[0, 1\), got nan$"),
-], ids=["zero-warmup", "negative-warmup", "one-dropout", "negative-dropout", "nan-dropout"])
+    ("label_smoothing", 2.0, r"^label_smoothing must be in \[0, 1\), got 2.0$"),
+    ("label_smoothing", 1.0, r"^label_smoothing must be in \[0, 1\), got 1.0$"),
+    ("label_smoothing", math.nan, r"^label_smoothing must be in \[0, 1\), got nan$"),
+    ("adam_beta1", -0.1, r"^adam_beta1 must be in \[0, 1\), got -0.1$"),
+    ("adam_beta2", 1.0, r"^adam_beta2 must be in \[0, 1\), got 1.0$"),
+    ("lr", -1.0, r"^lr must be in \(0, inf\), got -1.0$"),
+    ("lr", 0.0, r"^lr must be in \(0, inf\), got 0.0$"),
+    ("lr", math.inf, r"^lr must be in \(0, inf\), got inf$"),
+    ("warmup_init_lr", math.nan, r"^warmup_init_lr must be in \(0, inf\), got nan$"),
+    ("adam_eps", 0, r"^adam_eps must be in \(0, inf\), got 0$"),
+    ("min_lr", -1e-9, r"^min_lr must be in \[0, inf\), got -1e-09$"),
+    ("min_lr", math.inf, r"^min_lr must be in \[0, inf\), got inf$"),
+], ids=["zero-warmup", "negative-warmup", "one-dropout", "negative-dropout", "nan-dropout",
+        "two-smoothing", "one-smoothing", "nan-smoothing", "negative-beta1", "one-beta2",
+        "negative-lr", "zero-lr", "infinite-lr", "nan-warmup-init-lr", "zero-adam-eps",
+        "negative-min-lr", "infinite-min-lr"])
 def test_train_refuses_a_config_it_cannot_train_with(toy4, monkeypatch, field, value,
                                                      message):
     def draw(*args):
@@ -372,9 +387,9 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
 
     def stepped(memory):
         """Each step's logits, one token at a time through `past`."""
-        memory_kv, past, rows = nm._memory_kv(params, config, memory), None, []
+        plan, past, rows = nm._plan(params, config, memory), None, []
         for t, in_id in enumerate(in_ids):
-            logits, past = nm._decode(params, config, memory_kv, np.array([in_id]),
+            logits, past = nm._decode(params, config, plan, np.array([in_id]),
                                       ex.stack_rows[t:t + 1], ex.buffer_rows[t:t + 1], past)
             rows.append(logits[0])
         return np.array(rows)
@@ -826,6 +841,13 @@ def _last_value(value):
     ("epochs", 0),
     ("warmup_updates", 0),
     ("dropout", 1.0),
+    ("label_smoothing", 2.0),
+    ("lr", -1.0),
+    ("warmup_init_lr", 0.0),
+    ("adam_eps", math.inf),
+    ("min_lr", -1.0),
+    ("adam_beta1", 1.0),
+    ("adam_beta2", math.nan),
     _repeated_name,
     _entry("name", ["word_emb"]),
     _entry("name", 3),
@@ -838,7 +860,9 @@ def _last_value(value):
         "huge-header-length", "float-width", "string-dropout", "bad-token",
         "token-of-another-scheme", "token-of-another-base", "bad-scheme",
         "zero-layers", "zero-d-ff", "zero-max-positions", "one-max-position",
-        "zero-batch-size", "zero-epochs", "zero-warmup", "one-dropout", "repeated-name",
+        "zero-batch-size", "zero-epochs", "zero-warmup", "one-dropout", "two-smoothing",
+        "negative-lr", "zero-warmup-init-lr", "infinite-adam-eps", "negative-min-lr",
+        "one-beta1", "nan-beta2", "repeated-name",
         "list-name", "int-name", "f4-dtype", "bool-shape", "nan-value", "infinite-value"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup

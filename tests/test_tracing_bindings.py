@@ -24,8 +24,8 @@ from discoseq.neural.training import build_vocabularies
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PREDICT_SPANS = ("beam.predict", "model.encode", "model.decode", "model.mask_rows",
-                 "masks.step", "transitions.legal", "layers.masked_attention",
-                 "layers.linear", "layers.layer_norm")
+                 "masks.initial_state", "masks.step", "transitions.legal",
+                 "layers.masked_attention", "layers.linear", "layers.layer_norm")
 TRAIN_SPANS = ("training.train", "model.loss_and_grad", "layers.linear",
                "layers.linear_bwd", "layers.layer_norm_bwd", "layers.masked_attention_bwd")
 CONVERT_SPANS = ("cli.main", "treebank.parse_treebank", "tree.validate",
@@ -51,7 +51,7 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     trees = list(toy20)[:2]
     words, tokens = build_vocabularies(trees, "inorder+swap")
     config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
-                         d_model=8, n_heads=2, n_layers=1, d_ff=16)
+                         d_model=8, n_heads=2, n_layers=2, d_ff=16)
     params = init_parameters(config, np.random.default_rng(0))
     beam_size = 2
     capped = dataclasses.replace(config, max_positions=7)  # <bos> and 6 tokens
@@ -68,11 +68,16 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     # child, per decoder step, at most
     assert table["transitions.legal"]["calls"] <= beam_size * steps
     assert table["masks.step"]["calls"] <= beam_size * steps
-    # per layer, a step makes 4 self-attention, 2 cross-attention (query and
-    # output) and 2 feed-forward projections, plus the output layer's 1; once
-    # per sentence, the encoder makes 6 per layer and `_memory_kv` 2
+    # per layer, a step makes 4 self-attention, 2 folded cross-attention
+    # (scores and values) and 2 feed-forward projections, plus the output
+    # layer's 1; once per sentence, the encoder makes 6 per layer and `_plan`
+    # 2, the cross keys and values
     per_layer = 8 * config.n_layers
     assert table["layers.linear"]["calls"] == (per_layer + 1) * steps + per_layer
+    # a step runs `masked_attention` for self-attention alone, and a norm
+    # after each of its 3 sublayers per layer; the encoder runs 1 and 2
+    assert table["layers.masked_attention"]["calls"] == config.n_layers * (steps + 1)
+    assert table["layers.layer_norm"]["calls"] == config.n_layers * (3 * steps + 2)
     # a one-token step sees its whole past, so it needs no causal mask
     assert "layers.causal_mask" not in table
 
