@@ -181,8 +181,8 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
     if args.sentences is not None:
         sentences = [line.split() for _, line in _numbered_lines(_read_lines(args.sentences))]
         if len(sentences) != len(token_lines):
-            raise TreebankError(f"{len(sentences)} sentences but "
-                                f"{len(token_lines)} token lines")
+            raise TreebankError(f"{len(sentences)} sentences but {len(token_lines)} "
+                                "token lines", source=_source(args.sentences))
     items = []
     for index, (line_no, line) in enumerate(token_lines):
         if line.lstrip().startswith("{"):
@@ -202,8 +202,8 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
                                      f"{recorded!r}, not {args.scheme}")
         else:
             if sentences is None:
-                raise TreebankError(
-                    "token text input needs --sentences (or use JSONL input)")
+                raise TreebankError("token text input needs --sentences (or use JSONL "
+                                    "input)", source=source, line_no=line_no)
             words = sentences[index]
             token_texts = line.split()
         items.append((line_no, words, token_texts))

@@ -84,8 +84,8 @@ def predict(params: Parameters, config: ModelConfig, words: list[str],
     for _ in range(config.max_positions - 1):
         in_ids = np.array([hyp.token_ids[-1] if hyp.token_ids else config.bos_id
                            for hyp in live], dtype=np.int64)
-        stack_rows, buffer_rows = mask_rows([hyp.state.pair for hyp in live], n)
-        logits, past = _decode(params, config, plan, in_ids, stack_rows, buffer_rows, past)
+        masks = mask_rows([hyp.state.pair for hyp in live], n)
+        logits, past = _decode(params, config, plan, in_ids, masks, past)
         scores = _log_softmax(logits) + np.array([[hyp.score] for hyp in live])
         largest = np.array([[table[kind] for kind in column] + [-1] for table in
                             (legal(hyp.state.config, scheme) for hyp in live)])

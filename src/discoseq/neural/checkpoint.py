@@ -4,7 +4,8 @@ Layout: an 8-byte magic, a little-endian uint64 header length, a JSON
 header (format version, model config, tensor manifest), then the raw
 tensor payloads concatenated in manifest order as little-endian
 float64.  Round-trips are bitwise.  Loading checks the header length,
-each manifest entry against the config's model layout, and the layout's
+that the config holds each fixed setting of `model._FIXED`, each
+manifest entry against the config's model layout, and the layout's
 size against the file before it fills one `_flat` vector of views, and
 then that every value is finite.
 """
@@ -19,7 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .model import ModelConfig, Parameters, _flat, _layout
+from .model import _FIXED, ModelConfig, Parameters, _flat, _layout
 
 MAGIC = b"DSEQCKP1"
 
@@ -32,7 +33,7 @@ def save_checkpoint(path: str, params: Parameters, config: ModelConfig) -> None:
     names = sorted(params)
     header = {
         "version": 1,
-        "config": asdict(config),
+        "config": {**asdict(config), **_FIXED},
         "tensors": [{"name": name, "shape": list(params[name].shape),
                      "dtype": "<f8"} for name in names],
     }
@@ -68,8 +69,17 @@ def load_checkpoint(path: str) -> tuple[Parameters, ModelConfig]:
             raise CheckpointError(f"{path}: header is not a JSON object")
         if header.get("version") != 1:
             raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
+        fields = header.get("config")
+        if not isinstance(fields, dict):
+            raise CheckpointError(f"{path}: config is not a JSON object")
+        for key, value in _FIXED.items():
+            if key not in fields:
+                raise CheckpointError(f"{path}: config has no {key!r}")
+            if (found := fields.pop(key)) != value:
+                raise CheckpointError(f"{path}: config {key!r} is {found!r}, "
+                                      f"not the fixed {value!r}")
         try:
-            config = ModelConfig(**header["config"])
+            config = ModelConfig(**fields)
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: bad config: {err}") from None
         tensors = header.get("tensors")

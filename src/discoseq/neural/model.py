@@ -31,9 +31,9 @@ its weights looked up once, with cross-attention folded over the memory.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
-heads, dropout 0.33) and Adam (lr 5e-4, betas 0.9/0.98, eps 1e-8) with
-4000 inverse-sqrt warm-up updates from 1e-7, min lr 1e-9, label
-smoothing 0.01, batches of 3584 tokens and 80 epochs.
+heads, dropout 0.33), lr 5e-4 with 4000 inverse-sqrt warm-up updates,
+batches of 3584 tokens and 80 epochs.  The paper's shared Adam and
+smoothing values are constants (`_FIXED`), recorded in every checkpoint.
 """
 
 import math
@@ -72,14 +72,8 @@ class ModelConfig:
     d_ff: int = 256
     dropout: float = 0.0
     max_positions: int = 512
-    label_smoothing: float = 0.01
     lr: float = 5e-4
     warmup_updates: int = 100
-    warmup_init_lr: float = 1e-7
-    min_lr: float = 1e-9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
     epochs: int = 120
     batch_size: int = 4
     seed: int = 0
@@ -103,14 +97,10 @@ class ModelConfig:
                             ("warmup_updates", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
-        for names, interval, fits in (
-                ("dropout label_smoothing adam_beta1 adam_beta2", "[0, 1)",
-                 lambda x: 0.0 <= x < 1.0),
-                ("lr warmup_init_lr adam_eps", "(0, inf)", lambda x: 0.0 < x < math.inf),
-                ("min_lr", "[0, inf)", lambda x: 0.0 <= x < math.inf)):
-            for name in names.split():
-                if not fits(value := getattr(self, name)):  # false for nan too
-                    raise ValueError(f"{name} must be in {interval}, got {value!r}")
+        for name, interval, fits in (("dropout", "[0, 1)", lambda x: 0.0 <= x < 1.0),
+                                     ("lr", "(0, inf)", lambda x: 0.0 < x < math.inf)):
+            if not fits(value := getattr(self, name)):  # false for nan too
+                raise ValueError(f"{name} must be in {interval}, got {value!r}")
         if self.n_heads < 2:
             raise ValueError("need at least a stack head and a buffer head")
         if self.d_model % self.n_heads:
@@ -139,6 +129,10 @@ class ModelConfig:
         unk = self.word_to_id[UNK]
         return np.array([self.word_to_id.get(w, unk) for w in words], dtype=np.int64)
 
+
+# The paper's Adam and loss settings, the same for every model
+_FIXED = {"label_smoothing": 0.01, "warmup_init_lr": 1e-7, "min_lr": 1e-9,
+          "adam_beta1": 0.9, "adam_beta2": 0.98, "adam_eps": 1e-8}
 
 Parameters = dict[str, np.ndarray]
 
@@ -392,8 +386,8 @@ def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
                     "memory_rows": _spans([n + 1 for n in lengths])}
 
 
-def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Additive (len(pairs), n_words + 1) stack and buffer rows.
+def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> np.ndarray:
+    """Additive (2, len(pairs), n_words + 1) rows: stack, then buffer.
 
     Entries are 0.0 where the head may attend and -inf elsewhere.
     Position p is column p + 1; column 0 is the sentinel (memory row
@@ -406,18 +400,12 @@ def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> tuple[np.ndarray, np.n
                       [pair.stack for pair in pairs] + [pair.buffer for pair in pairs])
     visible = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1,
                             count=n_words + 1, bitorder="little")
-    rows = np.where(visible, 0.0, NEG_INF)
-    return rows[:len(pairs)], rows[len(pairs):]
+    return np.where(visible, 0.0, NEG_INF).reshape(2, len(pairs), -1)
 
 
-def _cross_head_masks(config: ModelConfig, stack_rows: np.ndarray,
-                      buffer_rows: np.ndarray) -> np.ndarray:
-    """(..., T, M) mask rows -> (..., n_heads, T, M), free heads unmasked."""
-    lead, rows = stack_rows.shape[:-2], stack_rows.shape[-2:]
-    masks = np.zeros((*lead, config.n_heads, *rows))
-    masks[..., 0, :, :] = stack_rows
-    masks[..., 1, :, :] = buffer_rows
-    return masks
+def _cross_head_masks(config: ModelConfig, rows: np.ndarray) -> np.ndarray:
+    """(2, T, M) `mask_rows` -> (n_heads, T, M), free heads unmasked."""
+    return np.concatenate((rows, np.zeros((config.n_heads - 2, *rows.shape[1:]))))
 
 
 def _plan(p: Parameters, config: ModelConfig, memory: np.ndarray) -> list[tuple]:
@@ -446,19 +434,18 @@ def _plan(p: Parameters, config: ModelConfig, memory: np.ndarray) -> list[tuple]
 
 
 def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.ndarray,
-            stack_rows: np.ndarray, buffer_rows: np.ndarray,
-            past: list[tuple[np.ndarray, np.ndarray]] | None = None,
+            masks: np.ndarray, past: list[tuple[np.ndarray, np.ndarray]] | None = None,
             ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """One beam step for one sentence, in evaluation mode: the logits
     (B, vocab), then the `past` of the next step.
 
-    Each of the B hypotheses passes its newest token id and its
-    (n_words + 1) mask rows, and is one row through the sentence's `_plan`.
+    Hypothesis b passes its newest token id and its `mask_rows` rows
+    `masks[:, b]`, and is one row through the sentence's `_plan`.
     `past` holds each layer's (B, n_heads, T, d_head) self-attention keys
     and values of the earlier positions; the new token's position is T,
     below `max_positions` as `predict` caps its steps, and it sees every
     earlier position, so it gets no self mask.  Cross-attention is a
-    softmax over (B, n_heads, 1, M) scores between the plan's two folded
+    softmax over (B, n_heads, M) scores between the plan's two folded
     products.  Whole sequences go through `_pass`.
     """
     rows, h = len(in_ids), config.n_heads
@@ -467,7 +454,7 @@ def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.nd
     start = past[0][0].shape[-2]
     y = (embed(p["tok_emb"], in_ids, math.sqrt(config.d_model))
          + _position_table(config, start + 1)[start])
-    cross_masks = _cross_head_masks(config, stack_rows[:, None], buffer_rows[:, None])
+    cross_masks = _cross_head_masks(config, masks).swapaxes(0, 1)  # (B, n_heads, M)
     next_past = []
     for kind, weights, norm in plan:
         if kind == "ff":
@@ -490,16 +477,15 @@ def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.nd
 
 
 def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
-          in_ids: Sequence[np.ndarray], stack_rows: Sequence[np.ndarray],
-          buffer_rows: Sequence[np.ndarray], rng: "np.random.Generator | None",
-          ) -> tuple[np.ndarray, dict]:
+          in_ids: Sequence[np.ndarray], masks: Sequence[np.ndarray],
+          rng: "np.random.Generator | None") -> tuple[np.ndarray, dict]:
     """Logits of a packed batch and the cache that `_pass_bwd` reads.
 
-    Sentence i's decoder reads its tokens `in_ids[i]` under its mask
-    rows `stack_rows[i]` and `buffer_rows[i]`, (T_i, n_i + 1) each.  The
-    sentences' rows are stacked, so every projection, norm, dropout and
-    embedding runs once per batch; only attention runs per sentence,
-    over that sentence's rows.  Logit rows follow the sentences in order.
+    Sentence i's decoder reads its tokens `in_ids[i]` under its
+    (2, T_i, n_i + 1) `mask_rows` `masks[i]`.  The sentences' rows are
+    stacked, so every projection, norm, dropout and embedding runs once
+    per batch; only attention runs per sentence, over that sentence's
+    rows.  Logit rows follow the sentences in order.
     """
     memory, encoder = _encode(p, config, sentences, rng)
     lengths = [len(ids) for ids in in_ids]
@@ -508,11 +494,10 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
                          f"{config.max_positions}")
     causal = causal_mask(max(lengths))
     self_segments, cross_segments = [], []
-    for rows, columns, stack, buffer in zip(_spans(lengths), encoder["memory_rows"],
-                                            stack_rows, buffer_rows):
+    for rows, columns, sentence_masks in zip(_spans(lengths), encoder["memory_rows"], masks):
         t = rows.stop - rows.start
         self_segments.append((rows, rows, causal[:t, :t]))
-        cross_segments.append((rows, columns, _cross_head_masks(config, stack, buffer)))
+        cross_segments.append((rows, columns, _cross_head_masks(config, sentence_masks)))
     ids = np.concatenate(in_ids)
     y, drop_emb = _embed(p, config, "tok_emb", ids,
                          _position_table(config, max(lengths))[_positions(lengths)], rng)
@@ -544,8 +529,7 @@ class Example:
 
     word_ids: np.ndarray
     target_ids: np.ndarray
-    stack_rows: np.ndarray   # (len(targets), n_words + 1), sentinel column first
-    buffer_rows: np.ndarray
+    masks: np.ndarray  # `mask_rows`: (2, len(targets), n_words + 1)
 
 
 def forward(word_ids: np.ndarray, prefix_ids: Sequence[int],
@@ -562,9 +546,8 @@ def forward(word_ids: np.ndarray, prefix_ids: Sequence[int],
     if len(mask_trace) != len(prefix) + 1:
         raise ValueError("mask trace must have one pair per step plus the start")
     in_ids = np.concatenate(([config.bos_id], prefix))
-    stack_rows, buffer_rows = mask_rows(mask_trace, len(word_ids))
     logits, _ = _pass(params, config, [np.asarray(word_ids, dtype=np.int64)], [in_ids],
-                      [stack_rows], [buffer_rows], None)
+                      [mask_rows(mask_trace, len(word_ids))], None)
     return softmax_rows(logits)
 
 
@@ -601,10 +584,9 @@ def _batch_pass(params: Parameters, config: ModelConfig, batch: Sequence[Example
     logits, cache = _pass(
         params, config, [example.word_ids for example in batch],
         [np.concatenate(([config.bos_id], example.target_ids[:-1])) for example in batch],
-        [example.stack_rows for example in batch],
-        [example.buffer_rows for example in batch], rng)
+        [example.masks for example in batch], rng)
     targets = np.concatenate([example.target_ids for example in batch])
-    total, d_logits = _smoothed_ce(logits, targets, config.label_smoothing)
+    total, d_logits = _smoothed_ce(logits, targets, _FIXED["label_smoothing"])
     if grads is not None:
         _pass_bwd(params, config, d_logits, cache, grads)
     return total, len(targets), int((logits.argmax(axis=-1) == targets).sum())

@@ -20,7 +20,7 @@ from ..masks import trace
 from ..oracle import EncodeError, _tree_at, encode
 from ..transitions import Scheme, Transition, parse_scheme
 from ..tree import ConstituentTree
-from .model import (BOS, UNK, Example, ModelConfig, Parameters, _vector,
+from .model import (_FIXED, BOS, UNK, Example, ModelConfig, Parameters, _vector,
                     init_parameters, loss_and_grad, mask_rows)
 
 
@@ -88,32 +88,30 @@ def _examples(encoded: _Encoded, scheme: Scheme, config: ModelConfig) -> list[Ex
                 raise EncodeError(f"sequence length {len(tokens)} exceeds max_positions "
                                   f"{config.max_positions}")
         pairs = trace(len(tree.sentence), tokens, scheme)
-        # pairs[t] is the structure before emitting token t; the final
-        # pair describes the terminal state and is never conditioned on.
-        stack_rows, buffer_rows = mask_rows(pairs[:len(tokens)], len(tree.sentence))
         try:
             target_ids = np.array([config.token_to_id[str(t)] for t in tokens],
                                   dtype=np.int64)
         except KeyError as err:
             raise ValueError(f"token {err.args[0]!r} missing from vocabulary") from None
+        # pairs[t] is the structure before emitting token t; the final
+        # pair describes the terminal state and is never conditioned on.
         examples.append(Example(config.word_ids(tree.sentence), target_ids,
-                                stack_rows, buffer_rows))
+                                mask_rows(pairs[:len(tokens)], len(tree.sentence))))
     return examples
 
 
 def lr_at(update: int, config: ModelConfig) -> float:
     """Learning rate for 1-based update counter: warm up, then 1/sqrt decay."""
     if update <= config.warmup_updates:
-        span = config.lr - config.warmup_init_lr
-        rate = config.warmup_init_lr + span * update / config.warmup_updates
+        start = _FIXED["warmup_init_lr"]
+        rate = start + (config.lr - start) * update / config.warmup_updates
     else:
         rate = config.lr * math.sqrt(config.warmup_updates / update)
-    return max(rate, config.min_lr)
+    return max(rate, _FIXED["min_lr"])
 
 
 def _adam_update(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
-                 scratch: np.ndarray, update: int, rate: float,
-                 config: ModelConfig) -> None:
+                 scratch: np.ndarray, update: int, rate: float) -> None:
     """One Adam step on flat vectors, in place; `grads` is used up.
 
     `moments` holds the first and second moment as its two rows.  The
@@ -121,7 +119,7 @@ def _adam_update(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
     m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
     params -= rate (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
     """
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = _FIXED["adam_beta1"], _FIXED["adam_beta2"]
     first, second = moments
     first *= b1
     np.multiply(grads, 1.0 - b1, out=scratch)
@@ -135,7 +133,7 @@ def _adam_update(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
     scratch *= rate
     np.divide(second, 1.0 - b2 ** update, out=grads)
     np.sqrt(grads, out=grads)
-    grads += config.adam_eps
+    grads += _FIXED["adam_eps"]
     scratch /= grads
     params -= scratch
 
@@ -192,7 +190,7 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
                     f"loss {batch_loss} at epoch {epoch}, update {update + 1}")
             update += 1
             rate = lr_at(update, config)
-            _adam_update(vector, _vector(grads), moments, scratch, update, rate, config)
+            _adam_update(vector, _vector(grads), moments, scratch, update, rate)
             loss_sum += batch_loss * count
             token_total += count
             token_correct += correct

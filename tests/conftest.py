@@ -12,7 +12,8 @@ checked against something that shares no code with them:
 * ``structurally_equal`` is tree equality written as the plain recursion
   over labels and children that ``Constituent.__eq__`` replaces.
 
-``deep_line`` writes the nested lines that the depth tests read.
+``deep_line`` writes the nested lines that the depth tests read, and
+``draw_biases`` gives a model the non-zero biases that fresh parameters lack.
 """
 
 from __future__ import annotations
@@ -231,6 +232,18 @@ def random_walk(rng: random.Random, n_words: int, scheme: tr.Scheme,
         if config.finished:
             break
     return out
+
+
+def draw_biases(params, rng):
+    """Draws every bias and norm shift into `params`, in `_layout` order.
+
+    `init_parameters` starts them at 0, so a fault that drops or misplaces
+    a bias would change no output of a fresh model.
+    """
+    for name, tensor in params.items():
+        if name.rsplit(".", 1)[-1].startswith("b"):
+            tensor[...] = rng.standard_normal(tensor.shape) * 0.5
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from discoseq.neural import (ModelConfig, beam, forward, init_parameters, load_c
 from discoseq.neural import model as nm
 from discoseq.neural.training import build_vocabularies
 
-from conftest import DISCO_SCHEMES
+from conftest import DISCO_SCHEMES, draw_biases
 from test_train_predict import RECIPE, SCHEME
 
 BEAMS = (1, 2, 5, 10)
@@ -60,9 +60,8 @@ def _reference_predict(params, config, words, beam_size, max_len):
             if max(hyp[0] for hyp in live) <= min(hyp[0] for hyp in finished):
                 break
         in_ids = np.array([ids[-1] if ids else config.bos_id for _, ids, _ in live])
-        stack_rows, buffer_rows = nm.mask_rows([state.pair for _, _, state in live], n)
-        logits, past = nm._decode(params, config, plan, in_ids, stack_rows,
-                                  buffer_rows, past)
+        masks = nm.mask_rows([state.pair for _, _, state in live], n)
+        logits, past = nm._decode(params, config, plan, in_ids, masks, past)
         steps += 1
         log_probs = nm._log_softmax(logits)
         candidates = []
@@ -95,9 +94,11 @@ def _reference_predict(params, config, words, beam_size, max_len):
 
 def _compare(params, config, sentences, monkeypatch, max_len):
     """Checks every beam width on every sentence, with `predict` capped at
-    `max_len` steps through `max_positions`; returns the summed decoder
-    steps of `predict` and of the reference."""
+    `max_len` steps through `max_positions`, and each score against the
+    whole-sequence `forward`; returns the summed decoder steps of `predict`
+    and of the reference."""
     config = dataclasses.replace(config, max_positions=max_len + 1)
+    scheme = dq.parse_scheme(config.scheme)
     calls = []
     decode = nm._decode
     monkeypatch.setattr(beam, "_decode", lambda *args: calls.append(1) or decode(*args))
@@ -110,6 +111,10 @@ def _compare(params, config, sentences, monkeypatch, max_len):
                 params, config, words, beam_size, max_len)
             assert (got.tokens, got.terminal) == (tokens, terminal)
             assert abs(got.score - score) <= 1e-9
+            ids = [config.token_to_id[str(t)] for t in tokens]
+            probs = forward(config.word_ids(words), ids,
+                            dq.trace(len(words), tokens, scheme), params, config)
+            assert abs(np.log(probs[np.arange(len(ids)), ids]).sum() - score) <= 1e-9
             assert len(calls) <= steps
             totals[0] += len(calls)
             totals[1] += steps
@@ -133,8 +138,9 @@ def test_the_search_matches_the_full_pool_search_on_random_models(toy20, scheme,
     # shows on the same model after a few epochs
     fit = train(trees, scheme, d_model=8, n_heads=2, n_layers=1, d_ff=16, lr=3e-3,
                 warmup_updates=20, epochs=40, seed=5)
+    rng = np.random.default_rng(5)
     totals = [_compare(params, fit.config, sentences, monkeypatch, 24) for params in
-              (init_parameters(fit.config, np.random.default_rng(5)), fit.params)]
+              (draw_biases(init_parameters(fit.config, rng), rng), fit.params)]
     assert totals[1][0] < totals[1][1]
 
 
@@ -199,7 +205,8 @@ def test_the_cap_leaves_forward_room_to_score_the_prediction(toy20):
     words, tokens = build_vocabularies(trees, SCHEME)
     config = ModelConfig(scheme=SCHEME_NAME, word_to_id=words, token_to_id=tokens,
                          d_model=8, n_heads=2, n_layers=1, d_ff=16, max_positions=6)
-    params = init_parameters(config, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    params = draw_biases(init_parameters(config, rng), rng)
     # three words take at least SHIFT NT SHIFT SHIFT REDUCE FINISH
     sentence = list(trees[0].sentence)[:3]
     pred = predict(params, config, sentence, beam_size=1)

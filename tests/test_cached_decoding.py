@@ -20,7 +20,7 @@ from discoseq.neural import model as nm
 from discoseq.neural.layers import layer_norm, linear, sinusoidal_positions
 from discoseq.neural.training import build_vocabularies
 
-from conftest import ALL_SCHEMES
+from conftest import ALL_SCHEMES, draw_biases
 
 TOLERANCE = 1e-9
 
@@ -34,11 +34,7 @@ def _tiny_model(trees, scheme):
     config = ModelConfig(scheme=str(scheme), word_to_id=words, token_to_id=tokens,
                          d_model=16, n_heads=4, n_layers=2, d_ff=32)
     rng = np.random.default_rng(3)
-    params = init_parameters(config, rng)
-    for name, tensor in params.items():  # biases start at 0, so draw them too
-        if name.rsplit(".", 1)[-1].startswith("b"):
-            tensor[...] = rng.standard_normal(tensor.shape) * 0.5
-    return params, config
+    return draw_biases(init_parameters(config, rng), rng), config
 
 
 def _gold(tree, scheme, config):
@@ -60,9 +56,8 @@ def _n_words(config, plan):
 
 def _step(params, config, plan, in_ids, pairs, past):
     """One cached step for a batch: distributions (B, vocab) and the new past."""
-    stack_rows, buffer_rows = nm.mask_rows(pairs, _n_words(config, plan))
     logits, past = nm._decode(params, config, plan, np.array(in_ids, dtype=np.int64),
-                              stack_rows, buffer_rows, past)
+                              nm.mask_rows(pairs, _n_words(config, plan)), past)
     assert logits.shape == (len(in_ids), len(config.token_to_id))
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True), past
@@ -149,10 +144,9 @@ def test_folded_cross_attention_matches_the_unfolded_sublayer(toy20, monkeypatch
     past = None
     for in_ids, step_pairs in steps:
         norms.clear()
-        stack_rows, buffer_rows = nm.mask_rows(step_pairs, n)
-        _, past = nm._decode(params, config, plan, np.array(in_ids), stack_rows,
-                             buffer_rows, past)
-        masks = nm._cross_head_masks(config, stack_rows, buffer_rows)
+        step_masks = nm.mask_rows(step_pairs, n)
+        _, past = nm._decode(params, config, plan, np.array(in_ids), step_masks, past)
+        masks = nm._cross_head_masks(config, step_masks)
         for i in range(config.n_layers):  # each layer: self, cross, ff
             rows, (folded_sum, _) = norms[3 * i][1], norms[3 * i + 1]
             unfolded, _ = nm._mha(params, f"dec{i}.cross", rows, memory,

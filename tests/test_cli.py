@@ -298,12 +298,16 @@ def test_delinearize_text_mode_needs_sentences(toy_path, tmp_path, capsys):
     run(["linearize", "--scheme", "inorder+swap",
          "--in", str(toy_path), "--out", str(tokens)], capsys)
 
-    code, _, err = run(["delinearize", "--scheme", "inorder+swap",
-                        "--tokens", str(tokens)], capsys)
-    assert code == 2
-    assert "--sentences" in err
+    delinearize = ["delinearize", "--scheme", "inorder+swap", "--tokens", str(tokens)]
+    assert run(delinearize, capsys) == (
+        2, "", f"discoseq: {tokens}: line 1: token text input needs --sentences "
+               "(or use JSONL input)\n")
 
     sentences = tmp_path / "sents.txt"
+    sentences.write_text("a b\n\nc d\n", encoding="utf-8")
+    assert run([*delinearize, "--sentences", str(sentences)], capsys) == (
+        2, "", f"discoseq: {sentences}: 2 sentences but 20 token lines\n")
+
     sentences.write_text(
         "\n".join(" ".join(t.sentence) for t in dq.load_treebank(toy_path)) + "\n",
         encoding="utf-8")

@@ -28,7 +28,7 @@ from discoseq.neural import training
 from discoseq.neural.checkpoint import CheckpointError
 from discoseq.neural.training import build_examples, build_vocabularies
 
-from conftest import DISCO_SCHEMES, bit_set
+from conftest import DISCO_SCHEMES, bit_set, draw_biases
 
 SCHEME = "inorder+swap"
 
@@ -49,7 +49,8 @@ def tiny_config(trees, **overrides):
 @pytest.fixture(scope="module")
 def setup(toy4):
     config = tiny_config(toy4)
-    params = init_parameters(config, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    params = draw_biases(init_parameters(config, rng), rng)
     examples = build_examples(toy4, SCHEME, config)
     return config, params, examples
 
@@ -173,22 +174,11 @@ def test_train_refuses_fewer_than_one_epoch(toy4, epochs):
     ("dropout", 1.0, r"^dropout must be in \[0, 1\), got 1.0$"),
     ("dropout", -0.5, r"^dropout must be in \[0, 1\), got -0.5$"),
     ("dropout", math.nan, r"^dropout must be in \[0, 1\), got nan$"),
-    ("label_smoothing", 2.0, r"^label_smoothing must be in \[0, 1\), got 2.0$"),
-    ("label_smoothing", 1.0, r"^label_smoothing must be in \[0, 1\), got 1.0$"),
-    ("label_smoothing", math.nan, r"^label_smoothing must be in \[0, 1\), got nan$"),
-    ("adam_beta1", -0.1, r"^adam_beta1 must be in \[0, 1\), got -0.1$"),
-    ("adam_beta2", 1.0, r"^adam_beta2 must be in \[0, 1\), got 1.0$"),
     ("lr", -1.0, r"^lr must be in \(0, inf\), got -1.0$"),
     ("lr", 0.0, r"^lr must be in \(0, inf\), got 0.0$"),
     ("lr", math.inf, r"^lr must be in \(0, inf\), got inf$"),
-    ("warmup_init_lr", math.nan, r"^warmup_init_lr must be in \(0, inf\), got nan$"),
-    ("adam_eps", 0, r"^adam_eps must be in \(0, inf\), got 0$"),
-    ("min_lr", -1e-9, r"^min_lr must be in \[0, inf\), got -1e-09$"),
-    ("min_lr", math.inf, r"^min_lr must be in \[0, inf\), got inf$"),
 ], ids=["zero-warmup", "negative-warmup", "one-dropout", "negative-dropout", "nan-dropout",
-        "two-smoothing", "one-smoothing", "nan-smoothing", "negative-beta1", "one-beta2",
-        "negative-lr", "zero-lr", "infinite-lr", "nan-warmup-init-lr", "zero-adam-eps",
-        "negative-min-lr", "infinite-min-lr"])
+        "negative-lr", "zero-lr", "infinite-lr"])
 def test_train_refuses_a_config_it_cannot_train_with(toy4, monkeypatch, field, value,
                                                      message):
     def draw(*args):
@@ -212,7 +202,8 @@ def test_unknown_words_fall_back_to_unk(setup):
 
 
 def test_init_parameters_deterministic(setup):
-    config, params, _ = setup
+    config, _, _ = setup
+    params = init_parameters(config, np.random.default_rng(0))
     again = init_parameters(config, np.random.default_rng(0))
     assert params.keys() == again.keys()
     for name in params:
@@ -282,6 +273,13 @@ def test_the_benchmark_checkpoint_loads_to_its_recorded_tensors():
         digest.update(params[name].astype("<f8").tobytes())
     assert digest.hexdigest() == PARSE_CHECKPOINT_SHA256
     assert _is_one_vector(params, config)
+
+
+def test_resaving_the_benchmark_checkpoint_reproduces_it_byte_for_byte(tmp_path):
+    """Its config still records the fixed Adam and loss settings."""
+    path = tmp_path / "parse.ckpt"
+    save_checkpoint(path, *load_checkpoint(PARSE_CHECKPOINT))
+    assert path.read_bytes() == PARSE_CHECKPOINT.read_bytes()
 
 
 # --- forward pass ---------------------------------------------------------
@@ -354,10 +352,10 @@ def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4):
 def test_cross_head_masks_shape(setup):
     config, _, examples = setup
     ex = examples[0]
-    masks = nm._cross_head_masks(config, ex.stack_rows, ex.buffer_rows)
+    masks = nm._cross_head_masks(config, ex.masks)
     assert masks.shape == (config.n_heads, len(ex.target_ids), len(ex.word_ids) + 1)
-    assert np.array_equal(masks[0], ex.stack_rows)
-    assert np.array_equal(masks[1], ex.buffer_rows)
+    assert np.array_equal(masks[0], ex.masks[0])
+    assert np.array_equal(masks[1], ex.masks[1])
     # the sentinel column is never masked, so every row stays attendable
     assert np.all(masks[:, :, 0] == 0.0)
 
@@ -368,8 +366,9 @@ def test_mask_rows_sentinel_column(setup, toy4):
     tokens = dq.encode(toy4[0], scheme)
     pairs = dq.trace(len(toy4[0].sentence), tokens, scheme)
     n = len(toy4[0].sentence)
-    stack_rows, buffer_rows = nm.mask_rows(pairs, n)
-    assert stack_rows.shape == buffer_rows.shape == (len(pairs), n + 1)
+    rows = nm.mask_rows(pairs, n)
+    assert rows.shape == (2, len(pairs), n + 1)
+    stack_rows, buffer_rows = rows
     assert set(np.unique(np.concatenate((stack_rows, buffer_rows)))) == {0.0, -np.inf}
     assert np.all(stack_rows[:, 0] == 0.0) and np.all(buffer_rows[:, 0] == 0.0)
     for stack_row, buffer_row, pair in zip(stack_rows, buffer_rows, pairs):
@@ -390,7 +389,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
         plan, past, rows = nm._plan(params, config, memory), None, []
         for t, in_id in enumerate(in_ids):
             logits, past = nm._decode(params, config, plan, np.array([in_id]),
-                                      ex.stack_rows[t:t + 1], ex.buffer_rows[t:t + 1], past)
+                                      ex.masks[:, t:t + 1], past)
             rows.append(logits[0])
         return np.array(rows)
 
@@ -398,7 +397,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     hidden_both = [
         (t, pos) for t in range(len(ex.target_ids))
         for pos in range(len(ex.word_ids))
-        if np.isinf(ex.stack_rows[t, pos + 1]) and np.isinf(ex.buffer_rows[t, pos + 1])
+        if np.isinf(ex.masks[0, t, pos + 1]) and np.isinf(ex.masks[1, t, pos + 1])
     ]
     assert hidden_both, "fixture should mask at least one word somewhere"
     t, pos = hidden_both[-1]
@@ -408,7 +407,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     assert np.array_equal(logits[t], new_logits[t])
     # sanity: the perturbation is visible at steps that can see the word
     visible = [s for s in range(len(ex.target_ids))
-               if ex.stack_rows[s, pos + 1] == 0.0 or ex.buffer_rows[s, pos + 1] == 0.0]
+               if ex.masks[0, s, pos + 1] == 0.0 or ex.masks[1, s, pos + 1] == 0.0]
     assert any(not np.array_equal(logits[s], new_logits[s]) for s in visible)
 
 
@@ -504,10 +503,7 @@ def test_grad_check_with_unspecialized_masks(setup):
     """Gradients must also be right when the mask vectors hide nothing."""
     config, params, examples = setup
     ex = examples[0]
-    free = nm.Example(
-        ex.word_ids, ex.target_ids,
-        np.zeros_like(ex.stack_rows), np.zeros_like(ex.buffer_rows),
-    )
+    free = nm.Example(ex.word_ids, ex.target_ids, np.zeros_like(ex.masks))
     assert grad_check(params, config, [free]) < 1e-4
 
 
@@ -599,9 +595,9 @@ def test_embedding_gradients_add_into_the_gradient_in_place(toy20, monkeypatch):
     assert all(direct[name].tobytes() == reference[name].tobytes() for name in params)
 
 
-def _reference_adam(params, grads, state, update, rate, config):
+def _reference_adam(params, grads, state, update, rate):
     """Adam one tensor at a time, as separate array expressions."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = nm._FIXED["adam_beta1"], nm._FIXED["adam_beta2"]
     for name, grad in grads.items():
         first, second = state[name]
         first = b1 * first + (1.0 - b1) * grad
@@ -609,7 +605,7 @@ def _reference_adam(params, grads, state, update, rate, config):
         state[name] = (first, second)
         first_hat = first / (1.0 - b1 ** update)
         second_hat = second / (1.0 - b2 ** update)
-        params[name] -= rate * first_hat / (np.sqrt(second_hat) + config.adam_eps)
+        params[name] -= rate * first_hat / (np.sqrt(second_hat) + nm._FIXED["adam_eps"])
 
 
 def test_flat_adam_is_the_per_tensor_adam_bit_for_bit(setup):
@@ -627,9 +623,8 @@ def test_flat_adam_is_the_per_tensor_adam_bit_for_bit(setup):
         _, grads, _, _ = loss_and_grad(params, config, batch)
         rate = training.lr_at(update, config)
         _reference_adam(reference, {name: g.copy() for name, g in grads.items()}, state,
-                        update, rate, config)
-        training._adam_update(weights, nm._vector(grads), moments, scratch, update, rate,
-                              config)
+                        update, rate)
+        training._adam_update(weights, nm._vector(grads), moments, scratch, update, rate)
         for name in params:
             assert np.array_equal(params[name], reference[name]), (update, name)
     for row, moment in zip(moments, zip(*state.values())):
@@ -786,6 +781,20 @@ def _many_layers(header):  # a layout of 10**13 tensors is never drawn up
     return header
 
 
+def _config_value(field, value):
+    """An edit that sets one field of the header's config."""
+    def edit(header):
+        header["config"][field] = value
+        return header
+    return _header_edit(edit)
+
+
+@_header_edit
+def _without_adam_eps(header):
+    del header["config"]["adam_eps"]
+    return header
+
+
 def _entry(field, value):
     """An edit that sets one field of the first manifest entry."""
     def edit(header):
@@ -841,13 +850,14 @@ def _last_value(value):
     ("epochs", 0),
     ("warmup_updates", 0),
     ("dropout", 1.0),
-    ("label_smoothing", 2.0),
+    _config_value("label_smoothing", 2.0),
     ("lr", -1.0),
-    ("warmup_init_lr", 0.0),
-    ("adam_eps", math.inf),
-    ("min_lr", -1.0),
-    ("adam_beta1", 1.0),
-    ("adam_beta2", math.nan),
+    _config_value("warmup_init_lr", 0.0),
+    _config_value("adam_eps", math.inf),
+    _config_value("min_lr", -1.0),
+    _config_value("adam_beta1", 1.0),
+    _config_value("adam_beta2", math.nan),
+    _without_adam_eps,
     _repeated_name,
     _entry("name", ["word_emb"]),
     _entry("name", 3),
@@ -862,7 +872,7 @@ def _last_value(value):
         "zero-layers", "zero-d-ff", "zero-max-positions", "one-max-position",
         "zero-batch-size", "zero-epochs", "zero-warmup", "one-dropout", "two-smoothing",
         "negative-lr", "zero-warmup-init-lr", "infinite-adam-eps", "negative-min-lr",
-        "one-beta1", "nan-beta2", "repeated-name",
+        "one-beta1", "nan-beta2", "missing-adam-eps", "repeated-name",
         "list-name", "int-name", "f4-dtype", "bool-shape", "nan-value", "infinite-value"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup
@@ -894,7 +904,13 @@ def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     # save_checkpoint writes the tensors by name, so word_emb comes last
     (_last_value(math.nan), "tensor 'word_emb' holds a non-finite value"),
     (_last_value(math.inf), "tensor 'word_emb' holds a non-finite value"),
-], ids=["repeated-name", "list-name", "f4-dtype", "nan-value", "infinite-value"])
+    # the config's fixed settings are checked before the manifest
+    (_config_value("label_smoothing", 2.0),
+     r": config 'label_smoothing' is 2.0, not the fixed 0.01$"),
+    (_config_value("adam_beta2", math.nan), r": config 'adam_beta2' is nan, not the fixed 0.98$"),
+    (_without_adam_eps, r": config has no 'adam_eps'$"),
+], ids=["repeated-name", "list-name", "f4-dtype", "nan-value", "infinite-value",
+        "two-smoothing", "nan-beta2", "missing-adam-eps"])
 def test_checkpoint_names_the_malformed_manifest_entry(tmp_path, setup, edit, message):
     config, params, _ = setup
     path = tmp_path / "model.ckpt"

@@ -21,6 +21,8 @@ from discoseq import cli
 from discoseq.neural import ModelConfig, beam, init_parameters, training
 from discoseq.neural.training import build_vocabularies
 
+from conftest import draw_biases
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PREDICT_SPANS = ("beam.predict", "model.encode", "model.decode", "model.mask_rows",
@@ -52,7 +54,8 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     words, tokens = build_vocabularies(trees, "inorder+swap")
     config = ModelConfig(scheme="inorder+swap", word_to_id=words, token_to_id=tokens,
                          d_model=8, n_heads=2, n_layers=2, d_ff=16)
-    params = init_parameters(config, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    params = draw_biases(init_parameters(config, rng), rng)
     beam_size = 2
     capped = dataclasses.replace(config, max_positions=7)  # <bos> and 6 tokens
     tracer = _load_tracing().Tracer()

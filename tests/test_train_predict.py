@@ -6,6 +6,7 @@ import pytest
 
 import discoseq as dq
 from discoseq.neural import Prediction, TrainingDiverged, forward, predict, train
+from discoseq.neural import model as nm
 from discoseq.neural.training import build_examples, build_vocabularies, lr_at
 
 SCHEME = dq.parse_scheme("inorder+swap")
@@ -128,7 +129,7 @@ def test_lr_schedule_shape(overfit):
     assert lr_at(1, config) < lr_at(warm // 2, config) < lr_at(warm, config)
     assert math.isclose(lr_at(warm, config), config.lr, rel_tol=1e-9)
     assert math.isclose(lr_at(4 * warm, config), config.lr / 2, rel_tol=1e-9)
-    assert lr_at(10**16, config) == config.min_lr
+    assert lr_at(10**16, config) == nm._FIXED["min_lr"]
 
 
 # --- prediction ------------------------------------------------------------------
