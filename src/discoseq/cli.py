@@ -196,6 +196,8 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
                 if not (_is_string_list(words) and _is_string_list(token_texts)):
                     raise ValueError("bad JSONL record: sentence and tokens must "
                                      "be lists of strings")
+                if bad := [text for text in token_texts if text.split() != [text]]:
+                    raise ValueError(f"bad JSONL record: {bad[0]!r} is not one token")
                 recorded = record.get("scheme")
                 if recorded is not None and recorded != str(args.scheme):
                     raise ValueError(f"tokens were produced under scheme "

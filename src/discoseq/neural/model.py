@@ -94,7 +94,7 @@ class ModelConfig:
         # max_positions holds <bos> and at least one token
         for name, least in (("d_model", 1), ("n_layers", 1), ("d_ff", 1),
                             ("max_positions", 2), ("batch_size", 1), ("epochs", 1),
-                            ("warmup_updates", 1)):
+                            ("warmup_updates", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
         for name, interval, fits in (("dropout", "[0, 1)", lambda x: 0.0 <= x < 1.0),
@@ -334,31 +334,14 @@ def _positions(lengths: Sequence[int]) -> np.ndarray:
     return np.arange(sum(lengths)) - np.repeat(starts, lengths)
 
 
-# d_model -> the first rows of the sinusoidal position table at that width; a
-# row depends only on its position and the width, so every caller shares it
-_POSITION_TABLES: dict[int, np.ndarray] = {}
-
-
-def _position_table(config: ModelConfig, length: int) -> np.ndarray:
-    """At least `length` rows of the position table, read-only.
-
-    The table is built on first use and rebuilt twice as long only when
-    a longer sequence comes; a row is the same at every table length.
-    """
-    table = _POSITION_TABLES.get(config.d_model, np.empty((0, config.d_model)))
-    if len(table) < length:
-        size = max(length, 64, 2 * len(table))
-        table = sinusoidal_positions(np.arange(size), config.d_model)
-        table.flags.writeable = False
-        _POSITION_TABLES[config.d_model] = table
-    return table
-
-
 def _embed(p: Parameters, config: ModelConfig, table: str, ids: np.ndarray,
-           position_rows: np.ndarray, rng: "np.random.Generator | None",
+           positions: np.ndarray, rng: "np.random.Generator | None",
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Scaled `table` rows of `ids` plus `position_rows`, with dropout."""
-    x = embed(p[table], ids, math.sqrt(config.d_model)) + position_rows
+    """Scaled `table` rows of `ids` plus the sinusoidal rows of `positions`,
+    with dropout: `_encode`'s words, `_pass`'s tokens, and `_decode`'s
+    newest tokens, whose one shared position broadcasts over the rows."""
+    x = (embed(p[table], ids, math.sqrt(config.d_model))
+         + sinusoidal_positions(positions, config.d_model))
     return dropout(x, config.dropout, rng)
 
 
@@ -377,8 +360,7 @@ def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
         raise ValueError(f"sentence length {max(lengths)} exceeds max_positions "
                          f"{config.max_positions}")
     ids = np.concatenate(sentences)
-    x, drop_emb = _embed(p, config, "word_emb", ids,
-                         _position_table(config, max(lengths))[_positions(lengths)], rng)
+    x, drop_emb = _embed(p, config, "word_emb", ids, _positions(lengths), rng)
     spans = _spans(lengths)
     x, layers = _layers(p, config, "enc", x, rng, [(rows, rows, None) for rows in spans])
     memory = np.insert(x, [rows.start for rows in spans], p["sentinel"], axis=0)
@@ -451,9 +433,7 @@ def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.nd
     rows, h = len(in_ids), config.n_heads
     if past is None:  # the first step: no earlier positions
         past = [(np.empty((rows, h, 0, config.d_model // h)),) * 2] * config.n_layers
-    start = past[0][0].shape[-2]
-    y = (embed(p["tok_emb"], in_ids, math.sqrt(config.d_model))
-         + _position_table(config, start + 1)[start])
+    y, _ = _embed(p, config, "tok_emb", in_ids, np.array([past[0][0].shape[-2]]), None)
     cross_masks = _cross_head_masks(config, masks).swapaxes(0, 1)  # (B, n_heads, M)
     next_past = []
     for kind, weights, norm in plan:
@@ -499,8 +479,7 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
         self_segments.append((rows, rows, causal[:t, :t]))
         cross_segments.append((rows, columns, _cross_head_masks(config, sentence_masks)))
     ids = np.concatenate(in_ids)
-    y, drop_emb = _embed(p, config, "tok_emb", ids,
-                         _position_table(config, max(lengths))[_positions(lengths)], rng)
+    y, drop_emb = _embed(p, config, "tok_emb", ids, _positions(lengths), rng)
     y, layers = _layers(p, config, "dec", y, rng, self_segments, memory, cross_segments)
     logits = linear(y, p["out.w"], p["out.b"])
     return logits, {"encoder": encoder, "ids": ids, "drop_emb": drop_emb,

@@ -51,11 +51,19 @@ def _as_scheme(scheme: str | Scheme) -> Scheme:
     return parse_scheme(scheme) if isinstance(scheme, str) else scheme
 
 
+def _encode_all(trees: Iterable[ConstituentTree], scheme: Scheme) -> _Encoded:
+    """Each tree with its tokens; an EncodeError carries the tree's index."""
+    encoded = []
+    for index, tree in enumerate(trees):
+        with _tree_at(index):
+            encoded.append((tree, encode(tree, scheme)))
+    return encoded
+
+
 def build_vocabularies(trees: Iterable[ConstituentTree],
                        scheme: str | Scheme) -> tuple[dict[str, int], dict[str, int]]:
     """Word and transition-token vocabularies, deterministic order."""
-    scheme = _as_scheme(scheme)
-    return _vocabularies([(tree, encode(tree, scheme)) for tree in trees])
+    return _vocabularies(_encode_all(trees, _as_scheme(scheme)))
 
 
 def _vocabularies(encoded: _Encoded) -> tuple[dict[str, int], dict[str, int]]:
@@ -76,7 +84,7 @@ def _vocabularies(encoded: _Encoded) -> tuple[dict[str, int], dict[str, int]]:
 def build_examples(trees: Iterable[ConstituentTree], scheme: str | Scheme,
                    config: ModelConfig) -> list[Example]:
     scheme = _as_scheme(scheme)
-    return _examples([(tree, encode(tree, scheme)) for tree in trees], scheme, config)
+    return _examples(_encode_all(trees, scheme), scheme, config)
 
 
 def _examples(encoded: _Encoded, scheme: Scheme, config: ModelConfig) -> list[Example]:
@@ -157,13 +165,9 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
         raise ValueError("early_stop_accuracy: expected a number from 0 to 1, "
                          f"got {early_stop_accuracy!r}")
     scheme = _as_scheme(scheme)
-    trees = list(trees)
-    if not trees:
+    encoded = _encode_all(trees, scheme)
+    if not encoded:
         raise ValueError("no trees to train on")
-    encoded = []
-    for index, tree in enumerate(trees):
-        with _tree_at(index):
-            encoded.append((tree, encode(tree, scheme)))
     word_to_id, token_to_id = _vocabularies(encoded)
     config = ModelConfig(scheme=str(scheme), word_to_id=word_to_id,
                          token_to_id=token_to_id, **overrides)  # type: ignore[arg-type]

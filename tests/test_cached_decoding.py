@@ -63,11 +63,15 @@ def _step(params, config, plan, in_ids, pairs, past):
     return exp / exp.sum(axis=-1, keepdims=True), past
 
 
-@pytest.mark.parametrize("start,stop", [(0, 512), (0, 1), (7, 8), (511, 512), (3, 40)])
-def test_a_step_builds_exactly_its_rows_of_the_position_table(start, stop):
-    table = sinusoidal_positions(np.arange(512), 64)
-    rows = sinusoidal_positions(np.arange(start, stop), 64)
-    assert np.array_equal(rows, table[start:stop])
+@pytest.mark.parametrize("positions", [
+    *(pytest.param(np.arange(start, stop), id=f"{start}-{stop}")
+      for start, stop in [(0, 512), (0, 1), (7, 8), (511, 512), (3, 40)]),
+    pytest.param(nm._positions([3, 5, 1]), id="packed"),
+])
+def test_a_step_builds_exactly_its_rows_of_the_position_table(positions):
+    for width in (64, 256):
+        table = sinusoidal_positions(np.arange(512), width)
+        assert np.array_equal(sinusoidal_positions(positions, width), table[positions])
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)

@@ -329,12 +329,20 @@ def test_delinearize_rejects_scheme_mismatch(toy_path, tmp_path, capsys):
     assert "scheme" in err
 
 
-@pytest.mark.parametrize("record", [
-    {"sentence": [1, 2], "tokens": ["SHIFT", "SHIFT"]},
-    {"sentence": ["a"], "tokens": [1]},
-    {"sentence": "ab", "tokens": ["SHIFT", "SHIFT"]},
-], ids=["number-words", "number-tokens", "string-sentence"])
-def test_delinearize_rejects_malformed_jsonl_record(tmp_path, record):
+_NOT_STRINGS = "sentence and tokens must be lists of strings"
+
+
+# the tokens are joined and split again, so each element must be one token
+@pytest.mark.parametrize("record, message", [
+    ({"sentence": [1, 2], "tokens": ["SHIFT", "SHIFT"]}, _NOT_STRINGS),
+    ({"sentence": ["a"], "tokens": [1]}, _NOT_STRINGS),
+    ({"sentence": "ab", "tokens": ["SHIFT", "SHIFT"]}, _NOT_STRINGS),
+    *(({"sentence": ["a", "b"], "tokens": [element, "SHIFT", "REDUCE", "FINISH"]},
+       f"{element!r} is not one token")
+      for element in ["SHIFT NT(S)", "NT( )", "", " SHIFT", "SHIFT\t"]),
+], ids=["number-words", "number-tokens", "string-sentence", "two-tokens", "spaced-label",
+        "empty-token", "leading-space", "trailing-tab"])
+def test_delinearize_rejects_malformed_jsonl_record(tmp_path, record, message):
     tokens = tmp_path / "tokens.jsonl"
     tokens.write_text('{"sentence": ["a"], "tokens": ["SHIFT"]}\n'
                       + json.dumps(record) + "\n", encoding="utf-8")
@@ -344,8 +352,7 @@ def test_delinearize_rejects_malformed_jsonl_record(tmp_path, record):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
-    assert "line 2" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"discoseq: {tokens}: line 2: bad JSONL record: {message}\n"
 
 
 def test_roundtrip_clean(toy_path, capsys):

@@ -1,6 +1,7 @@
 """The package exports: every name in `__all__` resolves, a token is
-built only by `Transition` or `parse_transition(s)`, and no module
-imports a name it never reads."""
+built only by `Transition` or `parse_transition(s)`, no module
+imports a name it never reads, and no function writes into a module's
+dicts, lists or sets."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,76 @@ def test_the_name_checks_flag_an_appended_function():
     assert private_names(module) == ["_unused"]
     assert "_unused" not in _loads(module)
     assert unread_parameters(module) == ["_unused.dropped"]
+
+
+_MUTATORS = frozenset({"add", "append", "clear", "difference_update", "discard", "extend",
+                       "insert", "intersection_update", "pop", "popitem", "remove",
+                       "reverse", "setdefault", "sort", "symmetric_difference_update",
+                       "update"})
+
+
+def _is_container(value: ast.expr | None) -> bool:
+    """Whether `value` builds a dict, list or set."""
+    return (isinstance(value, (ast.Dict, ast.List, ast.Set,
+                               ast.DictComp, ast.ListComp, ast.SetComp))
+            or isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) in ("dict", "list", "set"))
+
+
+def module_state_writes(module: ast.Module) -> list[str]:
+    """`function: line N: name` for each write that a function makes into
+    a dict, list or set bound at module level, by a subscript store or
+    delete or by a mutating method.  A name the function binds is its own
+    unless it is declared global."""
+    state = {target.id for node in module.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value)
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    writes = []
+    for function in ast.walk(module):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        own = {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                   args.vararg, args.kwarg] if arg is not None}
+        own |= {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        own -= {name for node in ast.walk(function) if isinstance(node, ast.Global)
+                for name in node.names}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in state - own:
+                writes.append(f"{function.name}: line {node.lineno}: {target.id}")
+    return writes
+
+
+def test_no_function_writes_into_module_state():
+    assert [f"{path}: {found}" for path, module in MODULES.items()
+            for found in module_state_writes(module)] == []
+
+
+def test_the_module_state_check_flags_an_appended_writer():
+    source = Path(transitions.__file__).read_text(encoding="utf-8")
+    assert module_state_writes(ast.parse(source)) == []
+    end = len(source.splitlines())
+    appended = source + ("_SEEN: dict[str, int] = {}\n"
+                         "_ORDER = list()\n"
+                         "def _remember(key):\n"
+                         "    _SEEN[key] = 1\n"
+                         "    _ORDER.append(key)\n"
+                         "def _own(key):\n"
+                         "    _SEEN = {}\n"
+                         "    _SEEN[key] = 1\n"
+                         "def _shared(key):\n"
+                         "    global _SEEN\n"
+                         "    _SEEN = {}\n"
+                         "    del _SEEN[key]\n")
+    assert sorted(module_state_writes(ast.parse(appended))) == [
+        f"_remember: line {end + 4}: _SEEN", f"_remember: line {end + 5}: _ORDER",
+        f"_shared: line {end + 12}: _SEEN"]

@@ -177,8 +177,9 @@ def test_train_refuses_fewer_than_one_epoch(toy4, epochs):
     ("lr", -1.0, r"^lr must be in \(0, inf\), got -1.0$"),
     ("lr", 0.0, r"^lr must be in \(0, inf\), got 0.0$"),
     ("lr", math.inf, r"^lr must be in \(0, inf\), got inf$"),
+    ("seed", -1, "^seed must be at least 0$"),
 ], ids=["zero-warmup", "negative-warmup", "one-dropout", "negative-dropout", "nan-dropout",
-        "negative-lr", "zero-lr", "infinite-lr"])
+        "negative-lr", "zero-lr", "infinite-lr", "negative-seed"])
 def test_train_refuses_a_config_it_cannot_train_with(toy4, monkeypatch, field, value,
                                                      message):
     def draw(*args):
@@ -394,6 +395,9 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
         return np.array(rows)
 
     logits = stepped(memory)
+    # the steps share `_plan`, so hold them to the whole-sequence pass too
+    whole, _ = nm._pass(params, config, [ex.word_ids], [in_ids], [ex.masks], None)
+    np.testing.assert_allclose(logits, whole, rtol=0, atol=1e-9)
     hidden_both = [
         (t, pos) for t in range(len(ex.target_ids))
         for pos in range(len(ex.word_ids))
@@ -852,6 +856,7 @@ def _last_value(value):
     ("dropout", 1.0),
     _config_value("label_smoothing", 2.0),
     ("lr", -1.0),
+    ("seed", -1),
     _config_value("warmup_init_lr", 0.0),
     _config_value("adam_eps", math.inf),
     _config_value("min_lr", -1.0),
@@ -871,8 +876,8 @@ def _last_value(value):
         "token-of-another-scheme", "token-of-another-base", "bad-scheme",
         "zero-layers", "zero-d-ff", "zero-max-positions", "one-max-position",
         "zero-batch-size", "zero-epochs", "zero-warmup", "one-dropout", "two-smoothing",
-        "negative-lr", "zero-warmup-init-lr", "infinite-adam-eps", "negative-min-lr",
-        "one-beta1", "nan-beta2", "missing-adam-eps", "repeated-name",
+        "negative-lr", "negative-seed", "zero-warmup-init-lr", "infinite-adam-eps",
+        "negative-min-lr", "one-beta1", "nan-beta2", "missing-adam-eps", "repeated-name",
         "list-name", "int-name", "f4-dtype", "bool-shape", "nan-value", "infinite-value"])
 def test_predict_rejects_malformed_checkpoint_header(tmp_path, setup, edit):
     config, params, _ = setup

@@ -18,7 +18,7 @@ import numpy as np
 
 import discoseq as dq
 from discoseq import cli
-from discoseq.neural import ModelConfig, beam, init_parameters, training
+from discoseq.neural import ModelConfig, beam, forward, init_parameters, training
 from discoseq.neural.training import build_vocabularies
 
 from conftest import draw_biases
@@ -58,12 +58,19 @@ def test_predict_runs_through_the_traced_bindings(toy20):
     params = draw_biases(init_parameters(config, rng), rng)
     beam_size = 2
     capped = dataclasses.replace(config, max_positions=7)  # <bos> and 6 tokens
+    words = list(trees[0].sentence)
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        beam.predict(params, capped, list(trees[0].sentence), beam_size=beam_size)
+        prediction = beam.predict(params, capped, words, beam_size=beam_size)
     finally:
         tracer.uninstall()
+    # the traced step scores what the whole-sequence pass scores
+    ids = [config.token_to_id[str(t)] for t in prediction.tokens]
+    probs = forward(config.word_ids(words), ids,
+                    dq.trace(len(words), prediction.tokens, dq.parse_scheme(config.scheme)),
+                    params, config)
+    assert abs(np.log(probs[np.arange(len(ids)), ids]).sum() - prediction.score) <= 1e-9
     table = tracer.by_name()
     assert [name for name in PREDICT_SPANS if name not in table] == []
     steps = table["model.decode"]["calls"]

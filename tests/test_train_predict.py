@@ -92,6 +92,17 @@ def test_train_refuses_a_tree_before_drawing_parameters(toy4, monkeypatch):
     assert exc.value.index == 1
 
 
+def test_the_builders_name_the_tree_they_cannot_encode():
+    trees = [dq.parse_discbracket("(S 0=a 1=b)"), dq.parse_discbracket("(S (A 0=a 2=c) 1=b)")]
+    words, tokens = build_vocabularies(trees[:1], "topdown")
+    config = nm.ModelConfig(scheme="topdown", word_to_id=words, token_to_id=tokens)
+    for build in (lambda: build_vocabularies(trees, "topdown"),
+                  lambda: build_examples(trees, "topdown", config)):
+        with pytest.raises(dq.EncodeError, match="cannot express discontinuous") as exc:
+            build()
+        assert exc.value.index == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_train_aborts_on_non_finite_loss(toy4):
