@@ -11,6 +11,8 @@ takes.
 Run: python3 demos/04_mask_traces.py
 """
 
+import numpy as np
+
 import discoseq as dq
 from discoseq.neural.model import mask_rows
 
@@ -31,9 +33,12 @@ for step, pair in enumerate(trace):
     token = dq.format_transitions(tokens[step - 1:step]) if step else "-"
     print(f"{step:>4}  {token:<9}  {fmt(pair.stack):<9}  {fmt(pair.buffer)}")
 
-# The model adds the masks to attention scores as rows of 0.0 (visible)
-# and -inf (hidden); column 0 is a sentinel that both heads always see.
-stack_rows, buffer_rows = mask_rows(trace[-1:], n)
+# The model keeps the masks as packed bits, one per column, and adds
+# them to attention scores as rows of 0.0 (visible) and -inf (hidden);
+# column 0 is a sentinel that both heads always see.
+bits = mask_rows(trace[-1:], n)
+visible = np.unpackbits(bits, axis=-1, count=n + 1, bitorder="little")
+stack_rows, buffer_rows = np.where(visible, 0.0, -np.inf)
 print("\nfinal stack row: ", stack_rows[0])
 print("final buffer row:", buffer_rows[0])
 

@@ -89,6 +89,14 @@ def _open_out(path: str):
     return nullcontext(sys.stdout) if path == "-" else _open_text(path, "w")
 
 
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write lines that are all rendered already, so a bad input line has
+    left standard out empty and `--out` untouched."""
+    with _open_out(path) as out:
+        for line in lines:
+            print(line, file=out)
+
+
 def _source(path: str) -> str:
     return "<stdin>" if path == "-" else path
 
@@ -162,9 +170,7 @@ def _cmd_linearize(args) -> int:
         rendered.append(json.dumps({"sentence": list(tree.sentence), "scheme": str(args.scheme),
                                     "tokens": [str(t) for t in tokens]}, ensure_ascii=False)
                         if args.jsonl else format_transitions(tokens))
-    with _open_out(args.outfile) as out:
-        for line in rendered:
-            print(line, file=out)
+    _write_lines(args.outfile, rendered)
     return EXIT_OK
 
 
@@ -213,15 +219,14 @@ def _delinearize_items(args) -> list[tuple[int, list[str], list[str]]]:
 
 
 def _cmd_delinearize(args) -> int:
-    items = _delinearize_items(args)
-    logs = []
-    with _open_out(args.outfile) as out:
-        for line_no, words, token_texts in items:
-            with _at_line(_source(args.tokens), line_no):
-                tokens = parse_transitions(" ".join(token_texts))
-                result = decode(words, tokens, args.scheme)
-            print(emit_discbracket(result.tree), file=out)
-            logs.append(result.repairs)
+    rendered, logs = [], []
+    for line_no, words, token_texts in _delinearize_items(args):
+        with _at_line(_source(args.tokens), line_no):
+            tokens = parse_transitions(" ".join(token_texts))
+            result = decode(words, tokens, args.scheme)
+        rendered.append(emit_discbracket(result.tree))
+        logs.append(result.repairs)
+    _write_lines(args.outfile, rendered)
     print(_summary("trees", logs), file=sys.stderr)
     return EXIT_OK
 
@@ -336,14 +341,14 @@ def _cmd_predict(args) -> int:
     params, config = load_checkpoint(args.checkpoint)
     scheme = parse_scheme(config.scheme)
     sentences = [(no, line.split()) for no, line in _numbered_lines(_read_lines(args.infile))]
-    logs = []
-    with _open_out(args.outfile) as out:
-        for line_no, words in sentences:
-            with _at_line(_source(args.infile), line_no):
-                prediction = predict(params, config, words, beam_size=args.beam)
-            result = decode(words, list(prediction.tokens), scheme)
-            logs.append(result.repairs)
-            print(emit_discbracket(result.tree), file=out)
+    rendered, logs = [], []
+    for line_no, words in sentences:
+        with _at_line(_source(args.infile), line_no):
+            prediction = predict(params, config, words, beam_size=args.beam)
+        result = decode(words, list(prediction.tokens), scheme)
+        rendered.append(emit_discbracket(result.tree))
+        logs.append(result.repairs)
+    _write_lines(args.outfile, rendered)
     print(_summary("sentences", logs), file=sys.stderr)
     return EXIT_OK
 

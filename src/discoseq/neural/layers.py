@@ -105,6 +105,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_bwd(d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`x` may be relu's input or its output: relu(x) > 0 exactly where
+    x > 0, for NaN and -0.0 too, so training keeps only the output."""
     return d_out * (x > 0.0)
 
 

@@ -23,11 +23,16 @@ memory rows (a sentinel row, then its words) and its decoder token
 rows, with positions restarting per sentence.  Each projection, norm,
 ReLU, dropout and embedding then runs once per batch, forward and
 backward; only attention runs per sentence, over that sentence's rows
-(its `Segments`), so nothing is padded.  `forward` is the same pass
-over one sentence.  Beam search has its own evaluation-only step,
-`_decode`, over one (B, d) row per live hypothesis of one sentence, with
-cached self-attention keys and values, through the sentence's `_plan`:
-its weights looked up once, with cross-attention folded over the memory.
+(its `Segments`), so nothing is padded.  A pass keeps each value it
+needs for backward once: a feed-forward sublayer keeps its ReLU's
+output, not also its input; `_layers_bwd` frees each sublayer's cache
+as soon as its backward has run; and the mask rows stay `mask_rows`
+bits until `_pass` expands them for its own attention.  `forward` is
+the same pass over one sentence.  Beam search has its own
+evaluation-only step, `_decode`, over one (B, d) row per live
+hypothesis of one sentence, with cached self-attention keys and values,
+through the sentence's `_plan`: its weights looked up once, with
+cross-attention folded over the memory.
 
 Sizes default to a desk-scale setup that trains on a CPU in seconds.
 Full treebank experiments use 6+6 layers of width 256 (d_ff 1024, 4
@@ -257,17 +262,16 @@ def _mha_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple,
 
 
 def _sublayer_ff(p: Parameters, prefix: str, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    pre = linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])
-    act = relu(pre)
+    act = relu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
     out = linear(act, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-    return out, (x, pre, act)
+    return out, (x, act)  # `relu_bwd` reads the output, so the input is not kept
 
 
 def _sublayer_ff_bwd(p: Parameters, prefix: str, d_out: np.ndarray, cache: tuple,
                      grads: Parameters) -> np.ndarray:
-    x, pre, act = cache
+    x, act = cache
     d_act, d_w2, d_b2 = linear_bwd(d_out, act, p[f"{prefix}.w2"])
-    d_pre = relu_bwd(d_act, pre)
+    d_pre = relu_bwd(d_act, act)
     d_x, d_w1, d_b1 = linear_bwd(d_pre, x, p[f"{prefix}.w1"])
     for name, grad in (("w1", d_w1), ("b1", d_b1), ("w2", d_w2), ("b2", d_b2)):
         grads[f"{prefix}.{name}"] += grad
@@ -304,9 +308,14 @@ def _layers(p: Parameters, config: ModelConfig, side: str, x: np.ndarray,
 def _layers_bwd(p: Parameters, config: ModelConfig, d_x: np.ndarray, steps: list[tuple],
                 grads: Parameters) -> tuple[np.ndarray, np.ndarray | None]:
     """Input gradient of `_layers` and, for the decoder, the memory
-    gradient summed from the last layer down."""
+    gradient summed from the last layer down.
+
+    Each step is popped off `steps` as its backward runs, so its forward
+    cache is freed before the layer below it is reached.
+    """
     d_memory = None
-    for kind, name, ln, cache, drop, norm in reversed(steps):
+    while steps:
+        kind, name, ln, cache, drop, norm = steps.pop()
         d_sum, d_g, d_b = layer_norm_bwd(d_x, norm)
         grads[f"{ln}.g"] += d_g
         grads[f"{ln}.b"] += d_b
@@ -369,24 +378,27 @@ def _encode(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
 
 
 def mask_rows(pairs: Sequence[MaskPair], n_words: int) -> np.ndarray:
-    """Additive (2, len(pairs), n_words + 1) rows: stack, then buffer.
+    """Packed (2, len(pairs), n_words // 8 + 1) uint8 rows: stack, then
+    buffer, one bit per column, little-endian within each byte.
 
-    Entries are 0.0 where the head may attend and -inf elsewhere.
-    Position p is column p + 1; column 0 is the sentinel (memory row
-    0), always attendable for both specialized heads, so rows whose
-    structure is empty stay finite.
+    A set bit is a column the head may attend.  Position p is column
+    p + 1; column 0 is the sentinel (memory row 0), always attendable for
+    both specialized heads, so rows whose structure is empty stay finite.
+    `_cross_head_masks` expands the bits where they meet the scores.
     """
     width = n_words // 8 + 1  # bytes per row of n_words + 1 columns
     # a pair's bits shifted up one, with bit 0 set for the sentinel column
     packed = b"".join((bits << 1 | 1).to_bytes(width, "little") for bits in
                       [pair.stack for pair in pairs] + [pair.buffer for pair in pairs])
-    visible = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(-1, width), axis=1,
-                            count=n_words + 1, bitorder="little")
-    return np.where(visible, 0.0, NEG_INF).reshape(2, len(pairs), -1)
+    return np.frombuffer(packed, np.uint8).reshape(2, len(pairs), width)
 
 
-def _cross_head_masks(config: ModelConfig, rows: np.ndarray) -> np.ndarray:
-    """(2, T, M) `mask_rows` -> (n_heads, T, M), free heads unmasked."""
+def _cross_head_masks(config: ModelConfig, bits: np.ndarray, width: int) -> np.ndarray:
+    """(2, T, bytes) `mask_rows` -> additive (n_heads, T, width) rows, 0.0
+    where a specialized head may attend and -inf elsewhere; free heads
+    are unmasked."""
+    visible = np.unpackbits(bits, axis=-1, count=width, bitorder="little")
+    rows = np.where(visible, 0.0, NEG_INF)
     return np.concatenate((rows, np.zeros((config.n_heads - 2, *rows.shape[1:]))))
 
 
@@ -421,7 +433,7 @@ def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.nd
     """One beam step for one sentence, in evaluation mode: the logits
     (B, vocab), then the `past` of the next step.
 
-    Hypothesis b passes its newest token id and its `mask_rows` rows
+    Hypothesis b passes its newest token id and its `mask_rows` bits
     `masks[:, b]`, and is one row through the sentence's `_plan`.
     `past` holds each layer's (B, n_heads, T, d_head) self-attention keys
     and values of the earlier positions; the new token's position is T,
@@ -434,8 +446,7 @@ def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.nd
     if past is None:  # the first step: no earlier positions
         past = [(np.empty((rows, h, 0, config.d_model // h)),) * 2] * config.n_layers
     y, _ = _embed(p, config, "tok_emb", in_ids, np.array([past[0][0].shape[-2]]), None)
-    cross_masks = _cross_head_masks(config, masks).swapaxes(0, 1)  # (B, n_heads, M)
-    next_past = []
+    cross_masks, next_past = None, []
     for kind, weights, norm in plan:
         if kind == "ff":
             inner, outer = weights
@@ -450,8 +461,10 @@ def _decode(p: Parameters, config: ModelConfig, plan: list[tuple], in_ids: np.nd
             out = linear(heads.reshape(rows, -1), *output)
         else:
             to_scores, to_output = weights
-            scores = linear(y, *to_scores).reshape(cross_masks.shape) + cross_masks
-            out = linear(softmax_rows(scores).reshape(rows, -1), *to_output)
+            scores = linear(y, *to_scores).reshape(rows, h, -1)
+            if cross_masks is None:  # (B, n_heads, M), the same in every layer
+                cross_masks = _cross_head_masks(config, masks, scores.shape[-1]).swapaxes(0, 1)
+            out = linear(softmax_rows(scores + cross_masks).reshape(rows, -1), *to_output)
         y, _ = layer_norm(y + out, *norm)
     return linear(y, p["out.w"], p["out.b"]), next_past
 
@@ -462,10 +475,10 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     """Logits of a packed batch and the cache that `_pass_bwd` reads.
 
     Sentence i's decoder reads its tokens `in_ids[i]` under its
-    (2, T_i, n_i + 1) `mask_rows` `masks[i]`.  The sentences' rows are
-    stacked, so every projection, norm, dropout and embedding runs once
-    per batch; only attention runs per sentence, over that sentence's
-    rows.  Logit rows follow the sentences in order.
+    `mask_rows` bits `masks[i]`, expanded here for this pass only.  The
+    sentences' rows are stacked, so every projection, norm, dropout and
+    embedding runs once per batch; only attention runs per sentence,
+    over that sentence's rows.  Logit rows follow the sentences in order.
     """
     memory, encoder = _encode(p, config, sentences, rng)
     lengths = [len(ids) for ids in in_ids]
@@ -477,7 +490,8 @@ def _pass(p: Parameters, config: ModelConfig, sentences: Sequence[np.ndarray],
     for rows, columns, sentence_masks in zip(_spans(lengths), encoder["memory_rows"], masks):
         t = rows.stop - rows.start
         self_segments.append((rows, rows, causal[:t, :t]))
-        cross_segments.append((rows, columns, _cross_head_masks(config, sentence_masks)))
+        cross_segments.append((rows, columns, _cross_head_masks(
+            config, sentence_masks, columns.stop - columns.start)))
     ids = np.concatenate(in_ids)
     y, drop_emb = _embed(p, config, "tok_emb", ids, _positions(lengths), rng)
     y, layers = _layers(p, config, "dec", y, rng, self_segments, memory, cross_segments)
@@ -504,11 +518,16 @@ def _pass_bwd(p: Parameters, config: ModelConfig, d_logits: np.ndarray, cache: d
 
 @dataclass(frozen=True)
 class Example:
-    """One teacher-forcing unit: words, gold tokens, per-step mask rows."""
+    """One teacher-forcing unit: words, gold tokens, per-step mask rows.
+
+    The rows stay packed as `mask_rows` bits, (2, len(targets),
+    n_words // 8 + 1) uint8, one bit per column where float64 rows take
+    eight bytes; `_pass` expands a batch's rows for that pass only.
+    """
 
     word_ids: np.ndarray
     target_ids: np.ndarray
-    masks: np.ndarray  # `mask_rows`: (2, len(targets), n_words + 1)
+    masks: np.ndarray
 
 
 def forward(word_ids: np.ndarray, prefix_ids: Sequence[int],

@@ -7,7 +7,9 @@ Each batch is one packed forward and backward pass (see `model`).
 Updates are Adam with a linear warm-up into an inverse square-root
 decay, applied in place to the one parameter vector, with the two
 moments as one (2, size) array, one scratch vector, and the spent
-gradient vector as the second scratch.
+gradient vector as the second scratch, which is dropped before the next
+batch's pass, so one gradient vector is alive at a time.  Examples keep
+their mask rows as packed bits.
 """
 
 import math
@@ -195,6 +197,7 @@ def train(trees: Sequence[ConstituentTree], scheme: str | Scheme, *,
             update += 1
             rate = lr_at(update, config)
             _adam_update(vector, _vector(grads), moments, scratch, update, rate)
+            del grads  # spent: the next pass then holds the only gradient vector
             loss_sum += batch_loss * count
             token_total += count
             token_correct += correct

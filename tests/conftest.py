@@ -142,6 +142,18 @@ def bit_set(bits: int) -> frozenset[int]:
     return frozenset(p for p in range(bits.bit_length()) if bits >> p & 1)
 
 
+def float_rows(bits, n_words: int):
+    """`mask_rows` bits as the additive rows the model adds to scores:
+    column c of a row is 0.0 where bit c of its little-endian bytes is
+    set and -inf elsewhere, for the n_words + 1 columns."""
+    import numpy as np
+    values = [int.from_bytes(row.tobytes(), "little")
+              for row in bits.reshape(-1, bits.shape[-1])]
+    rows = [[0.0 if value >> c & 1 else -np.inf for c in range(n_words + 1)]
+            for value in values]
+    return np.array(rows).reshape(*bits.shape[:-1], n_words + 1)
+
+
 def yield_set(node: dq.Constituent) -> frozenset[int]:
     """The positions of the leaves under `node`, collected by a walk."""
     found, pending = set(), [node]

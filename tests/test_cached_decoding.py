@@ -150,7 +150,7 @@ def test_folded_cross_attention_matches_the_unfolded_sublayer(toy20, monkeypatch
         norms.clear()
         step_masks = nm.mask_rows(step_pairs, n)
         _, past = nm._decode(params, config, plan, np.array(in_ids), step_masks, past)
-        masks = nm._cross_head_masks(config, step_masks)
+        masks = nm._cross_head_masks(config, step_masks, n + 1)
         for i in range(config.n_layers):  # each layer: self, cross, ff
             rows, (folded_sum, _) = norms[3 * i][1], norms[3 * i + 1]
             unfolded, _ = nm._mha(params, f"dec{i}.cross", rows, memory,

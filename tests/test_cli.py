@@ -566,6 +566,36 @@ def _untrained_checkpoint(directory, toy20, max_positions=12):
     return ckpt
 
 
+def _bad_second_line_leaves_out_alone(tmp_path, argv, stderr):
+    """A bad line after a good one exits 2 with nothing written: not to
+    stdout, not to a new `--out`, and not over an existing one."""
+    assert _cli(argv) == (2, "", stderr)
+    out = tmp_path / "out.discbracket"
+    assert _cli([*argv, "--out", str(out)]) == (2, "", stderr)
+    assert not out.exists()
+    out.write_text("kept\n", encoding="utf-8")
+    assert _cli([*argv, "--out", str(out)]) == (2, "", stderr)
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_delinearize_writes_nothing_when_a_later_line_is_bad(tmp_path):
+    tokens = tmp_path / "tokens.jsonl"
+    tokens.write_text('{"sentence": ["a"], "tokens": ["SHIFT"]}\n'
+                      '{"sentence": ["a"], "tokens": ["BOGUS"]}\n', encoding="utf-8")
+    _bad_second_line_leaves_out_alone(
+        tmp_path, ["delinearize", "--scheme", "inorder", "--tokens", str(tokens)],
+        f"discoseq: {tokens}: line 2: bad transition token 'BOGUS'\n")
+
+
+def test_predict_writes_nothing_when_a_later_line_is_bad(tmp_path, toy20):
+    sentences = tmp_path / "sents.txt"
+    sentences.write_text("the dog ran\n" + " ".join(["a"] * 13) + "\n", encoding="utf-8")
+    ckpt = _untrained_checkpoint(tmp_path, toy20)
+    _bad_second_line_leaves_out_alone(
+        tmp_path, ["predict", "--checkpoint", str(ckpt), "--beam", "1", "--in", str(sentences)],
+        f"discoseq: {sentences}: line 2: sentence length 13 exceeds max_positions 12\n")
+
+
 def test_predict_rejects_missing_checkpoint(tmp_path, capsys):
     code, _, err = run(["predict", "--checkpoint", str(tmp_path / "no.ckpt")],
                        capsys)

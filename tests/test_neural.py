@@ -6,11 +6,15 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import discoseq as dq
 from discoseq.neural import (
@@ -25,10 +29,11 @@ from discoseq.neural import (
 )
 from discoseq.neural import model as nm
 from discoseq.neural import training
+from discoseq.neural.layers import relu, relu_bwd
 from discoseq.neural.checkpoint import CheckpointError
 from discoseq.neural.training import build_examples, build_vocabularies
 
-from conftest import DISCO_SCHEMES, bit_set, draw_biases
+from conftest import ALL_SCHEMES, DISCO_SCHEMES, bit_set, draw_biases, float_rows
 
 SCHEME = "inorder+swap"
 
@@ -353,10 +358,12 @@ def test_decoding_past_max_positions_is_a_data_error(tmp_path, toy4):
 def test_cross_head_masks_shape(setup):
     config, _, examples = setup
     ex = examples[0]
-    masks = nm._cross_head_masks(config, ex.masks)
-    assert masks.shape == (config.n_heads, len(ex.target_ids), len(ex.word_ids) + 1)
-    assert np.array_equal(masks[0], ex.masks[0])
-    assert np.array_equal(masks[1], ex.masks[1])
+    n = len(ex.word_ids)
+    masks = nm._cross_head_masks(config, ex.masks, n + 1)
+    assert masks.shape == (config.n_heads, len(ex.target_ids), n + 1)
+    rows = float_rows(ex.masks, n)
+    assert np.array_equal(masks[0], rows[0])
+    assert np.array_equal(masks[1], rows[1])
     # the sentinel column is never masked, so every row stays attendable
     assert np.all(masks[:, :, 0] == 0.0)
 
@@ -367,14 +374,38 @@ def test_mask_rows_sentinel_column(setup, toy4):
     tokens = dq.encode(toy4[0], scheme)
     pairs = dq.trace(len(toy4[0].sentence), tokens, scheme)
     n = len(toy4[0].sentence)
-    rows = nm.mask_rows(pairs, n)
-    assert rows.shape == (2, len(pairs), n + 1)
+    bits = nm.mask_rows(pairs, n)
+    assert bits.dtype == np.uint8 and bits.shape == (2, len(pairs), n // 8 + 1)
+    rows = float_rows(bits, n)
     stack_rows, buffer_rows = rows
     assert set(np.unique(np.concatenate((stack_rows, buffer_rows)))) == {0.0, -np.inf}
     assert np.all(stack_rows[:, 0] == 0.0) and np.all(buffer_rows[:, 0] == 0.0)
     for stack_row, buffer_row, pair in zip(stack_rows, buffer_rows, pairs):
         assert {p for p in range(n) if stack_row[p + 1] == 0.0} == bit_set(pair.stack)
         assert {p for p in range(n) if buffer_row[p + 1] == 0.0} == bit_set(pair.buffer)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+def test_examples_keep_their_mask_rows_as_bits(toy20, scheme):
+    """Each example stores one bit per column, and the bits expand to the
+    0.0/-inf rows of its trace, with the sentinel column always visible;
+    a continuous scheme takes the continuous trees."""
+    trees = [tree for tree in toy20
+             if scheme.disco != "none" or not dq.discontinuous_constituents(tree)]
+    words, tokens = build_vocabularies(trees, scheme)
+    config = ModelConfig(scheme=str(scheme), word_to_id=words, token_to_id=tokens)
+    for tree, ex in zip(trees, build_examples(trees, scheme, config), strict=True):
+        n, steps = len(tree.sentence), len(ex.target_ids)
+        assert ex.masks.dtype == np.uint8
+        assert ex.masks.shape == (2, steps, n // 8 + 1)
+        pairs = dq.trace(n, dq.encode(tree, scheme), scheme)[:steps]
+        expected = np.array([[[0.0 if c == 0 or c - 1 in bit_set(getattr(pair, side))
+                               else -np.inf for c in range(n + 1)] for pair in pairs]
+                             for side in ("stack", "buffer")])
+        assert np.array_equal(float_rows(ex.masks, n), expected)
+        masks = nm._cross_head_masks(config, ex.masks, n + 1)
+        assert np.array_equal(masks[:2], expected)
+        assert np.all(masks[2:] == 0.0)
 
 
 def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, toy4):
@@ -384,6 +415,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     ex = examples[0]
     memory, _ = nm._encode(params, config, [ex.word_ids], None)
     in_ids = np.concatenate(([config.bos_id], ex.target_ids[:-1]))
+    rows = float_rows(ex.masks, len(ex.word_ids))
 
     def stepped(memory):
         """Each step's logits, one token at a time through `past`."""
@@ -401,7 +433,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     hidden_both = [
         (t, pos) for t in range(len(ex.target_ids))
         for pos in range(len(ex.word_ids))
-        if np.isinf(ex.masks[0, t, pos + 1]) and np.isinf(ex.masks[1, t, pos + 1])
+        if np.isinf(rows[0, t, pos + 1]) and np.isinf(rows[1, t, pos + 1])
     ]
     assert hidden_both, "fixture should mask at least one word somewhere"
     t, pos = hidden_both[-1]
@@ -411,7 +443,7 @@ def test_perturbing_a_hidden_word_cannot_leak_through_specialized_heads(setup, t
     assert np.array_equal(logits[t], new_logits[t])
     # sanity: the perturbation is visible at steps that can see the word
     visible = [s for s in range(len(ex.target_ids))
-               if ex.masks[0, s, pos + 1] == 0.0 or ex.masks[1, s, pos + 1] == 0.0]
+               if rows[0, s, pos + 1] == 0.0 or rows[1, s, pos + 1] == 0.0]
     assert any(not np.array_equal(logits[s], new_logits[s]) for s in visible)
 
 
@@ -507,8 +539,52 @@ def test_grad_check_with_unspecialized_masks(setup):
     """Gradients must also be right when the mask vectors hide nothing."""
     config, params, examples = setup
     ex = examples[0]
-    free = nm.Example(ex.word_ids, ex.target_ids, np.zeros_like(ex.masks))
+    free = nm.Example(ex.word_ids, ex.target_ids, np.full_like(ex.masks, 0xFF))
+    assert np.all(float_rows(free.masks, len(ex.word_ids)) == 0.0)
     assert grad_check(params, config, [free]) < 1e-4
+
+
+_RELU_EDGES = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                               2.2250738585072009e-308, -1e-310])
+_FLOATS = _RELU_EDGES | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(arrays(np.float64, (2, 7), elements=_FLOATS), arrays(np.float64, (2, 7), elements=_FLOATS))
+def test_relu_bwd_reads_the_same_gradient_off_the_output(x, d_out):
+    """Training keeps only relu's output: it is > 0 exactly where the
+    input is, so the gradient is the same, bit for bit."""
+    with np.errstate(invalid="ignore"):  # inf * 0 where the unit is off
+        from_input, from_output = relu_bwd(d_out, x), relu_bwd(d_out, relu(x))
+    assert np.array_equal(from_input.view(np.uint64), from_output.view(np.uint64))
+
+
+def test_backward_frees_each_forward_cache_as_it_goes(setup, monkeypatch):
+    """No sublayer's forward cache outlives its backward: the decoder's are
+    gone before the encoder's backward starts, and none is left after."""
+    config, params, examples = setup
+    batch = examples[:2]
+    logits, cache = nm._pass(
+        params, config, [ex.word_ids for ex in batch],
+        [np.concatenate(([config.bos_id], ex.target_ids[:-1])) for ex in batch],
+        [ex.masks for ex in batch], None)
+
+    def refs(steps):
+        """Every array that the steps' caches hold, but the norms' gains."""
+        return [weakref.ref(a) for _, _, _, sublayer, drop, norm in steps
+                for a in (*sublayer, drop, *norm[:2]) if isinstance(a, np.ndarray)]
+
+    decoder, encoder = refs(cache["layers"]), refs(cache["encoder"]["layers"])
+    live_at_embed = []
+    original = nm.embed_bwd
+
+    def recording(*args):
+        live_at_embed.append(sum(ref() is not None for ref in decoder))
+        return original(*args)
+
+    monkeypatch.setattr(nm, "embed_bwd", recording)
+    nm._pass_bwd(params, config, np.ones_like(logits), cache, nm._flat(config))
+    assert live_at_embed == [0, 0]  # the token embedding's backward, then the words'
+    assert [ref for ref in decoder + encoder if ref() is not None] == []
 
 
 def test_grad_check_refuses_big_models(toy4):
@@ -633,6 +709,24 @@ def test_flat_adam_is_the_per_tensor_adam_bit_for_bit(setup):
             assert np.array_equal(params[name], reference[name]), (update, name)
     for row, moment in zip(moments, zip(*state.values())):
         assert np.array_equal(row, np.concatenate([m.ravel() for m in moment]))
+
+
+def test_train_holds_one_gradient_vector_at_a_time(toy4, monkeypatch):
+    """The spent gradient vector is dead by the time the next batch's
+    `loss_and_grad` starts, so an update never holds two."""
+    spent, live_at_call = [], []
+    original = training.loss_and_grad
+
+    def tracked(*args, **kwargs):
+        live_at_call.append(sum(ref() is not None for ref in spent))
+        result = original(*args, **kwargs)
+        spent.append(weakref.ref(nm._vector(result[1])))
+        return result
+
+    monkeypatch.setattr(training, "loss_and_grad", tracked)
+    training.train(toy4, SCHEME, epochs=2, batch_size=2, d_model=8, n_heads=2,
+                   n_layers=1, d_ff=16)
+    assert live_at_call == [0] * 4
 
 
 # --- checkpoints -----------------------------------------------------------
